@@ -22,12 +22,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.integrate import quad
 
-from .netkit import ConfigError, ReluUnitRecord
+from .netkit import ConfigError, NumericsError, ReluUnitRecord
 
 DENSITIES = ("rademacher", "normal")
 _DENSITY_ALIASES = {"standard-normal": "normal", "gaussian": "normal"}
@@ -51,10 +52,53 @@ def _canonical_density(density: str) -> str:
 
 @dataclass(frozen=True)
 class GlassDensityMatrix:
-    """Nonnegative d x d matrix of gradient variation per unit distance."""
+    """Nonnegative d x d matrix of gradient variation per unit distance, in factored form.
 
-    R: np.ndarray
+    R = weights^T reach is stored as its K record factors, one row per
+    near-threshold record, in unit-id order:
+      * weights[k] = grad_y[k]^2 * dloss_dz[k]^2 / (2 psi), the scale folded in;
+      * reach[k] = |grad_y[k]|;
+      * layers[k], the hidden layer of record k.
+    density_diag and variation_bound read the factors in O(K d). The dense R
+    is built on first read of .R and cached.
+    """
+
+    weights: np.ndarray
+    reach: np.ndarray
+    layers: np.ndarray
     psi: float
+
+    @property
+    def dim(self) -> int:
+        return self.weights.shape[1]
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """The dense d x d density, built band by band from the factors.
+
+        Split the records into runs of equal layer label and let h_b be the
+        largest column, plus one, that is nonzero in either factor of any
+        record in runs 0..b. An entry (i, j) with max(i, j) >= h_{b-1} then
+        has contributions from the records of runs >= b only, so each L-shaped
+        band h_{b-1} <= max(i, j) < h_b is one product over a suffix of the
+        records, written straight into R. Entries beyond every record's reach
+        stay zero. Since a pre-activation in layer l depends only on the
+        parameters of layers <= l, layer-major records make the bands narrow.
+        """
+        w, r = self.weights, self.reach
+        d = self.dim
+        r_mat = np.zeros((d, d))
+        nonzero = (w != 0) | (r != 0)
+        ends = np.where(nonzero.any(axis=1), d - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        cuts = np.flatnonzero(self.layers[1:] != self.layers[:-1]) + 1
+        h_prev = 0
+        for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(ends)]):
+            h = max(h_prev, int(ends[s:e].max(initial=0)))
+            if h > h_prev:
+                np.matmul(w[s:, :h].T, r[s:, h_prev:h], out=r_mat[:h, h_prev:h])
+                np.matmul(w[s:, h_prev:h].T, r[s:, :h_prev], out=r_mat[h_prev:h, :h_prev])
+            h_prev = h
+        return r_mat
 
 
 @dataclass(frozen=True)
@@ -67,13 +111,17 @@ class GlassDensityDiag:
 def density_matrix(
     records: Iterable[ReluUnitRecord], psi: float, dim: int | None = None
 ) -> GlassDensityMatrix:
-    """Accumulate the glass density matrix from near-threshold unit records.
+    """Factor the glass density matrix from near-threshold unit records.
 
     R[i, j] = 1/(2 psi) * sum_k grad_y[k, i]^2 * dloss_dz[k]^2 * |grad_y[k, j]|.
 
-    Records are summed in unit-id order, so the result is exactly invariant
-    to input ordering. An empty record list yields the zero matrix (dim must
-    then be supplied).
+    The result stores the record factors of R (see GlassDensityMatrix):
+    density_diag and variation_bound cost O(K d), and the dense R is built
+    only when .R is read. Records are taken in unit-id order, so the result
+    is exactly invariant to input ordering. An empty record list yields the
+    zero matrix (dim must then be supplied). Mismatched grad_y lengths or a
+    dim that disagrees with them raise ConfigError; non-finite or overflowing
+    record values raise NumericsError.
     """
     if not psi > 0:
         raise ConfigError("psi must be positive")
@@ -81,26 +129,54 @@ def density_matrix(
     if not records:
         if dim is None:
             raise ConfigError("dim is required to build a density matrix from no records")
-        return GlassDensityMatrix(np.zeros((dim, dim)), float(psi))
-    gy = np.stack([r.grad_y for r in records])
-    coeff = np.array([r.dloss_dz for r in records]) ** 2
-    r_mat = ((gy * gy) * coeff[:, None]).T @ np.abs(gy) / (2.0 * psi)
-    return GlassDensityMatrix(r_mat, float(psi))
+        empty = np.zeros((0, dim))
+        return GlassDensityMatrix(empty, empty, np.zeros(0, dtype=np.intp), float(psi))
+    width = len(records[0].grad_y)
+    if dim is not None and dim != width:
+        raise ConfigError(f"dim {dim} differs from the records' grad_y length {width}")
+    for r in records:
+        if np.shape(r.grad_y) != (width,):
+            raise ConfigError(
+                f"record {r.unit_id} has grad_y of shape {np.shape(r.grad_y)}, expected ({width},)"
+            )
+    gy = np.stack([r.grad_y for r in records]).astype(np.float64, copy=False)
+    dloss_dz = np.array([r.dloss_dz for r in records], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (gy * gy) * (dloss_dz * dloss_dz / (2.0 * psi))[:, None]
+    # A non-finite grad_y or dloss_dz, or an overflow, leaves its record's weights non-finite.
+    bad = ~np.isfinite(weights).all(axis=1)
+    if bad.any():
+        raise NumericsError(
+            f"record {records[int(np.argmax(bad))].unit_id} has a non-finite or overflowing "
+            "grad_y or dloss_dz"
+        )
+    layers = np.array([r.layer for r in records], dtype=np.intp)
+    return GlassDensityMatrix(weights, np.abs(gy, out=gy), layers, float(psi))
 
 
 def density_diag(matrix: GlassDensityMatrix) -> GlassDensityDiag:
-    """Diagonal of the density matrix."""
-    return GlassDensityDiag(np.diag(matrix.R).copy())
+    """Diagonal of the density matrix, sum_k weights[k, i] * reach[k, i], in O(K d)."""
+    return GlassDensityDiag(np.einsum("ki,ki->i", matrix.weights, matrix.reach))
 
 
 def variation_bound(matrix: GlassDensityMatrix, delta: np.ndarray) -> np.ndarray:
-    """Upper bound R |delta| on gradient variations for a step delta."""
+    """Upper bound R |delta| on gradient variations for a step delta, in O(K d)."""
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (matrix.R.shape[0],):
+    if delta.shape != (matrix.dim,):
         raise ConfigError(
-            f"delta has shape {delta.shape}, density matrix is {matrix.R.shape}"
+            f"delta has shape {delta.shape}, density matrix is {(matrix.dim, matrix.dim)}"
         )
-    return matrix.R @ np.abs(delta)
+    return (matrix.reach @ np.abs(delta)) @ matrix.weights
+
+
+def _rho_and_delta(rho, delta) -> tuple[np.ndarray, np.ndarray]:
+    rho = rho.rho if isinstance(rho, GlassDensityDiag) else np.asarray(rho, dtype=np.float64)
+    if not (np.isfinite(rho).all() and (rho >= 0).all()):
+        raise ConfigError("glass density must be finite and elementwise nonnegative")
+    delta = np.asarray(delta, dtype=np.float64)
+    if rho.shape != delta.shape:
+        raise ConfigError(f"shape mismatch: rho {rho.shape} vs delta {delta.shape}")
+    return rho, delta
 
 
 def loss_increase_bound_terms(rho: np.ndarray | GlassDensityDiag, delta: np.ndarray) -> np.ndarray:
@@ -109,12 +185,7 @@ def loss_increase_bound_terms(rho: np.ndarray | GlassDensityDiag, delta: np.ndar
     The sum of these terms is the bound used by the per-coordinate step
     optimization; see loss_increase_bound for the aggregate scalar form.
     """
-    rho = rho.rho if isinstance(rho, GlassDensityDiag) else np.asarray(rho, dtype=np.float64)
-    if np.any(rho < 0):
-        raise ConfigError("glass density must be elementwise nonnegative")
-    delta = np.asarray(delta, dtype=np.float64)
-    if rho.shape != delta.shape:
-        raise ConfigError(f"shape mismatch: rho {rho.shape} vs delta {delta.shape}")
+    rho, delta = _rho_and_delta(rho, delta)
     return np.sqrt((2.0 / (3.0 * math.pi)) * rho * np.abs(delta) ** 3)
 
 
@@ -125,12 +196,7 @@ def loss_increase_bound(rho: np.ndarray | GlassDensityDiag, delta: np.ndarray) -
     loss_increase_bound_terms gives the per-coordinate decomposition (whose
     sum is a valid, looser-structured alternative aggregate).
     """
-    rho = rho.rho if isinstance(rho, GlassDensityDiag) else np.asarray(rho, dtype=np.float64)
-    if np.any(rho < 0):
-        raise ConfigError("glass density must be elementwise nonnegative")
-    delta = np.asarray(delta, dtype=np.float64)
-    if rho.shape != delta.shape:
-        raise ConfigError(f"shape mismatch: rho {rho.shape} vs delta {delta.shape}")
+    rho, delta = _rho_and_delta(rho, delta)
     return float(np.sqrt((2.0 / (3.0 * math.pi)) * np.sum(rho * np.abs(delta) ** 3)))
 
 
@@ -176,8 +242,8 @@ def kernel_constant(density: str, omega2, restrict: float = 0.0):
     if restrict < 0:
         raise ConfigError("restriction threshold must be >= 0")
     omega2_arr = np.asarray(omega2, dtype=np.float64)
-    if np.any(omega2_arr < 0):
-        raise ConfigError("omega2 must be nonnegative")
+    if not (np.isfinite(omega2_arr).all() and (omega2_arr >= 0).all()):
+        raise ConfigError("omega2 must be finite and nonnegative")
 
     def one(w2: float) -> float:
         if w2 == 0.0:
@@ -342,6 +408,8 @@ class PowerLawReport:
 
 
 def _check_partitions(partitions: Mapping[str, np.ndarray], dim: int) -> None:
+    if not partitions:
+        raise ConfigError("no partitions")
     seen = np.concatenate([np.asarray(idx, dtype=np.intp) for idx in partitions.values()])
     if seen.size != dim or not np.array_equal(np.sort(seen), np.arange(dim)):
         raise ConfigError("partitions must be disjoint and cover every parameter index")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_loss_gradient, random_model_and_batch
+from fd_oracles import fd_loss_gradient, random_model_and_batch
 from glassopt import glass, harness, netkit, oracles
 from glassopt.alice import (
     Alice,

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glassopt import glass, oracles
+from fd_oracles import random_model_and_batch
+from glassopt import glass, netkit, oracles
 from glassopt.glass import GlassDensityDiag, GlassDensityMatrix
-from glassopt.netkit import ConfigError, ReluUnitRecord
+from glassopt.netkit import ConfigError, NumericsError, ReluUnitRecord
 
 
 def make_record(layer, neuron, sample, y, dldz, grad_y):
@@ -65,31 +66,140 @@ class TestDensityMatrix:
         with pytest.raises(ConfigError):
             glass.density_matrix(synthetic_records(), 0.0)
 
+    def test_dim_must_match_records(self):
+        with pytest.raises(ConfigError, match="dim 5"):
+            glass.density_matrix(synthetic_records(d=3), 0.5, dim=5)
+        assert glass.density_matrix(synthetic_records(d=3), 0.5, dim=3).R.shape == (3, 3)
+
+    def test_mismatched_lengths_name_the_record(self):
+        records = synthetic_records(d=3) + [make_record(1, 7, 2, 0.0, 1.0, np.ones(4))]
+        with pytest.raises(ConfigError, match=r"\(1, 7, 2\)"):
+            glass.density_matrix(records, 0.5)
+
+    @pytest.mark.parametrize("field", ["grad_y", "dloss_dz"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
+    def test_non_finite_record_rejected(self, field, bad):
+        records = synthetic_records(d=3)
+        grad_y = np.array([1.0, bad, 0.0]) if field == "grad_y" else np.ones(3)
+        dldz = bad if field == "dloss_dz" else 1.0
+        records.append(make_record(2, 0, 5, 0.0, dldz, grad_y))
+        with pytest.raises(NumericsError, match=r"\(2, 0, 5\)"):
+            glass.density_matrix(records, 0.5)
+
+
+def from_dense(r_mat):
+    """The exact factor split R = I^T R: one record per row, all in one layer."""
+    d = r_mat.shape[0]
+    return GlassDensityMatrix(np.eye(d), r_mat, np.zeros(d, dtype=int), 1.0)
+
+
+def reference_density(records, psi):
+    """The one-product oracle ((gy^2 c)^T |gy|) / (2 psi)."""
+    gy = np.stack([r.grad_y for r in records])
+    coeff = np.array([r.dloss_dz for r in records]) ** 2
+    return ((gy * gy) * coeff[:, None]).T @ np.abs(gy) / (2.0 * psi)
+
+
+def assert_matches_reference(records, psi, seed=0):
+    matrix = glass.density_matrix(records, psi)
+    want = reference_density(records, psi)
+    delta = np.random.default_rng(seed).standard_normal(want.shape[0])
+    assert np.allclose(glass.density_diag(matrix).rho, np.diag(want), rtol=1e-12, atol=0)
+    assert np.allclose(
+        glass.variation_bound(matrix, delta), want @ np.abs(delta), rtol=1e-12, atol=0
+    )
+    assert np.allclose(matrix.R, want, rtol=1e-12, atol=0)
+    assert np.array_equal(matrix.R != 0, want != 0)
+
+
+class TestDensityFactors:
+    def test_layer_zero_record_reaching_last_column(self):
+        # Breaks the layer-prefix layout: the first band must cover all of R.
+        records = [
+            make_record(0, 0, 0, 0.0, 1.5, [0.0, 0.0, 0.0, 0.0, 2.0]),
+            make_record(1, 0, 0, 0.0, -0.5, [1.0, 3.0, 0.0, 0.0, 0.0]),
+            make_record(1, 1, 0, 0.0, 0.7, [0.0, 0.0, 4.0, 0.0, 0.0]),
+        ]
+        assert_matches_reference(records, 0.2)
+
+    def test_zero_weight_record_still_reaches(self):
+        # dloss_dz = 0 zeroes the weights but not the reach of a record.
+        records = [
+            make_record(0, 0, 0, 0.0, 0.0, [1.0, 2.0, 0.0]),
+            make_record(1, 0, 0, 0.0, 1.0, [1.0, 0.0, 3.0]),
+        ]
+        assert_matches_reference(records, 0.5)
+
+    def test_weights_reaching_past_reach(self):
+        # In the identity split of a lower-triangular R, each record's weight
+        # lies one column past its reach, so the band ends must read both.
+        r_mat = np.tril(np.random.default_rng(6).random((5, 5)), -1)
+        assert np.array_equal(from_dense(r_mat).R, r_mat)
+
+    def test_real_records_from_three_hidden_layers(self):
+        spec, params, batch = random_model_and_batch(4, widths=(4, 6, 6, 6, 3), n=10)
+        records = netkit.relu_introspect(spec, params, batch, 0.8)
+        assert {r.layer for r in records} == {0, 1, 2}
+        assert_matches_reference(records, 0.8)
+
+    def test_diag_and_bound_do_not_build_dense(self):
+        matrix = glass.density_matrix(synthetic_records(), 0.3)
+        glass.density_diag(matrix)
+        glass.variation_bound(matrix, np.ones(matrix.dim))
+        assert "R" not in vars(matrix)
+        assert matrix.R is matrix.R
+
+
+@st.composite
+def layered_records(draw):
+    """Records with random layer labels and supports.
+
+    A record's support is either the parameter prefix its layer reaches in a
+    four-layer net, or any column at all, which breaks the prefix layout.
+    """
+    d = draw(st.integers(1, 12))
+    records = []
+    for k in range(draw(st.integers(1, 10))):
+        layer = draw(st.integers(0, 3))
+        end = draw(st.sampled_from([(layer + 1) * d // 4, d]))
+        support = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+        support[end:] = False
+        values = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+        dldz = draw(st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(-3.0, -0.1)))
+        grad_y = np.where(support, np.multiply(values, signs), 0.0)
+        records.append(make_record(layer, k, 0, 0.0, dldz, grad_y))
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_records(), st.floats(0.01, 1.0), st.integers(0, 2**16))
+def test_factored_density_matches_one_product(records, psi, seed):
+    assert_matches_reference(records, psi, seed)
+
 
 class TestDensityDiag:
     def test_zero(self):
         assert np.array_equal(
-            glass.density_diag(GlassDensityMatrix(np.zeros((3, 3)), 1.0)).rho, np.zeros(3)
+            glass.density_diag(from_dense(np.zeros((3, 3)))).rho, np.zeros(3)
         )
 
     def test_identity(self):
-        assert np.array_equal(
-            glass.density_diag(GlassDensityMatrix(np.eye(4), 1.0)).rho, np.ones(4)
-        )
+        assert np.array_equal(glass.density_diag(from_dense(np.eye(4))).rho, np.ones(4))
 
     def test_random_matches_indexing(self):
         r_mat = np.random.default_rng(0).random((5, 5))
-        rho = glass.density_diag(GlassDensityMatrix(r_mat, 1.0)).rho
+        rho = glass.density_diag(from_dense(r_mat)).rho
         assert all(rho[i] == r_mat[i, i] for i in range(5))
 
 
 class TestVariationBound:
     def test_zero_delta(self):
-        matrix = GlassDensityMatrix(np.random.default_rng(1).random((4, 4)), 1.0)
+        matrix = from_dense(np.random.default_rng(1).random((4, 4)))
         assert np.array_equal(glass.variation_bound(matrix, np.zeros(4)), np.zeros(4))
 
     def test_homogeneous_degree_one(self):
-        matrix = GlassDensityMatrix(np.random.default_rng(2).random((4, 4)), 1.0)
+        matrix = from_dense(np.random.default_rng(2).random((4, 4)))
         delta = np.random.default_rng(3).standard_normal(4)
         assert np.allclose(
             glass.variation_bound(matrix, 3.0 * delta),
@@ -98,7 +208,7 @@ class TestVariationBound:
         )
 
     def test_dimension_mismatch(self):
-        matrix = GlassDensityMatrix(np.zeros((4, 4)), 1.0)
+        matrix = from_dense(np.zeros((4, 4)))
         with pytest.raises(ConfigError):
             glass.variation_bound(matrix, np.zeros(5))
 
@@ -126,6 +236,13 @@ class TestLossIncreaseBound:
             glass.loss_increase_bound(np.array([-1.0]), np.ones(1))
         with pytest.raises(ConfigError):
             glass.loss_increase_bound_terms(np.array([-1.0]), np.ones(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_density_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            glass.loss_increase_bound(np.array([1.0, bad]), np.ones(2))
+        with pytest.raises(ConfigError):
+            glass.loss_increase_bound_terms(np.array([bad]), np.ones(1))
 
     def test_accepts_diag_wrapper(self):
         assert glass.loss_increase_bound(GlassDensityDiag(np.zeros(2)), np.ones(2)) == 0.0
@@ -177,6 +294,13 @@ class TestKernels:
     def test_unknown_density_rejected(self):
         with pytest.raises(ConfigError):
             glass.kernel_constant("cauchy", 1.0)
+
+    @pytest.mark.parametrize("density", ["rademacher", "normal"])
+    def test_non_finite_omega2_rejected(self, density):
+        with pytest.raises(ConfigError):
+            glass.kernel_constant(density, math.nan)
+        with pytest.raises(ConfigError):
+            glass.kernel_constant(density, np.array([1.0, math.inf]))
 
     def test_restriction_rejecting_everything(self):
         with pytest.raises(ConfigError):
@@ -282,6 +406,10 @@ class TestPowerLaw:
                 self._meas([2.0, 2.0], 0.2),
                 {"a": np.array([0, 1]), "b": np.array([1])},
             )
+
+    def test_no_partitions_rejected(self):
+        with pytest.raises(ConfigError, match="no partitions"):
+            glass.power_law(self._meas([1.0], 0.1), self._meas([2.0], 0.2), {})
 
     def test_scale_pairing_enforced(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_loss_gradient, fd_preactivation_gradient, random_model_and_batch
+from fd_oracles import fd_loss_gradient, fd_preactivation_gradient, random_model_and_batch
 from glassopt import netkit
 from glassopt.netkit import Batch, ConfigError, ModelSpec, NumericsError
 
