@@ -24,12 +24,8 @@ from .harness import CheckRow, write_report
 from .netkit import ConfigError
 
 
-def _out_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    import os
-
-    return Path(os.environ.get(harness.OUTPUT_ENV, "runs"))
+def _out_dir(args, cfg=None) -> Path:
+    return harness.resolve_output_dir(cfg, args.out)
 
 
 def _print_rows(rows) -> bool:
@@ -59,7 +55,7 @@ def cmd_probe(args) -> int:
     cfg = harness.load_config(args.config)
     cfg.task = "powerlaw-probe"
     summary = harness.run_experiment(cfg, args.out or None)
-    base = harness.resolve_output_dir(cfg, args.out or None) / cfg.name
+    base = _out_dir(args, cfg) / cfg.name
     for seed, metric in summary.per_seed:
         report = base / f"seed_{seed}" / "powerlaw.csv"
         print(f"seed {seed}: median p = {metric:.4g}  ({report})")
@@ -73,7 +69,7 @@ def cmd_probe(args) -> int:
 def cmd_train(args) -> int:
     cfg = harness.load_config(args.config)
     summary = harness.run_experiment(cfg, args.out or None)
-    base = harness.resolve_output_dir(cfg, args.out or None) / cfg.name
+    base = _out_dir(args, cfg) / cfg.name
     for seed, metric in summary.per_seed:
         print(f"seed {seed}: final metric = {metric:.8g}")
     print(f"aggregate (min, median, max) = ({summary.minimum:.8g}, "

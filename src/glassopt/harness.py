@@ -69,6 +69,12 @@ class DataParams:
     center_scale: float = 2.0
     label_flip: float = 0.15
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ConfigError(f"data.samples must be >= 1, got {self.samples}")
+        if not 0.0 <= self.label_flip <= 1.0:
+            raise ConfigError(f"data.label_flip must lie in [0, 1], got {self.label_flip}")
+
 
 @dataclass
 class ProbeParams:
@@ -78,6 +84,10 @@ class ProbeParams:
     samples: int = 96
     warmup_steps: int = 200
     warmup_lr: float = 2e-3
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ConfigError(f"probe.samples must be >= 1, got {self.samples}")
 
 
 @dataclass
@@ -99,8 +109,15 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds must be distinct, got {repeated} more than once")
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
+            raise ConfigError(f"name must be a single path component, got {self.name!r}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.batch_size < 0:
+            raise ConfigError(f"batch_size must be >= 0 (0 = full batch), got {self.batch_size}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.optimizer not in OPTIMIZERS:
@@ -192,6 +209,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse the key = value format, reporting the offending line on errors."""
     top: dict[str, object] = {}
     sections: dict[str, dict[str, object]] = {"model": {}, "alice": {}, "data": {}, "probe": {}}
+    seen: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -201,6 +219,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(
+                f"{source}:{lineno}: key {key!r} repeated (first set on line {seen[key]})"
+            )
+        seen[key] = lineno
         section, attr, parser = _SCHEMA[key]
         try:
             value = parser(raw)
@@ -220,7 +243,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             **top,
         )
     except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        # A message that opens with a config key points at the line that set it.
+        lineno = seen.get(str(exc).split(" ", 1)[0])
+        where = f"{source}:{lineno}" if lineno else source
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -549,10 +575,11 @@ def aggregate(values) -> tuple[float, float, float]:
     return min(values), float(np.median(values)), max(values)
 
 
-def resolve_output_dir(cfg: ExperimentConfig, out_root=None) -> Path:
+def resolve_output_dir(cfg: ExperimentConfig | None, out_root=None) -> Path:
+    """Output root: out_root, else cfg.output_dir, else $GLASSOPT_OUT, else ./runs."""
     if out_root:
         return Path(out_root)
-    if cfg.output_dir:
+    if cfg is not None and cfg.output_dir:
         return Path(cfg.output_dir)
     return Path(os.environ.get(OUTPUT_ENV, "runs"))
 

@@ -12,10 +12,22 @@ built on top of it.
 The ReLU derivative at a pre-activation of exactly zero is 0: a unit sitting
 on its threshold counts as inactive. Every function here is pure in
 (spec, params, batch) and safe to call from multiple threads.
+
+gradient allocates no (batch x width) temporaries once warm. Each thread keeps
+a private workspace, keyed by (layer widths, batch size) and rebuilt only when
+that key changes: one (batch x width) buffer per layer, which holds the
+layer's pre-activation, then its ReLU output (in place), then the backward
+signal that replaces it, plus one bool buffer for the finiteness checks and
+ReLU masks. gradient runs its forward pass through forward, handing it the
+workspace; nothing in the workspace leaves gradient, every call returns a
+fresh gradient array, and concurrent calls from several threads stay safe.
+Called without a workspace, forward allocates every array it returns, so
+callers may keep them.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,18 +206,33 @@ def build_model(spec: ModelSpec, seed: int) -> np.ndarray:
     return params
 
 
-def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
-    """Run the network, returning (pre-activations, post-activations) per layer."""
+def _all_finite(x: np.ndarray, flags: np.ndarray | None) -> bool:
+    """Whether every entry is finite, using flags (if given) as bool scratch."""
+    out = None if flags is None else flags[: x.size].reshape(x.shape)
+    return bool(np.isfinite(x, out=out).all())
+
+
+def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, *, workspace=None):
+    """Run the network, returning (pre-activations, post-activations) per layer.
+
+    Every returned array is freshly allocated unless workspace, a (per-layer
+    (n, width) float buffers, bool scratch) pair, is given. Then layer i is
+    computed in buffer i with its ReLU applied in place, so both lists hold
+    the buffers and a hidden layer's pre-activation is not kept. gradient
+    passes its per-thread workspace here; other callers leave it out.
+    """
     params = _check_params(spec, params)
     weights, biases = _views(spec, params)
+    layers, flags = workspace if workspace is not None else ([None] * spec.n_layers, None)
     a = np.asarray(inputs, dtype=np.float64)
     preacts, acts = [], []
     for i, (w, b) in enumerate(zip(weights, biases)):
-        y = a @ w + b
-        if not np.all(np.isfinite(y)):
+        y = np.matmul(a, w, out=layers[i])
+        y += b
+        if not _all_finite(y, flags):
             raise NumericsError(f"non-finite pre-activations at layer {i}")
+        a = np.maximum(y, 0.0, out=layers[i]) if i < spec.n_layers - 1 else y
         preacts.append(y)
-        a = np.maximum(y, 0.0) if i < spec.n_layers - 1 else y
         acts.append(a)
     return preacts, acts
 
@@ -233,23 +260,43 @@ def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     return _loss_and_dout(spec, acts[-1], batch.targets)[0]
 
 
+_workspace = threading.local()
+
+
+def _workspace_buffers(spec: ModelSpec, n: int):
+    """This thread's per-layer (n, width) float buffers and its bool scratch."""
+    key = (spec.layer_widths, n)
+    if getattr(_workspace, "key", None) != key:
+        widths = spec.layer_widths[1:]
+        _workspace.layers = [np.empty((n, w)) for w in widths]
+        _workspace.flags = np.empty(n * max(widths), dtype=bool)
+        _workspace.key = key
+    return _workspace.layers, _workspace.flags
+
+
 def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch):
     """Reverse-mode gradient of the batch loss. Returns (loss, flat gradient)."""
     params = _check_params(spec, params)
     _check_batch(spec, batch)
-    preacts, acts = forward(spec, params, batch.inputs)
+    workspace = _workspace_buffers(spec, batch.size)
+    _, acts = forward(spec, params, batch.inputs, workspace=workspace)
+    flags = workspace[1]
     value, d_y = _loss_and_dout(spec, acts[-1], batch.targets)
     weights, _ = _views(spec, params)
     grad = np.zeros_like(params)
     g_weights, g_biases = _views(spec, grad)
     for i in range(spec.n_layers - 1, -1, -1):
-        if not np.all(np.isfinite(d_y)):
+        if not _all_finite(d_y, flags):
             raise NumericsError(f"non-finite backward signal at layer {i}")
         a_prev = batch.inputs if i == 0 else acts[i - 1]
-        g_weights[i][...] = a_prev.T @ d_y
-        g_biases[i][...] = d_y.sum(axis=0)
+        np.matmul(a_prev.T, d_y, out=g_weights[i])
+        np.sum(d_y, axis=0, out=g_biases[i])
         if i > 0:
-            d_y = (d_y @ weights[i].T) * (preacts[i - 1] > 0.0)
+            # A ReLU output is positive exactly where its pre-activation is.
+            # The backward signal then overwrites that output, now unused.
+            active = np.greater(a_prev, 0.0, out=flags[: a_prev.size].reshape(a_prev.shape))
+            d_y = np.matmul(d_y, weights[i].T, out=a_prev)
+            d_y *= active
     return value, grad
 
 

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from glassopt import cli
+from glassopt import cli, harness
 from glassopt.harness import ExperimentConfig, serialize_config
 from glassopt.netkit import ModelSpec
 
@@ -118,6 +120,25 @@ class TestProbeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert ":2:" in err and "alice.bogus" in err
+
+
+class TestOutputDir:
+    def test_out_then_env_then_runs(self, tmp_path, monkeypatch):
+        args = cli.build_parser().parse_args(["verify", "--suite", "step"])
+        monkeypatch.delenv(harness.OUTPUT_ENV, raising=False)
+        assert cli._out_dir(args) == Path("runs")
+        monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "env"))
+        assert cli._out_dir(args) == tmp_path / "env"
+        args.out = str(tmp_path / "flag")
+        assert cli._out_dir(args) == tmp_path / "flag"
+
+    def test_config_output_dir_between_out_and_env(self, tmp_path, monkeypatch):
+        args = cli.build_parser().parse_args(["train", "--config", "x.cfg"])
+        cfg = ExperimentConfig(output_dir=str(tmp_path / "cfg"))
+        monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "env"))
+        assert cli._out_dir(args, cfg) == tmp_path / "cfg"
+        args.out = str(tmp_path / "flag")
+        assert cli._out_dir(args, cfg) == tmp_path / "flag"
 
 
 def test_version_flag():

@@ -75,6 +75,37 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=r":1: expected 'key = value'"):
             parse_config("just some words\n")
 
+    def test_repeated_key_reports_both_lines(self):
+        with pytest.raises(ConfigError, match=r":3: key 'steps' repeated \(first set on line 1\)"):
+            parse_config("steps = 5\nname = x\nsteps = 6\n")
+
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r":2: seeds must be distinct, got \[1\]"):
+            parse_config("name = x\nseeds = 1,2,1\n")
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("batch_size", "-5"),
+            ("data.samples", "0"),
+            ("probe.samples", "0"),
+            ("data.label_flip", "2"),
+            ("data.label_flip", "-0.1"),
+            ("data.label_flip", "nan"),
+            ("name", "../../x"),
+            ("name", "a/b"),
+            ("name", "/"),
+            ("name", "."),
+            ("name", ".."),
+        ],
+    )
+    def test_out_of_range_value_names_key_and_line(self, key, raw):
+        with pytest.raises(ConfigError, match=rf":2: {key} must"):
+            parse_config(f"task = least-squares\n{key} = {raw}\n")
+
+    def test_zero_batch_size_still_means_full_batch(self):
+        assert parse_config("batch_size = 0\n").batch_size == 0
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# a comment\n\nname = ok\ntask = least-squares\n")
         assert cfg.name == "ok"

@@ -1,10 +1,20 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fd_oracles import fd_loss_gradient, fd_preactivation_gradient, random_model_and_batch
-from glassopt import netkit
+from fd_oracles import (
+    fd_loss_gradient,
+    fd_preactivation_gradient,
+    random_model_and_batch,
+    reference_gradient,
+)
+from glassopt import harness, netkit
 from glassopt.netkit import Batch, ConfigError, ModelSpec, NumericsError
 
 
@@ -134,6 +144,89 @@ class TestGradient:
         params[0] = np.inf
         with pytest.raises(NumericsError, match="layer 0"):
             netkit.gradient(spec, params, Batch(np.ones((1, 2)), np.zeros((1, 1))))
+
+
+def assert_matches_reference(spec, params, batch):
+    value, grad = netkit.gradient(spec, params, batch)
+    ref_value, ref_grad = reference_gradient(spec, params, batch)
+    assert value == ref_value
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+class TestWorkspaceGradient:
+    """netkit.gradient reuses per-thread buffers; results must not show it."""
+
+    @pytest.mark.parametrize("n", [1, 128, 2000])
+    @pytest.mark.parametrize("loss_kind", ["mse", "xent"])
+    def test_bitwise_equal_to_reference(self, loss_kind, n):
+        spec, params, batch = random_model_and_batch(n, (6, 17, 11, 4), loss_kind, n)
+        assert_matches_reference(spec, params, batch)
+        assert_matches_reference(spec, params, batch)  # second call reuses the workspace
+
+    def test_interleaved_specs_and_batch_sizes(self):
+        cases = [
+            random_model_and_batch(0, (6, 17, 11, 4), "xent", 128),
+            random_model_and_batch(1, (6, 17, 11, 4), "xent", 7),
+            random_model_and_batch(2, (3, 5, 2), "mse", 128),
+            random_model_and_batch(3, (6, 4, 23, 3), "mse", 128),
+            random_model_and_batch(4, (3, 5, 2), "xent", 1),
+        ]
+        for case in cases + cases[::-1] + cases:
+            assert_matches_reference(*case)
+
+    def test_valid_call_after_numerics_error(self):
+        spec, params, batch = random_model_and_batch(5, (4, 9, 7, 3), "xent", 50)
+        bad = params.copy()
+        bad[spec.layer_slices()[1][0]] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericsError, match="non-finite pre-activations at layer 1"
+        ):
+            netkit.gradient(spec, bad, batch)
+        assert_matches_reference(spec, params, batch)
+
+    def test_two_threads_concurrently(self):
+        cases = [
+            random_model_and_batch(6, (6, 17, 11, 4), "xent", 300),
+            random_model_and_batch(7, (6, 17, 11, 4), "mse", 300),
+            random_model_and_batch(8, (5, 30, 3), "xent", 64),
+        ]
+        expected = [reference_gradient(*case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(lambda case: netkit.gradient(*case), cases * 30))
+        finally:
+            sys.setswitchinterval(interval)
+        for k, (value, grad) in enumerate(results):
+            ref_value, ref_grad = expected[k % len(cases)]
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_returned_gradient_is_fresh(self):
+        spec, params, batch = random_model_and_batch(9, (6, 17, 11, 4), "xent", 128)
+        _, first = netkit.gradient(spec, params, batch)
+        expected = first.copy()
+        first[:] = np.nan
+        _, second = netkit.gradient(spec, params, batch)
+        assert not np.shares_memory(first, second)
+        assert second.tobytes() == expected.tobytes()
+
+    def test_steady_state_full_batch_allocates_under_1mb(self):
+        cfg = harness.load_config(Path(__file__).parents[1] / "docs/configs/probe_mlp.cfg")
+        batch = harness.task_batch(cfg, 0)
+        params = netkit.build_model(cfg.model, 0)
+        assert (cfg.model.param_count, batch.size) == (9210, 2000)
+        netkit.gradient(cfg.model, params, batch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            netkit.gradient(cfg.model, params, batch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 class TestReluIntrospect:
