@@ -53,15 +53,16 @@ class AliceConfig:
     applied to the actual position, omega the fraction used for the next
     gradient-evaluation center. terms selects which curvature statistics
     enter the step (when both h_abs and h_rms are listed, h_abs is used).
-    naq=True overrides phi = 1 - beta1 and omega = 1.
+    phi and omega default to 1; naq=True sets phi = 1 - beta1 and omega = 1,
+    and rejects an explicit phi or omega with a different value.
     """
 
     lam: float = 0.002
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    phi: float = 1.0
-    omega: float = 1.0
+    phi: float | None = None
+    omega: float | None = None
     lam_min: float = 0.0
     lam_max: float = 0.01
     limit_method: str = "adam"
@@ -71,29 +72,47 @@ class AliceConfig:
 
     def __post_init__(self):
         if self.naq:
-            self.phi = 1.0 - self.beta1
-            self.omega = 1.0
+            for name, value in (("phi", 1.0 - self.beta1), ("omega", 1.0)):
+                if getattr(self, name) not in (None, value):
+                    raise ConfigError(
+                        f"alice.{name} = {getattr(self, name)!r} conflicts with alice.naq = true,"
+                        f" which sets {name} = {value!r}"
+                    )
+                setattr(self, name, value)
+        else:
+            self.phi = 1.0 if self.phi is None else self.phi
+            self.omega = 1.0 if self.omega is None else self.omega
         self.terms = tuple(self.terms)
         if not self.lam > 0:
-            raise ConfigError("probe distance lam must be positive")
+            raise ConfigError(f"alice.lam must be positive, got {self.lam}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1)")
+                raise ConfigError(f"alice.{name} must lie in [0, 1), got {getattr(self, name)}")
         if not self.eps > 0:
-            raise ConfigError("eps must be positive")
+            raise ConfigError(f"alice.eps must be positive, got {self.eps}")
         if not 0.0 < self.phi <= 1.0:
-            raise ConfigError("phi must lie in (0, 1]")
+            raise ConfigError(f"alice.phi must lie in (0, 1], got {self.phi}")
         if not self.phi <= self.omega <= 1.0:
-            raise ConfigError("omega must lie in [phi, 1]")
-        if self.lam_min < 0 or not self.lam_max > 0 or self.lam_min > self.lam_max:
-            raise ConfigError("need 0 <= lam_min <= lam_max and lam_max > 0")
+            raise ConfigError(f"alice.omega must lie in [alice.phi, 1], got {self.omega}")
+        if not self.lam_min >= 0:
+            raise ConfigError(f"alice.lam_min must be >= 0, got {self.lam_min}")
+        if not self.lam_max > 0:
+            raise ConfigError(f"alice.lam_max must be > 0, got {self.lam_max}")
+        if self.lam_min > self.lam_max:
+            raise ConfigError(
+                f"alice.lam_min must be <= alice.lam_max, got {self.lam_min} > {self.lam_max}"
+            )
         if self.limit_method not in LIMIT_METHODS:
-            raise ConfigError(f"limit_method must be one of {LIMIT_METHODS}")
+            raise ConfigError(
+                f"alice.limit_method must be one of {LIMIT_METHODS}, got {self.limit_method!r}"
+            )
         if self.quick_steps < 0:
-            raise ConfigError("quick_steps must be >= 0")
+            raise ConfigError(f"alice.quick_steps must be >= 0, got {self.quick_steps}")
         unknown = set(self.terms) - set(CURVATURE_TERMS)
         if unknown:
-            raise ConfigError(f"unknown curvature terms {sorted(unknown)}")
+            raise ConfigError(
+                f"alice.terms must be drawn from {CURVATURE_TERMS}, got unknown {sorted(unknown)}"
+            )
 
 
 @dataclass

@@ -72,6 +72,10 @@ class DataParams:
     def __post_init__(self):
         if self.samples < 1:
             raise ConfigError(f"data.samples must be >= 1, got {self.samples}")
+        if self.classes < 1:
+            raise ConfigError(f"data.classes must be >= 1, got {self.classes}")
+        if not self.noise >= 0.0:
+            raise ConfigError(f"data.noise must be >= 0, got {self.noise}")
         if not 0.0 <= self.label_flip <= 1.0:
             raise ConfigError(f"data.label_flip must lie in [0, 1], got {self.label_flip}")
 
@@ -86,8 +90,14 @@ class ProbeParams:
     warmup_lr: float = 2e-3
 
     def __post_init__(self):
+        if not self.lam > 0.0:
+            raise ConfigError(f"probe.lam must be > 0, got {self.lam}")
         if self.samples < 1:
             raise ConfigError(f"probe.samples must be >= 1, got {self.samples}")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"probe.warmup_steps must be >= 0, got {self.warmup_steps}")
+        if not self.warmup_lr > 0.0:
+            raise ConfigError(f"probe.warmup_lr must be > 0, got {self.warmup_lr}")
 
 
 @dataclass
@@ -118,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError("steps must be >= 1")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be >= 0 (0 = full batch), got {self.batch_size}")
+        if not self.baseline_lr > 0.0:
+            raise ConfigError(f"baseline_lr must be > 0, got {self.baseline_lr}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.optimizer not in OPTIMIZERS:
@@ -683,9 +695,9 @@ def _suite_glass(seed: int) -> list[CheckRow]:
     records = netkit.relu_introspect(
         scenario.spec, scenario.params, scenario.batch, scenario.psi
     )
-    r_mat = density_matrix(records, scenario.psi).R
-    small = oracles.mc_variation(scenario, r_mat, 5e-5, 2000, seed + 1)
-    large = oracles.mc_variation(scenario, r_mat, 0.5, 200, seed + 2)
+    density = density_matrix(records, scenario.psi)
+    small = oracles.mc_variation(scenario, density, 5e-5, 2000, seed + 1)
+    large = oracles.mc_variation(scenario, density, 0.5, 200, seed + 2)
     return [
         CheckRow("variation_bound_coverage_small_step", small.fraction_within, 1.0,
                  math.nan, small.n_samples, small.fraction_within >= 0.99),
@@ -787,11 +799,23 @@ VERIFY_SUITES = {
 
 
 def run_verify_suite(suite: str, seed: int = 0) -> list[CheckRow]:
-    """Run one named verification suite (or all of them) and return its checks."""
+    """Run one named verification suite (or all of them) and return its checks.
+
+    "all" runs the walk suite on a second thread while the other suites run
+    on this one; numpy's RNG and BLAS release the GIL, so the two overlap.
+    Each suite draws from its own seeded Generator and shares no state with
+    the others, so the rows are those of the serial runs. They come back in
+    VERIFY_SUITES order, and an exception from any suite is raised at that
+    suite's position.
+    """
     if suite == "all":
+        from concurrent.futures import ThreadPoolExecutor
+
         rows = []
-        for name in VERIFY_SUITES:
-            rows.extend(run_verify_suite(name, seed))
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            walk = lane.submit(run_verify_suite, "walk", seed)
+            for name in VERIFY_SUITES:
+                rows.extend(walk.result() if name == "walk" else run_verify_suite(name, seed))
         return rows
     if suite not in VERIFY_SUITES:
         raise ConfigError(f"unknown suite {suite!r}, expected one of {(*VERIFY_SUITES, 'all')}")

@@ -12,13 +12,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import netkit
 from .netkit import Batch, ConfigError, ModelSpec
 
+if TYPE_CHECKING:
+    from .glass import GlassDensityMatrix
+
 _CHUNK = 20_000
+# Elements per row block of the in-place passes over a chunk: the block bounds
+# the temporaries those passes allocate (about 0.5 MB each).
+_BLOCK_ELEMS = 1 << 16
+
+
+def _row_blocks(rows: int, cols: int):
+    step = max(1, _BLOCK_ELEMS // cols)
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +89,20 @@ def glass_walk_expectation(sim: SyntheticGlass1D) -> GlassWalkResult:
     n = sim.n_kinks
     weights = (n - np.arange(1, n + 1)) / n
     kick_scale = math.sqrt(sim.rho * sim.lam / n)
+    density = "normal" if sim.kick == "gauss" else "rademacher"
+    # At least one row: past 256 * _CHUNK kinks the quotient is 0 and the loop
+    # would never advance.
+    rows = min(max(_CHUNK // max(n // 256, 1), 1), sim.trials)
+    buf = np.empty((rows, n)) if density == "normal" else None
+    delta_buf = np.empty(rows)
     s_abs = s_sq = s_delta = s_quad = 0.0
     done = 0
     while done < sim.trials:
-        m = min(_CHUNK // max(n // 256, 1), sim.trials - done)
-        if sim.kick == "gauss":
-            kicks = rng.standard_normal((m, n))
-        else:
-            kicks = rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2.0 - 1.0
-        delta = sim.lam * kick_scale * (kicks @ weights)
+        m = min(rows, sim.trials - done)
+        kicks = _draw(rng, density, (m, n), buf)
+        delta = np.matmul(kicks, weights, out=delta_buf[:m])
+        del kicks
+        delta *= sim.lam * kick_scale
         s_abs += float(np.sum(np.abs(delta)))
         s_sq += float(np.sum(delta * delta))
         s_delta += float(np.sum(delta))
@@ -169,10 +187,22 @@ class McEstimatorResult:
         return self.aggregate_bias / self.aggregate_bias_se
 
 
-def _draw(rng: np.random.Generator, density: str, shape) -> np.ndarray:
+def _draw(rng: np.random.Generator, density: str, shape, buf: np.ndarray | None) -> np.ndarray:
+    """Draw an (m, d) sample matrix of the normal or the Rademacher density.
+
+    Normal samples fill the leading m rows of buf. Rademacher signs are drawn
+    as int64 and cast to +-1.0 in place, block by block, into a float view of
+    that draw, so neither density allocates a second (m, d) array; buf is then
+    unused. The values equal those of a fresh draw and cast.
+    """
     if density == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-    return rng.standard_normal(shape)
+        bits = rng.integers(0, 2, size=shape)
+        signs = bits.view(np.float64)
+        for blk in _row_blocks(*shape):
+            np.multiply(bits[blk], 2.0, out=signs[blk])
+            signs[blk] -= 1.0
+        return signs
+    return rng.standard_normal(shape, out=buf[: shape[0]])
 
 
 def mc_estimator(
@@ -188,6 +218,11 @@ def mc_estimator(
     which keeps cross-coordinate correlations inside its standard error; it
     is only meaningful for unrestricted kernels (every coordinate accepted).
     """
+    # glass is imported on first use: importing it with this module moves
+    # scipy up the import order and adds about 0.5 MB of peak RSS to every
+    # command.
+    from .glass import optimal_kernel_weight
+
     if n_samples < 1000:
         raise ConfigError("estimator sampling needs at least 1e3 samples")
     d = tm.M.shape[0]
@@ -199,26 +234,36 @@ def mc_estimator(
     agg_sum = 0.0
     agg_sum_sq = 0.0
     mt = np.ascontiguousarray(tm.M.T)
+    restricted = kspec.restrict > 0
+    # One chunk's working set: the draw, y (which becomes est in place) and the
+    # acceptance mask. Once est is formed the draw is dead, and its memory
+    # holds |delta|, est^2 and est - diag in turn.
+    rows = min(_CHUNK, n_samples)
+    buf = np.empty((rows, d)) if density == "normal" else None
+    y_buf = np.empty((rows, d))
+    mask_buf = np.empty((rows, d), dtype=bool) if restricted else None
     done = 0
     while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        delta = _draw(rng, density, (m, d))
-        y = delta @ mt
-        from .glass import optimal_kernel_weight
-
-        est = optimal_kernel_weight(delta, kspec) * y
-        if kspec.restrict > 0:
-            mask = np.abs(delta) >= kspec.restrict
+        m = min(rows, n_samples - done)
+        delta = _draw(rng, density, (m, d), buf)
+        est = np.matmul(delta, mt, out=y_buf[:m])
+        for blk in _row_blocks(m, d):
+            est[blk] *= optimal_kernel_weight(delta[blk], kspec)
+        scratch = delta
+        if restricted:
+            mask = mask_buf[:m]
+            np.greater_equal(np.abs(delta, out=scratch), kspec.restrict, out=mask)
             sums += np.sum(est, axis=0, where=mask)
-            sums_sq += np.sum(est * est, axis=0, where=mask)
+            sums_sq += np.sum(np.multiply(est, est, out=scratch), axis=0, where=mask)
             n_acc += mask.sum(axis=0)
         else:
             sums += est.sum(axis=0)
-            sums_sq += np.sum(est * est, axis=0)
+            sums_sq += np.sum(np.multiply(est, est, out=scratch), axis=0)
             n_acc += m
-            row_mean = (est - diag).mean(axis=1)
+            row_mean = np.subtract(est, diag, out=scratch).mean(axis=1)
             agg_sum += float(row_mean.sum())
             agg_sum_sq += float(np.sum(row_mean * row_mean))
+        del delta, scratch
         done += m
     safe = np.maximum(n_acc, 1)
     mean = sums / safe
@@ -293,17 +338,21 @@ class VariationCoverage:
 
 def mc_variation(
     scenario: GlassScenario,
-    r_matrix: np.ndarray,
+    r_matrix: GlassDensityMatrix | np.ndarray,
     delta_scale: float,
     n_samples: int,
     seed: int,
 ) -> VariationCoverage:
     """Check empirical v(delta) <= R |delta| elementwise by direct sampling.
 
+    R is either a factored GlassDensityMatrix, whose bound is taken through
+    variation_bound without building the dense matrix, or a dense d x d array.
     Perturbations are Rademacher sign vectors of magnitude delta_scale.
     Samples whose projection onto a unit's pre-activation gradient reaches
     psi violate the small-step precondition; their fraction is reported.
     """
+    from .glass import GlassDensityMatrix, variation_bound
+
     if delta_scale < 0:
         raise ConfigError("delta_scale must be >= 0")
     spec, params, batch = scenario.spec, scenario.params, scenario.batch
@@ -323,7 +372,11 @@ def mc_variation(
         if gy.shape[0]:
             violations += int(np.count_nonzero(np.abs(gy @ delta) >= scenario.psi))
     v = acc / n_samples
-    bound = np.asarray(r_matrix) @ np.full(d, delta_scale)
+    step = np.full(d, delta_scale)
+    if isinstance(r_matrix, GlassDensityMatrix):
+        bound = variation_bound(r_matrix, step)
+    else:
+        bound = np.asarray(r_matrix) @ step
     checks = max(n_samples * gy.shape[0], 1)
     return VariationCoverage(
         v=v,

@@ -1,8 +1,11 @@
-"""Finite-difference oracles and seeded fixtures shared by the tests."""
+"""Finite-difference oracles, reference implementations and seeded fixtures shared by the tests."""
+
+import math
 
 import numpy as np
 
-from glassopt import netkit
+from glassopt import netkit, oracles
+from glassopt.glass import optimal_kernel_weight
 
 
 def fd_loss_gradient(spec, params, batch, h=1e-5):
@@ -104,3 +107,102 @@ def random_model_and_batch(seed, widths=(3, 5, 2), loss="mse", n=6):
     else:
         targets = rng.integers(0, widths[-1], size=n)
     return spec, params, netkit.Batch(inputs, targets)
+
+
+# The Monte-Carlo oracles as they were before they reused buffers, frozen: the
+# chunk sizes, draw order and reduction order that glassopt.oracles must keep,
+# with every temporary allocated afresh. The buffer-reusing versions must
+# agree with them bitwise.
+_CHUNK = 20_000
+
+
+def _reference_draw(rng, density, shape):
+    if density == "rademacher":
+        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+    return rng.standard_normal(shape)
+
+
+def reference_glass_walk_expectation(sim):
+    rng = np.random.default_rng(sim.seed)
+    n = sim.n_kinks
+    weights = (n - np.arange(1, n + 1)) / n
+    kick_scale = math.sqrt(sim.rho * sim.lam / n)
+    s_abs = s_sq = s_delta = s_quad = 0.0
+    done = 0
+    while done < sim.trials:
+        m = min(_CHUNK // max(n // 256, 1), sim.trials - done)
+        kicks = _reference_draw(rng, "normal" if sim.kick == "gauss" else "rademacher", (m, n))
+        delta = sim.lam * kick_scale * (kicks @ weights)
+        s_abs += float(np.sum(np.abs(delta)))
+        s_sq += float(np.sum(delta * delta))
+        s_delta += float(np.sum(delta))
+        s_quad += float(np.sum(delta**4))
+        done += m
+    t = sim.trials
+    mean_abs = s_abs / t
+    m2 = s_sq / t
+    variance = (s_sq - s_delta * s_delta / t) / max(t - 1, 1)
+    mean_abs_se = math.sqrt(max(m2 - mean_abs * mean_abs, 0.0) / t)
+    m4 = s_quad / t
+    variance_se = math.sqrt(max(m4 - m2 * m2, 0.0) / t)
+    return oracles.GlassWalkResult(
+        mean_abs=mean_abs,
+        mean_abs_se=mean_abs_se,
+        predicted_mean_abs=math.sqrt(2.0 * sim.rho * sim.lam**3 / (3.0 * math.pi)),
+        variance=variance,
+        variance_se=variance_se,
+        predicted_variance=sim.rho * sim.lam**3 / 3.0,
+        trials=t,
+    )
+
+
+def reference_mc_estimator(tm, density, kspec, n_samples, seed):
+    d = tm.M.shape[0]
+    diag = tm.diagonal
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(d)
+    sums_sq = np.zeros(d)
+    n_acc = np.zeros(d, dtype=np.int64)
+    agg_sum = 0.0
+    agg_sum_sq = 0.0
+    mt = np.ascontiguousarray(tm.M.T)
+    done = 0
+    while done < n_samples:
+        m = min(_CHUNK, n_samples - done)
+        delta = _reference_draw(rng, density, (m, d))
+        y = delta @ mt
+        est = optimal_kernel_weight(delta, kspec) * y
+        if kspec.restrict > 0:
+            mask = np.abs(delta) >= kspec.restrict
+            sums += np.sum(est, axis=0, where=mask)
+            sums_sq += np.sum(est * est, axis=0, where=mask)
+            n_acc += mask.sum(axis=0)
+        else:
+            sums += est.sum(axis=0)
+            sums_sq += np.sum(est * est, axis=0)
+            n_acc += m
+            row_mean = (est - diag).mean(axis=1)
+            agg_sum += float(row_mean.sum())
+            agg_sum_sq += float(np.sum(row_mean * row_mean))
+        done += m
+    safe = np.maximum(n_acc, 1)
+    mean = sums / safe
+    var = (sums_sq - safe * mean * mean) / np.maximum(safe - 1, 1)
+    bias = mean - diag
+    if kspec.restrict > 0:
+        agg_bias = float(np.mean(bias))
+        agg_se = math.nan
+    else:
+        agg_bias = agg_sum / n_samples
+        agg_var = (agg_sum_sq - n_samples * agg_bias * agg_bias) / (n_samples - 1)
+        agg_se = math.sqrt(agg_var / n_samples)
+    return oracles.McEstimatorResult(
+        estimate=mean,
+        bias=bias,
+        bias_se=np.sqrt(var / safe),
+        variance=var,
+        n_accepted=n_acc,
+        n_samples=int(n_samples),
+        aggregate_bias=agg_bias,
+        aggregate_bias_se=agg_se,
+    )

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -97,11 +98,39 @@ class TestConfigFormat:
             ("name", "/"),
             ("name", "."),
             ("name", ".."),
+            ("baseline_lr", "0"),
+            ("baseline_lr", "-1"),
+            ("data.classes", "0"),
+            ("data.noise", "-2"),
+            ("data.noise", "nan"),
+            ("probe.lam", "0"),
+            ("probe.lam", "-1"),
+            ("probe.warmup_steps", "-3"),
+            ("probe.warmup_lr", "0"),
+            ("probe.warmup_lr", "-1"),
+            ("alice.lam", "0"),
+            ("alice.beta1", "1"),
+            ("alice.beta2", "-0.5"),
+            ("alice.eps", "0"),
+            ("alice.phi", "2"),
+            ("alice.phi", "0"),
+            ("alice.omega", "0.5"),
+            ("alice.lam_min", "-1"),
+            ("alice.lam_max", "0"),
+            ("alice.lam_min", "0.5"),
+            ("alice.limit_method", "newton"),
+            ("alice.quick_steps", "-1"),
+            ("alice.terms", "rho,spectral"),
         ],
     )
     def test_out_of_range_value_names_key_and_line(self, key, raw):
         with pytest.raises(ConfigError, match=rf":2: {key} must"):
             parse_config(f"task = least-squares\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("key, raw", [("alice.phi", "0.5"), ("alice.omega", "0.9")])
+    def test_naq_rejects_explicit_fraction(self, key, raw):
+        with pytest.raises(ConfigError, match=rf":3: {key} = {raw} conflicts with alice.naq"):
+            parse_config(f"alice.beta1 = 0.9\nalice.naq = true\n{key} = {raw}\n")
 
     def test_zero_batch_size_still_means_full_batch(self):
         assert parse_config("batch_size = 0\n").batch_size == 0
@@ -293,3 +322,51 @@ class TestVerifySuites:
     def test_fast_suites_pass(self, suite):
         rows = harness.run_verify_suite(suite, seed=0)
         assert rows and all(r.passed for r in rows)
+
+    def test_all_equals_the_single_suites_in_order(self):
+        together = harness.run_verify_suite("all", seed=0)
+        alone = [row for name in harness.VERIFY_SUITES for row in harness.run_verify_suite(name, 0)]
+        assert [repr(r) for r in together] == [repr(r) for r in alone]
+
+    @pytest.mark.parametrize("failing", ["walk", "kernel"])
+    def test_suite_exception_propagates_from_all(self, monkeypatch, failing):
+        broken = {failing}
+
+        def fake(name):
+            def run(seed):
+                if name in broken:
+                    raise RuntimeError(f"{name} failed")
+                return [harness.CheckRow(name, float(seed), 0.0, 0.0, 1, True)]
+
+            return run
+
+        for name in harness.VERIFY_SUITES:
+            monkeypatch.setitem(harness.VERIFY_SUITES, name, fake(name))
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            harness.run_verify_suite("all", seed=0)
+        broken.clear()
+        rows = harness.run_verify_suite("all", seed=3)
+        assert [r.quantity for r in rows] == list(harness.VERIFY_SUITES)
+
+    def test_walk_runs_beside_the_other_suites(self, monkeypatch):
+        # The kernel suite waits for the walk suite to start: a serial "all"
+        # would block here until the timeout.
+        walk_started = threading.Event()
+        threads = {}
+
+        def walk(seed):
+            threads["walk"] = threading.get_ident()
+            walk_started.set()
+            return [harness.CheckRow("walk", 0.0, 0.0, 0.0, 1, True)]
+
+        def kernel(seed):
+            threads["kernel"] = threading.get_ident()
+            return [harness.CheckRow("kernel", float(walk_started.wait(10.0)), 1.0, 0.0, 1, True)]
+
+        monkeypatch.setitem(harness.VERIFY_SUITES, "walk", walk)
+        monkeypatch.setitem(harness.VERIFY_SUITES, "kernel", kernel)
+        for name in ("glass", "naq", "step"):
+            monkeypatch.setitem(harness.VERIFY_SUITES, name, lambda seed: [])
+        rows = harness.run_verify_suite("all", seed=0)
+        assert [(r.quantity, r.empirical) for r in rows] == [("kernel", 1.0), ("walk", 0.0)]
+        assert threads["kernel"] == threading.get_ident() != threads["walk"]

@@ -1,10 +1,31 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from fd_oracles import reference_glass_walk_expectation, reference_mc_estimator
 
 from glassopt import glass, netkit, oracles
 from glassopt.netkit import ConfigError
+
+
+def assert_bitwise_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert x.dtype == y.dtype and x.shape == y.shape, f.name
+        assert x.tobytes() == y.tobytes(), f.name
+
+
+def warm_peak_mb(fn, warm):
+    """tracemalloc peak of fn() in MB, after warm() has run the same code once."""
+    warm()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 class TestGlassWalk:
@@ -40,6 +61,12 @@ class TestGlassWalk:
         ratio = big.mean_abs_se / small.mean_abs_se
         assert 0.5 * 0.8 < ratio < 0.5 * 1.2
 
+    def test_more_kinks_than_a_chunk_holds(self):
+        n = 256 * (oracles._CHUNK + 1)  # a chunk of _CHUNK // (n // 256) = 0 rows
+        sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, n_kinks=n, trials=2, seed=0)
+        result = oracles.glass_walk_expectation(sim)
+        assert result.trials == 2 and math.isfinite(result.mean_abs) and result.mean_abs > 0
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
             oracles.SyntheticGlass1D(rho=-1.0, lam=1.0)
@@ -47,6 +74,56 @@ class TestGlassWalk:
             oracles.SyntheticGlass1D(rho=1.0, lam=0.0)
         with pytest.raises(ConfigError):
             oracles.SyntheticGlass1D(rho=1.0, lam=1.0, kick="cauchy")
+
+
+class TestBoundedWorkspaces:
+    """The buffer-reusing oracles against the frozen allocate-per-chunk ones."""
+
+    @pytest.mark.parametrize("kick", ["gauss", "rademacher"])
+    @pytest.mark.parametrize("n_kinks, trials", [(1000, 15_001), (300, 45_001), (7, 333)])
+    def test_walk_bitwise_equal_to_reference(self, kick, n_kinks, trials):
+        # 15_001 and 45_001 trials leave a partial last chunk (6666 and 20000 rows).
+        sim = oracles.SyntheticGlass1D(
+            rho=1.3, lam=0.7, n_kinks=n_kinks, trials=trials, seed=3, kick=kick
+        )
+        assert_bitwise_equal(
+            oracles.glass_walk_expectation(sim), reference_glass_walk_expectation(sim)
+        )
+
+    @pytest.mark.parametrize(
+        "density, restrict", [("rademacher", 0.0), ("normal", 0.0), ("normal", 1.0)]
+    )
+    @pytest.mark.parametrize("n_samples", [45_001, 1000])
+    def test_estimator_bitwise_equal_to_reference(self, density, restrict, n_samples):
+        tm = oracles.TestMatrix.random_diag_dominant(50, seed=7)
+        kspec = glass.make_kernel(density, tm.dominance, restrict=restrict)
+        assert_bitwise_equal(
+            oracles.mc_estimator(tm, density, kspec, n_samples, seed=8),
+            reference_mc_estimator(tm, density, kspec, n_samples, seed=8),
+        )
+
+    @pytest.mark.parametrize("density", ["rademacher", "normal"])
+    def test_estimator_peak_memory(self, density):
+        # One 20_000 x 200 chunk is 32 MB and the loop holds two (65 MB);
+        # allocating per chunk peaks at 160 MB, and one more chunk-size
+        # temporary would pass 80 MB.
+        tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
+        kspec = glass.make_kernel(density, tm.dominance)
+        peak = warm_peak_mb(
+            lambda: oracles.mc_estimator(tm, density, kspec, 100_000, seed=1),
+            lambda: oracles.mc_estimator(tm, density, kspec, 1000, seed=1),
+        )
+        assert peak <= 80.0
+
+    @pytest.mark.parametrize("kick", ["gauss", "rademacher"])
+    def test_walk_peak_memory(self, kick):
+        # One 6666 x 1000 chunk is 53 MB; allocating per chunk peaks at 107 MB
+        # (Gaussian) and 160 MB (Rademacher).
+        def walk(trials):
+            sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, trials=trials, seed=0, kick=kick)
+            return oracles.glass_walk_expectation(sim)
+
+        assert warm_peak_mb(lambda: walk(100_000), lambda: walk(10)) <= 60.0
 
 
 class TestTestMatrix:
@@ -137,6 +214,19 @@ class TestVariationBoundOracle:
         large = oracles.mc_variation(scenario, r_mat, 0.5, 150, seed=4)
         assert large.fraction_within < 0.99
         assert large.precondition_violation_fraction > 0.5
+
+    def test_factored_bound_matches_dense(self):
+        scenario = oracles.build_uniform_preactivation_net(n_in=20, n_hidden=8, seed=1)
+        records = netkit.relu_introspect(
+            scenario.spec, scenario.params, scenario.batch, scenario.psi
+        )
+        density = glass.density_matrix(records, scenario.psi)
+        factored = oracles.mc_variation(scenario, density, 5e-5, 50, seed=2)
+        assert "R" not in vars(density)  # the dense R was never built
+        dense = oracles.mc_variation(scenario, density.R, 5e-5, 50, seed=2)
+        assert np.array_equal(factored.v, dense.v)
+        assert factored.bound == pytest.approx(dense.bound, rel=1e-14)
+        assert factored.fraction_within == dense.fraction_within
 
 
 class TestUnderdeterminedLs:
