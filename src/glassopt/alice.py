@@ -166,6 +166,21 @@ def _checked_grad(grad_fn, point, label) -> np.ndarray:
     return g
 
 
+def _check_statistics(state: TopographyState, names: tuple[str, ...]) -> None:
+    """Raise NumericsError naming every running statistic in names that is not finite.
+
+    A finite gradient can still overflow a statistic, most often s when |g|
+    exceeds ~1.3e154 and g*g is inf. Left in place, an infinite s makes the
+    Adam-like step bound |g_hat| / (sqrt(s_hat) + eps) zero, and Alice would
+    take silent zero steps.
+    """
+    bad = [name for name in names if not np.isfinite(getattr(state, name)).all()]
+    if bad:
+        raise NumericsError(
+            f"running statistics overflowed at update {state.step_count}: {', '.join(bad)}"
+        )
+
+
 def topography_update(
     state: TopographyState,
     grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -230,6 +245,7 @@ def topography_update(
     state.s += temp
 
     state.step_count += 1
+    _check_statistics(state, ("g", "s", "rho", "h_abs", "h_rms2"))
     return state
 
 
@@ -243,6 +259,7 @@ def quick_update(
     state.g = cfg.beta1 * state.g + (1.0 - cfg.beta1) * g0
     state.s = cfg.beta2 * state.s + (1.0 - cfg.beta2) * (g0 * g0)
     state.step_count += 1
+    _check_statistics(state, ("g", "s"))
     return state
 
 

@@ -22,9 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, netkit, oracles
-from .alice import Alice, AliceConfig, naq_exactness_check, reference_adam, reference_sgdm
+from .alice import (
+    Alice,
+    AliceConfig,
+    glass_term,
+    modified_hessian,
+    naq_exactness_check,
+    reference_adam,
+    reference_sgdm,
+)
 from .glass import (
     PowerLawReport,
+    density_matrix,
     estimator_variance,
     kernel_constant,
     make_kernel,
@@ -61,10 +70,14 @@ REPORT_HEADER = ("quantity", "empirical", "predicted", "std_error", "n")
 
 @dataclass
 class DataParams:
-    """Synthetic-task data settings (Gaussian blob mixture / teacher regression)."""
+    """Synthetic-task data settings (Gaussian blob mixture / teacher regression).
+
+    classes is an alias of the output width model.widths[-1], which sets the
+    class count: None follows it, and ExperimentConfig rejects another value.
+    """
 
     samples: int = 2000
-    classes: int = 10
+    classes: int | None = None
     noise: float = 2.0
     center_scale: float = 2.0
     label_flip: float = 0.15
@@ -72,7 +85,7 @@ class DataParams:
     def __post_init__(self):
         if self.samples < 1:
             raise ConfigError(f"data.samples must be >= 1, got {self.samples}")
-        if self.classes < 1:
+        if self.classes is not None and self.classes < 1:
             raise ConfigError(f"data.classes must be >= 1, got {self.classes}")
         if not self.noise >= 0.0:
             raise ConfigError(f"data.noise must be >= 0, got {self.noise}")
@@ -134,6 +147,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        classes = self.data.classes
+        if classes is not None and (self.model is None or classes != self.model.layer_widths[-1]):
+            width = "no model.widths" if self.model is None else self.model.layer_widths[-1]
+            raise ConfigError(
+                f"data.classes = {classes} must equal the output width model.widths[-1], "
+                f"got {width}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +233,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             if holder is None:
                 continue
             value = getattr(holder, attr)
+        if value is None:
+            continue
         lines.append(f"{key} = {_fmt_value(value)}")
     return "\n".join(lines) + "\n"
 
@@ -689,8 +711,6 @@ def _suite_kernel(seed: int) -> list[CheckRow]:
 
 
 def _suite_glass(seed: int) -> list[CheckRow]:
-    from .glass import density_matrix
-
     scenario = oracles.build_uniform_preactivation_net(seed=seed)
     records = netkit.relu_introspect(
         scenario.spec, scenario.params, scenario.batch, scenario.psi
@@ -742,8 +762,6 @@ def _suite_naq(seed: int) -> list[CheckRow]:
 
 
 def _suite_step(seed: int) -> list[CheckRow]:
-    from .alice import glass_term, modified_hessian
-
     rng = np.random.default_rng(seed)
     eps = 1e-8
     worst = 0.0

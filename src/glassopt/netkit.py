@@ -13,16 +13,17 @@ The ReLU derivative at a pre-activation of exactly zero is 0: a unit sitting
 on its threshold counts as inactive. Every function here is pure in
 (spec, params, batch) and safe to call from multiple threads.
 
-gradient allocates no (batch x width) temporaries once warm. Each thread keeps
-a private workspace, keyed by (layer widths, batch size) and rebuilt only when
-that key changes: one (batch x width) buffer per layer, which holds the
-layer's pre-activation, then its ReLU output (in place), then the backward
-signal that replaces it, plus one bool buffer for the finiteness checks and
-ReLU masks. gradient runs its forward pass through forward, handing it the
-workspace; nothing in the workspace leaves gradient, every call returns a
-fresh gradient array, and concurrent calls from several threads stay safe.
-Called without a workspace, forward allocates every array it returns, so
-callers may keep them.
+gradient allocates no (batch x width) temporaries once warm, except the
+square behind the mse loss value. Each thread keeps a private workspace, keyed
+by (layer widths, batch size) and rebuilt only when that key changes: one
+(batch x width) buffer per layer, which holds the layer's pre-activation, then
+its ReLU output (in place), then the backward signal that replaces it (for the
+output layer, the loss derivative, written in place), plus one bool buffer for
+the finiteness checks and ReLU masks. gradient runs its forward pass through
+forward, handing it the workspace; nothing in the workspace leaves gradient,
+every call returns a fresh gradient array, and concurrent calls from several
+threads stay safe. Called without a workspace, forward allocates every array
+it returns, so callers may keep them.
 """
 
 from __future__ import annotations
@@ -238,19 +239,27 @@ def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, *, workspac
 
 
 def _loss_and_dout(spec: ModelSpec, out: np.ndarray, targets: np.ndarray):
-    """Batch-mean loss and its derivative w.r.t. the network output."""
+    """Batch-mean loss and its derivative w.r.t. the network output, written over out.
+
+    out is overwritten in place; only length-n vectors are allocated for xent
+    (row maxima, target logits, row sums). mse allocates one out-sized square.
+    """
     n = out.shape[0]
     if spec.loss == "mse":
-        r = out - targets
-        return float(np.mean(r * r)), (2.0 / r.size) * r
-    t = np.asarray(targets)
-    shifted = out - out.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1))
-    value = float(np.mean(lse - shifted[np.arange(n), t]))
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-    p[np.arange(n), t] -= 1.0
-    return value, p / n
+        r = np.subtract(out, targets, out=out)
+        value = float(np.mean(r * r))
+        r *= 2.0 / r.size
+        return value, r
+    rows, t = np.arange(n), np.asarray(targets)
+    shifted = np.subtract(out, out.max(axis=1, keepdims=True), out=out)
+    target_logits = shifted[rows, t]
+    p = np.exp(shifted, out=out)
+    sums = p.sum(axis=1)
+    value = float(np.mean(np.log(sums) - target_logits))
+    p /= sums[:, None]
+    p[rows, t] -= 1.0
+    p /= n
+    return value, p
 
 
 def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:

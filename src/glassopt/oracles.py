@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import netkit
+from .glass import GlassDensityMatrix, optimal_kernel_weight, variation_bound
 from .netkit import Batch, ConfigError, ModelSpec
-
-if TYPE_CHECKING:
-    from .glass import GlassDensityMatrix
 
 _CHUNK = 20_000
 # Elements per row block of the in-place passes over a chunk: the block bounds
@@ -218,11 +215,6 @@ def mc_estimator(
     which keeps cross-coordinate correlations inside its standard error; it
     is only meaningful for unrestricted kernels (every coordinate accepted).
     """
-    # glass is imported on first use: importing it with this module moves
-    # scipy up the import order and adds about 0.5 MB of peak RSS to every
-    # command.
-    from .glass import optimal_kernel_weight
-
     if n_samples < 1000:
         raise ConfigError("estimator sampling needs at least 1e3 samples")
     d = tm.M.shape[0]
@@ -351,8 +343,6 @@ def mc_variation(
     Samples whose projection onto a unit's pre-activation gradient reaches
     psi violate the small-step precondition; their fraction is reported.
     """
-    from .glass import GlassDensityMatrix, variation_bound
-
     if delta_scale < 0:
         raise ConfigError("delta_scale must be >= 0")
     spec, params, batch = scenario.spec, scenario.params, scenario.batch

@@ -157,6 +157,44 @@ class TestTopographyUpdate:
         tracemalloc.stop()
         assert peak - baseline < 1.5 * 8 * d
 
+    @pytest.mark.parametrize("quick_steps", [0, 1])
+    def test_overflowing_second_moment_raises_before_the_step(self, quick_steps):
+        # |g| = 1e300 is finite, but g*g overflows s to inf, which would make
+        # the Adam-like bound, and so the step, silently zero.
+        opt = Alice(np.zeros(3), AliceConfig(lam=1e-3, lam_max=0.01, quick_steps=quick_steps))
+        opt.step(lambda _: np.ones(3))
+        before = opt.params.copy()
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericsError, match=r"overflowed at update 2: s$"
+        ):
+            opt.step(lambda _: np.full(3, 1e300))
+        assert np.array_equal(opt.params, before)
+
+    def test_non_finite_running_gradient_is_named(self):
+        cfg = AliceConfig(lam=0.1)
+        state = TopographyState.fresh(np.zeros(3))
+        state.g[1] = np.inf
+        with pytest.raises(NumericsError, match=r"overflowed at update 1: g$"):
+            quick_update(state, lambda _: np.ones(3), cfg)
+        state = TopographyState.fresh(np.zeros(3))
+        state.g[1] = np.inf
+        with pytest.raises(NumericsError, match=r"overflowed at update 1: g$"):
+            topography_update(state, lambda _: np.ones(3), cfg, rng=0)
+
+    def test_overflowing_curvature_statistics_are_named(self):
+        # Finite gradients whose squared probe differences overflow: rho in
+        # coordinate 0 (probe mean 2e154 away from the center), h_rms2 in
+        # coordinate 1 (probe difference 2e153 over 2 lam = 2e-3); g and s stay finite.
+        cfg = AliceConfig(lam=1e-3)
+        state = TopographyState.fresh(np.zeros(2))
+        returns = iter([[1e154, 1e153], [1e154, -1e153], [-1e154, 0.0]])
+        grad_fn = lambda _: np.array(next(returns))  # noqa: E731
+
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericsError, match=r"overflowed at update 1: rho, h_rms2$"
+        ):
+            topography_update(state, grad_fn, cfg, rng=0)
+
     def test_quick_update_freezes_curvature(self):
         cfg = AliceConfig(lam=0.1)
         state = TopographyState.fresh(np.zeros(3))

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -145,3 +150,53 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--version"])
     assert excinfo.value.code == 0
+
+
+# Runs glassopt commands in a fresh interpreter whose imports of scipy fail,
+# then reports each exit code and any scipy module that got loaded anyway.
+_SCIPY_BLOCKED = textwrap.dedent(
+    """
+    import importlib.abc, json, sys
+
+    class BlockScipy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+            return None
+
+    sys.meta_path.insert(0, BlockScipy())
+    from glassopt import cli
+
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps({"codes": codes, "scipy": loaded}))
+    """
+)
+
+
+class TestImportGuard:
+    def test_commands_run_without_scipy(self, tmp_path):
+        train = ExperimentConfig(name="t", seeds=(0,), steps=3, batch_size=16,
+                                 model=ModelSpec((4, 8, 3), "xent"))
+        train.data.samples = 60
+        probe = ExperimentConfig(name="p", task="powerlaw-probe", seeds=(0,), batch_size=16,
+                                 model=ModelSpec((4, 8, 8, 3), "xent"))
+        probe.data.samples = 60
+        probe.probe.samples = 4
+        probe.probe.warmup_steps = 2
+        out = str(tmp_path / "out")
+        argvs = [
+            ["verify", "--suite", "kernel", "--out", out],
+            ["train", "--config", str(write_config(tmp_path, train, "train.cfg")), "--out", out],
+            ["probe", "--config", str(write_config(tmp_path, probe, "probe.cfg")), "--out", out],
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_BLOCKED, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"codes": [0, 0, 0], "scipy": []}
+        assert (tmp_path / "out" / "p" / "seed_0" / "powerlaw.csv").exists()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fd_oracles import random_model_and_batch
+from fd_oracles import fine_grid_kernel_constant, random_model_and_batch
 from glassopt import glass, netkit, oracles
 from glassopt.glass import GlassDensityDiag, GlassDensityMatrix
 from glassopt.netkit import ConfigError, NumericsError, ReluUnitRecord
@@ -305,6 +305,53 @@ class TestKernels:
     def test_restriction_rejecting_everything(self):
         with pytest.raises(ConfigError):
             glass.kernel_constant("rademacher", 1.0, restrict=2.0)
+        with pytest.raises(ConfigError):
+            glass.kernel_constant("rademacher", 0.0, restrict=2.0)
+        with pytest.raises(ConfigError):
+            glass.kernel_constant("normal", 1.0, restrict=40.0)
+
+
+class TestNormalKernelConstant:
+    """kernel_constant for the normal density, against oracles that share none of its code."""
+
+    @pytest.mark.parametrize("omega2", [1e-12, 1e-8, 1e-4, 0.2, 1.0, 30.0])
+    def test_unrestricted_matches_closed_form(self, omega2):
+        # E[x^2/(x^2+w)] = 1 - sqrt(pi w/2) e^(w/2) erfc(sqrt(w/2)) for standard normal x.
+        half = omega2 / 2.0
+        closed = 1.0 - math.sqrt(math.pi * half) * math.exp(half) * math.erfc(math.sqrt(half))
+        assert glass.kernel_constant("normal", omega2) == pytest.approx(closed, rel=1e-12, abs=0)
+
+    def test_tiny_omega2_stays_below_one(self):
+        # The closed form is 1 - 1.2533e-4 here; an adaptive quadrature of the
+        # unsubstituted integrand returned 1.0000000095.
+        assert glass.kernel_constant("normal", 1e-8) == pytest.approx(0.99987467858564, rel=1e-13)
+
+    @pytest.mark.parametrize("restrict", [0.25, 1.0, 2.0, 5.0, 9.0])
+    @pytest.mark.parametrize("omega2", [1e-4, 0.2, 1.0, 30.0])
+    def test_restricted_matches_fine_grid(self, omega2, restrict):
+        assert glass.kernel_constant("normal", omega2, restrict) == pytest.approx(
+            fine_grid_kernel_constant(omega2, restrict), rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("restrict", [0.0, 1e-9, 0.5, 1.0, 3.0, 8.0, 20.0])
+    def test_constant_in_unit_interval(self, restrict):
+        omega2 = np.concatenate([[5e-324], np.logspace(-300, 300, 241)])
+        c = glass.kernel_constant("normal", omega2, restrict)
+        assert np.all(c > 0.0) and np.all(c <= 1.0)
+        assert np.all(np.diff(c) <= 0.0)  # c falls as omega2 grows
+
+    @pytest.mark.parametrize("restrict", [0.0, 1.0])
+    @pytest.mark.parametrize("density", ["rademacher", "normal"])
+    def test_vector_equals_scalar_calls(self, density, restrict):
+        # The 171 nonzero values span three blocks of the vectorized rule.
+        omega2 = np.random.default_rng(0).lognormal(0.0, 3.0, size=200)
+        omega2[::7] = 0.0
+        c = glass.kernel_constant(density, omega2, restrict)
+        scalars = [glass.kernel_constant(density, float(w), restrict) for w in omega2]
+        assert all(isinstance(v, float) for v in scalars)
+        assert c.tobytes() == np.array(scalars).tobytes()
+        grid = glass.kernel_constant(density, omega2.reshape(10, 20), restrict)
+        assert grid.shape == (10, 20) and grid.tobytes() == c.tobytes()
 
 
 class TestEstimatorVariance:

@@ -127,6 +127,29 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=rf":2: {key} must"):
             parse_config(f"task = least-squares\n{key} = {raw}\n")
 
+    @pytest.mark.parametrize(
+        "text, got",
+        [
+            ("model.widths = 4,8,10\nmodel.loss = xent\ndata.classes = 3\n", "10"),
+            ("task = least-squares\nname = x\ndata.classes = 3\n", "no model.widths"),
+        ],
+    )
+    def test_classes_other_than_output_width_rejected(self, text, got):
+        with pytest.raises(
+            ConfigError,
+            match=rf":3: data.classes = 3 must equal the output width model.widths\[-1\], got {got}",
+        ):
+            parse_config(text)
+
+    def test_classes_follows_output_width(self):
+        implicit = parse_config("model.widths = 4,8,3\nmodel.loss = xent\n")
+        assert implicit.data.classes is None
+        assert "data.classes" not in serialize_config(implicit)
+        assert parse_config(serialize_config(implicit)) == implicit
+        assert harness.task_batch(implicit, 0).targets.max() == 2
+        explicit = parse_config("model.widths = 4,8,3\nmodel.loss = xent\ndata.classes = 3\n")
+        assert parse_config(serialize_config(explicit)) == explicit
+
     @pytest.mark.parametrize("key, raw", [("alice.phi", "0.5"), ("alice.omega", "0.9")])
     def test_naq_rejects_explicit_fraction(self, key, raw):
         with pytest.raises(ConfigError, match=rf":3: {key} = {raw} conflicts with alice.naq"):

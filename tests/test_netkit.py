@@ -229,6 +229,25 @@ class TestWorkspaceGradient:
         assert peak <= 1_000_000
 
 
+    def test_warm_xent_head_allocates_no_batch_by_class_array(self):
+        # The softmax head overwrites the output layer's workspace buffer, so a
+        # warm call allocates the returned gradient (12.5 kB here), length-n
+        # vectors and numpy's fixed-size ufunc buffers, and no (n, classes)
+        # array of 160 kB.
+        n, classes = 2000, 10
+        spec, params, batch = random_model_and_batch(10, (20, 50, classes), "xent", n)
+        netkit.gradient(spec, params, batch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            netkit.gradient(spec, params, batch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < n * classes * 8
+
+
 class TestReluIntrospect:
     def test_infinite_threshold_returns_all_units(self):
         spec, params, batch = random_model_and_batch(0, widths=(3, 5, 4, 2), n=4)
