@@ -8,8 +8,8 @@ Subcommands:
 
 All outputs are plain CSV plus a text manifest; nothing is interactive.
 Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage or config
-error. Every command is deterministic given --seed. The default output
-directory is --out, else $GLASSOPT_OUT, else ./runs.
+error. Every command is deterministic given --seed. The output directory is
+--out, else the config's output_dir, else $GLASSOPT_OUT, else ./runs.
 """
 
 from __future__ import annotations
@@ -17,15 +17,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from . import __version__, harness, oracles
 from .harness import CheckRow, write_report
 from .netkit import ConfigError
-
-
-def _out_dir(args, cfg=None) -> Path:
-    return harness.resolve_output_dir(cfg, args.out)
 
 
 def _print_rows(rows) -> bool:
@@ -43,7 +38,7 @@ def _print_rows(rows) -> bool:
 def cmd_verify(args) -> int:
     rows = harness.run_verify_suite(args.suite, args.seed)
     ok = _print_rows(rows)
-    out = _out_dir(args)
+    out = harness.resolve_output_dir(None, args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out / f"verify_{args.suite}.csv", rows)
     print(f"{'all checks passed' if ok else 'FAILURES detected'}; "
@@ -54,10 +49,9 @@ def cmd_verify(args) -> int:
 def cmd_probe(args) -> int:
     cfg = harness.load_config(args.config)
     cfg.task = "powerlaw-probe"
-    summary = harness.run_experiment(cfg, args.out or None)
-    base = _out_dir(args, cfg) / cfg.name
+    summary = harness.run_experiment(cfg, args.out)
     for seed, metric in summary.per_seed:
-        report = base / f"seed_{seed}" / "powerlaw.csv"
+        report = summary.base / f"seed_{seed}" / "powerlaw.csv"
         print(f"seed {seed}: median p = {metric:.4g}  ({report})")
     if summary.errors:
         for message in summary.errors:
@@ -68,13 +62,12 @@ def cmd_probe(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = harness.load_config(args.config)
-    summary = harness.run_experiment(cfg, args.out or None)
-    base = _out_dir(args, cfg) / cfg.name
+    summary = harness.run_experiment(cfg, args.out)
     for seed, metric in summary.per_seed:
         print(f"seed {seed}: final metric = {metric:.8g}")
     print(f"aggregate (min, median, max) = ({summary.minimum:.8g}, "
           f"{summary.median:.8g}, {summary.maximum:.8g})")
-    print(f"artifacts in {base}")
+    print(f"artifacts in {summary.base}")
     if summary.errors:
         for message in summary.errors:
             print(f"error: {message}", file=sys.stderr)
@@ -83,7 +76,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
+    out = harness.resolve_output_dir(None, args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.scenario == "glass-walk":
         sim = oracles.SyntheticGlass1D(

@@ -3,8 +3,8 @@
 A run is described by a small key = value config file (see parse_config),
 executed once per seed, and reduced to (min, median, max) of a per-seed
 final metric. Every artifact a run produces is written to its output
-directory: a per-step training log, task-specific report CSVs, a summary
-CSV, and a manifest that echoes the config (the manifest is itself a valid
+directory: a per-step training log or a power-law report, a summary CSV,
+and a manifest that echoes the config (the manifest is itself a valid
 config file). All randomness is derived from the per-seed value, so a rerun
 of a (config, seed) pair reproduces every logged number; wall-time columns
 are the only non-reproducible output.
@@ -43,15 +43,14 @@ from .glass import (
 )
 from .netkit import Batch, ConfigError, ModelSpec, build_model, gradient, loss
 
-TASKS = (
-    "synthetic-classification",
-    "synthetic-regression",
-    "least-squares",
-    "powerlaw-probe",
-    "naq-exactness",
-    "estimator-suite",
-    "glass-walk-suite",
-)
+TASKS = ("synthetic-classification", "synthetic-regression", "powerlaw-probe")
+# Oracle checks that used to run as tasks, and the command that now runs each.
+_REMOVED_TASKS = {
+    "least-squares": "glassopt simulate underdetermined-ls",
+    "naq-exactness": "glassopt verify --suite naq",
+    "estimator-suite": "glassopt verify --suite kernel",
+    "glass-walk-suite": "glassopt verify --suite walk",
+}
 OPTIMIZERS = ("alice", "adam", "sgdm")
 OUTPUT_ENV = "GLASSOPT_OUT"
 
@@ -143,10 +142,19 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be >= 0 (0 = full batch), got {self.batch_size}")
         if not self.baseline_lr > 0.0:
             raise ConfigError(f"baseline_lr must be > 0, got {self.baseline_lr}")
+        if self.task in _REMOVED_TASKS:
+            raise ConfigError(
+                f"task {self.task!r} was removed; run `{_REMOVED_TASKS[self.task]}` instead"
+            )
         if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
+            raise ConfigError(f"task {self.task!r} is unknown, expected one of {TASKS}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.task == "synthetic-regression" and self.model and self.model.loss == "xent":
+            raise ConfigError(
+                "task must not be synthetic-regression with model.loss = xent: "
+                "its targets are real vectors, not class indices"
+            )
         classes = self.data.classes
         if classes is not None and (self.model is None or classes != self.model.layer_widths[-1]):
             width = "no model.widths" if self.model is None else self.model.layer_widths[-1]
@@ -487,7 +495,7 @@ def powerlaw_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Per-task runners for the non-training experiments
+# Task runners
 
 
 def _run_powerlaw(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
@@ -508,83 +516,10 @@ def _run_powerlaw(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
     return float(np.median(defined)) if defined else math.nan
 
 
-def _run_least_squares(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
-    rep = oracles.underdetermined_ls(seed)
-    rows = [
-        CheckRow("loss_initial", rep.loss_initial, math.nan, math.nan, 1, True),
-        CheckRow(
-            "loss_full_step", rep.loss_full_step, math.nan, math.nan, 1,
-            rep.loss_full_step > rep.loss_initial,
-        ),
-        CheckRow(
-            "loss_damped_step", rep.loss_damped_step, math.nan, math.nan, 1,
-            rep.loss_damped_step < rep.loss_initial,
-        ),
-        CheckRow("full_step_norm", rep.full_step_norm, math.nan, math.nan, 1, True),
-        CheckRow("min_norm_solution_norm", rep.min_norm_solution_norm, math.nan, math.nan, 1, True),
-    ]
-    write_report(run_dir / "report.csv", rows)
-    return rep.loss_damped_step
-
-
-def _run_naq(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
-    rng = np.random.default_rng(seed)
-    d = 50
-    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    hidden = basis @ np.diag(rng.uniform(0.5, 2.5, d)) @ basis.T
-    h_bar = np.abs(np.diag(hidden)) + 1.0
-    rep = naq_exactness_check(
-        hidden, rng.standard_normal(d), 0.1 * rng.standard_normal(d), 0.9, h_bar, cfg.steps
-    )
-    rows = [
-        CheckRow("max_error_contraction_residual", rep.max_error_rel, 0.0, math.nan,
-                 cfg.steps, rep.max_error_rel < 1e-10),
-        CheckRow("max_model_prediction_residual", float(np.max(rep.prediction_rel)), 0.0,
-                 math.nan, cfg.steps, float(np.max(rep.prediction_rel)) < 1e-10),
-    ]
-    write_report(run_dir / "report.csv", rows)
-    return rep.max_error_rel
-
-
-def _run_estimator(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
-    tm = oracles.TestMatrix.random_diag_dominant(200, seed)
-    kspec = make_kernel("rademacher", tm.dominance)
-    res = oracles.mc_estimator(tm, "rademacher", kspec, 10_000, seed)
-    closed = estimator_variance(kspec, tm.diagonal).per_sample
-    ratio = float(np.mean(res.variance) / np.mean(closed))
-    rows = [
-        CheckRow("aggregate_bias_z", res.aggregate_bias_z, 0.0, 1.0, res.n_samples,
-                 abs(res.aggregate_bias_z) < 3.0),
-        CheckRow("variance_ratio_vs_closed_form", ratio, 1.0, math.nan, res.n_samples,
-                 abs(ratio - 1.0) < 0.05),
-    ]
-    write_report(run_dir / "report.csv", rows)
-    return abs(res.aggregate_bias_z)
-
-
-def _run_glass_walk(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
-    sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, trials=20_000, seed=seed)
-    res = oracles.glass_walk_expectation(sim)
-    ratio = res.mean_abs / res.predicted_mean_abs
-    var_ratio = res.variance / res.predicted_variance
-    rows = [
-        CheckRow("mean_abs_loss_change", res.mean_abs, res.predicted_mean_abs,
-                 res.mean_abs_se, res.trials, abs(ratio - 1.0) < 0.02),
-        CheckRow("variance_unreflected", res.variance, res.predicted_variance,
-                 res.variance_se, res.trials, abs(var_ratio - 1.0) < 0.02),
-    ]
-    write_report(run_dir / "report.csv", rows)
-    return ratio
-
-
 _TASK_RUNNERS = {
     "synthetic-classification": _train_one,
     "synthetic-regression": _train_one,
     "powerlaw-probe": _run_powerlaw,
-    "least-squares": _run_least_squares,
-    "naq-exactness": _run_naq,
-    "estimator-suite": _run_estimator,
-    "glass-walk-suite": _run_glass_walk,
 }
 
 
@@ -594,6 +529,7 @@ _TASK_RUNNERS = {
 
 @dataclass(frozen=True)
 class RunSummary:
+    base: Path
     per_seed: tuple[tuple[int, float], ...]
     minimum: float
     median: float
@@ -647,7 +583,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunSummary:
     write_csv(base / "summary.csv", ("seed", "final_metric"), rows)
     manifest = f"# glassopt version = {__version__}\n" + serialize_config(cfg)
     (base / "manifest.txt").write_text(manifest)
-    return RunSummary(tuple(per_seed), lo, med, hi, tuple(errors))
+    return RunSummary(base, tuple(per_seed), lo, med, hi, tuple(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -728,37 +664,35 @@ def _suite_glass(seed: int) -> list[CheckRow]:
     ]
 
 
+def _hidden_quadratic(rng: np.random.Generator):
+    """A random SPD hidden Hessian, its h_bar, g_star0 and gamma0, drawn in that order."""
+    d = 50
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    hidden = basis @ np.diag(rng.uniform(0.5, 2.5, d)) @ basis.T
+    h_bar = np.abs(np.diag(hidden)) + 1.0
+    return hidden, h_bar, rng.standard_normal(d), 0.1 * rng.standard_normal(d)
+
+
 def _suite_naq(seed: int) -> list[CheckRow]:
-    rows = []
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_pred = 0.0
     # beta1 values chosen so beta1^50 stays well above machine epsilon; the
     # relative comparison is vacuous once the expected error underflows.
     for beta1 in (0.9, 0.95, 0.99):
-        d = 50
-        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        hidden = basis @ np.diag(rng.uniform(0.5, 2.5, d)) @ basis.T
-        h_bar = np.abs(np.diag(hidden)) + 1.0
-        rep = naq_exactness_check(
-            hidden, rng.standard_normal(d), 0.1 * rng.standard_normal(d), beta1, h_bar, 50
-        )
+        hidden, h_bar, g_star0, gamma0 = _hidden_quadratic(rng)
+        rep = naq_exactness_check(hidden, g_star0, gamma0, beta1, h_bar, 50)
         worst = max(worst, rep.max_error_rel)
         worst_pred = max(worst_pred, float(np.max(rep.prediction_rel)))
-    rows.append(CheckRow("max_error_contraction_residual", worst, 0.0, math.nan, 50,
-                         worst < 1e-10))
-    rows.append(CheckRow("max_model_prediction_residual", worst_pred, 0.0, math.nan, 50,
-                         worst_pred < 1e-10))
-    d = 50
-    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    hidden = basis @ np.diag(rng.uniform(0.5, 2.5, d)) @ basis.T
-    h_bar = np.abs(np.diag(hidden)) + 1.0
-    control = naq_exactness_check(
-        hidden, rng.standard_normal(d), 0.1 * rng.standard_normal(d), 0.9, h_bar, 50, phi=0.5
-    )
-    rows.append(CheckRow("negative_control_residual", control.max_error_rel, 0.0, math.nan,
-                         50, control.max_error_rel > 1e-3))
-    return rows
+    hidden, h_bar, g_star0, gamma0 = _hidden_quadratic(rng)
+    control = naq_exactness_check(hidden, g_star0, gamma0, 0.9, h_bar, 50, phi=0.5)
+    return [
+        CheckRow("max_error_contraction_residual", worst, 0.0, math.nan, 50, worst < 1e-10),
+        CheckRow("max_model_prediction_residual", worst_pred, 0.0, math.nan, 50,
+                 worst_pred < 1e-10),
+        CheckRow("negative_control_residual", control.max_error_rel, 0.0, math.nan, 50,
+                 control.max_error_rel > 1e-3),
+    ]
 
 
 def _suite_step(seed: int) -> list[CheckRow]:

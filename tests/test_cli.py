@@ -129,21 +129,27 @@ class TestProbeCommand:
 
 class TestOutputDir:
     def test_out_then_env_then_runs(self, tmp_path, monkeypatch):
-        args = cli.build_parser().parse_args(["verify", "--suite", "step"])
+        monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(harness.OUTPUT_ENV, raising=False)
-        assert cli._out_dir(args) == Path("runs")
+        assert cli.main(["verify", "--suite", "step"]) == 0
+        assert (tmp_path / "runs" / "verify_step.csv").exists()
         monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "env"))
-        assert cli._out_dir(args) == tmp_path / "env"
-        args.out = str(tmp_path / "flag")
-        assert cli._out_dir(args) == tmp_path / "flag"
+        assert cli.main(["verify", "--suite", "step"]) == 0
+        assert (tmp_path / "env" / "verify_step.csv").exists()
+        assert cli.main(["verify", "--suite", "step", "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "verify_step.csv").exists()
 
-    def test_config_output_dir_between_out_and_env(self, tmp_path, monkeypatch):
-        args = cli.build_parser().parse_args(["train", "--config", "x.cfg"])
-        cfg = ExperimentConfig(output_dir=str(tmp_path / "cfg"))
+    def test_config_output_dir_between_out_and_env(self, tmp_path, monkeypatch, capsys):
+        cfg = ExperimentConfig(name="o", task="synthetic-regression", steps=1, batch_size=0,
+                               output_dir=str(tmp_path / "cfg"), model=ModelSpec((3, 6, 2)))
+        cfg.data.samples = 16
+        path = write_config(tmp_path, cfg)
         monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "env"))
-        assert cli._out_dir(args, cfg) == tmp_path / "cfg"
-        args.out = str(tmp_path / "flag")
-        assert cli._out_dir(args, cfg) == tmp_path / "flag"
+        for flag, root in (([], "cfg"), (["--out", str(tmp_path / "flag")], "flag")):
+            assert cli.main(["train", "--config", str(path), *flag]) == 0
+            assert f"artifacts in {tmp_path / root / 'o'}\n" in capsys.readouterr().out
+            assert (tmp_path / root / "o" / "summary.csv").exists()
+        assert not (tmp_path / "env").exists()
 
 
 def test_version_flag():

@@ -1,5 +1,6 @@
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glassopt import harness, netkit
-from glassopt.alice import AliceConfig, reference_adam
+from glassopt.alice import CURVATURE_TERMS, LIMIT_METHODS, AliceConfig, reference_adam
 from glassopt.harness import (
     DataParams,
     ExperimentConfig,
@@ -20,6 +21,70 @@ from glassopt.harness import (
     serialize_config,
 )
 from glassopt.netkit import Batch, ConfigError, ModelSpec
+
+DOCS_CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
+
+
+def _tiny_regression(name, seeds=(0,)):
+    """Two full-batch steps on 16 samples: a run that is cheap and needs no oracle."""
+    return ExperimentConfig(
+        name=name, task="synthetic-regression", seeds=seeds, steps=2, batch_size=0,
+        model=ModelSpec((3, 6, 2)), data=DataParams(samples=16),
+    )
+
+
+def _positive():
+    return st.floats(0.0, 1e3, exclude_min=True)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs the constructors accept: with or without a model, with or without naq."""
+    model = None
+    if draw(st.booleans()):
+        widths = tuple(draw(st.lists(st.integers(1, 64), min_size=3, max_size=6)))
+        losses = ("mse", "xent") if widths[-1] > 1 else ("mse",)
+        model = ModelSpec(widths, draw(st.sampled_from(losses)))
+    tasks = harness.TASKS
+    if model is not None and model.loss == "xent":
+        tasks = tuple(t for t in tasks if t != "synthetic-regression")
+    beta1 = draw(st.floats(0.0, 1.0, exclude_max=True))
+    naq = draw(st.booleans())
+    if naq:
+        phi = draw(st.sampled_from((None, 1.0 - beta1)))
+        omega = draw(st.sampled_from((None, 1.0)))
+    else:
+        phi = draw(st.none() | st.floats(0.0, 1.0, exclude_min=True))
+        omega = draw(st.none() | st.floats(1.0 if phi is None else phi, 1.0))
+    lam_max = draw(_positive())
+    alice = AliceConfig(
+        lam=draw(_positive()), beta1=beta1, beta2=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        eps=draw(_positive()), phi=phi, omega=omega, lam_min=draw(st.floats(0.0, lam_max)),
+        lam_max=lam_max, limit_method=draw(st.sampled_from(LIMIT_METHODS)),
+        quick_steps=draw(st.integers(0, 10)),
+        terms=tuple(draw(st.lists(st.sampled_from(CURVATURE_TERMS), max_size=3))), naq=naq,
+    )
+    data = DataParams(
+        samples=draw(st.integers(1, 10**6)),
+        classes=None if model is None else draw(st.sampled_from((None, model.layer_widths[-1]))),
+        noise=draw(st.floats(0.0, 1e3)), center_scale=draw(st.floats(-1e3, 1e3)),
+        label_flip=draw(st.floats(0.0, 1.0)),
+    )
+    probe = harness.ProbeParams(
+        lam=draw(_positive()), samples=draw(st.integers(1, 1000)),
+        warmup_steps=draw(st.integers(0, 1000)), warmup_lr=draw(_positive()),
+    )
+    return ExperimentConfig(
+        name=draw(st.text("abxyz019_-.", min_size=1, max_size=10).filter(
+            lambda n: n not in (".", ".."))),
+        task=draw(st.sampled_from(tasks)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4,
+                                  unique=True))),
+        steps=draw(st.integers(1, 10**6)), batch_size=draw(st.integers(0, 4096)),
+        output_dir=draw(st.text("abc/_-.", max_size=12)),
+        optimizer=draw(st.sampled_from(harness.OPTIMIZERS)), baseline_lr=draw(_positive()),
+        model=model, alice=alice, data=data, probe=probe,
+    )
 
 
 class TestAggregate:
@@ -60,11 +125,21 @@ class TestConfigFormat:
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_round_trip_without_model(self):
-        cfg = ExperimentConfig(name="walk", task="glass-walk-suite", seeds=(1,), steps=5)
+        cfg = ExperimentConfig(name="walk", task="synthetic-regression", seeds=(1,), steps=5)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_round_trip_property(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", ["train_blobs.cfg", "probe_mlp.cfg"])
+    def test_docs_config_round_trips(self, name):
+        cfg = load_config(DOCS_CONFIGS / name)
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_unknown_key_reports_line(self):
-        text = "name = x\ntask = glass-walk-suite\nbogus_key = 1\n"
+        text = "name = x\ntask = synthetic-regression\nbogus_key = 1\n"
         with pytest.raises(ConfigError, match=r":3: unknown key 'bogus_key'"):
             parse_config(text)
 
@@ -121,17 +196,34 @@ class TestConfigFormat:
             ("alice.limit_method", "newton"),
             ("alice.quick_steps", "-1"),
             ("alice.terms", "rho,spectral"),
+            ("task", "synthetic-regression"),
         ],
     )
     def test_out_of_range_value_names_key_and_line(self, key, raw):
         with pytest.raises(ConfigError, match=rf":2: {key} must"):
-            parse_config(f"task = least-squares\n{key} = {raw}\n")
+            parse_config(f"model.widths = 3,4,2\n{key} = {raw}\nmodel.loss = xent\n")
+
+    @pytest.mark.parametrize(
+        "task, command",
+        [
+            pytest.param(task, command, id=task)
+            for task, command in (
+                ("least-squares", "glassopt simulate underdetermined-ls"),
+                ("naq-exactness", "glassopt verify --suite naq"),
+                ("estimator-suite", "glassopt verify --suite kernel"),
+                ("glass-walk-suite", "glassopt verify --suite walk"),
+            )
+        ],
+    )
+    def test_removed_task_names_its_replacement(self, task, command):
+        with pytest.raises(ConfigError, match=rf":2: task '{task}' was removed; run `{command}`"):
+            parse_config(f"name = x\ntask = {task}\n")
 
     @pytest.mark.parametrize(
         "text, got",
         [
             ("model.widths = 4,8,10\nmodel.loss = xent\ndata.classes = 3\n", "10"),
-            ("task = least-squares\nname = x\ndata.classes = 3\n", "no model.widths"),
+            ("task = synthetic-regression\nname = x\ndata.classes = 3\n", "no model.widths"),
         ],
     )
     def test_classes_other_than_output_width_rejected(self, text, got):
@@ -159,7 +251,7 @@ class TestConfigFormat:
         assert parse_config("batch_size = 0\n").batch_size == 0
 
     def test_comments_and_blank_lines_ignored(self):
-        cfg = parse_config("# a comment\n\nname = ok\ntask = least-squares\n")
+        cfg = parse_config("# a comment\n\nname = ok\ntask = synthetic-regression\n")
         assert cfg.name == "ok"
 
     def test_invalid_task_rejected(self):
@@ -171,7 +263,7 @@ class TestConfigFormat:
             load_config(tmp_path / "nope.cfg")
 
     def test_manifest_is_parseable(self, tmp_path):
-        cfg = ExperimentConfig(name="m", task="least-squares", seeds=(0,))
+        cfg = _tiny_regression("m")
         run_experiment(cfg, tmp_path)
         manifest = (tmp_path / "m" / "manifest.txt").read_text()
         assert parse_config(manifest) == cfg
@@ -200,7 +292,7 @@ class TestTasks:
 
 class TestRunExperiment:
     def test_single_seed_min_equals_max(self, tmp_path):
-        cfg = ExperimentConfig(name="one", task="least-squares", seeds=(5,))
+        cfg = _tiny_regression("one", seeds=(5,))
         summary = run_experiment(cfg, tmp_path)
         assert summary.minimum == summary.median == summary.maximum
 
@@ -277,17 +369,9 @@ class TestRunExperiment:
             summary = run_experiment(cfg, tmp_path)
             assert not summary.errors
 
-    def test_oracle_tasks_produce_reports(self, tmp_path):
-        for task in ("naq-exactness", "estimator-suite", "glass-walk-suite"):
-            cfg = ExperimentConfig(name=task, task=task, seeds=(0,), steps=30)
-            summary = run_experiment(cfg, tmp_path)
-            assert not summary.errors
-            report = tmp_path / task / "seed_0" / "report.csv"
-            assert report.read_text().splitlines()[0] == ",".join(harness.REPORT_HEADER)
-
     def test_output_dir_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "envout"))
-        cfg = ExperimentConfig(name="env", task="least-squares", seeds=(0,))
+        cfg = _tiny_regression("env")
         run_experiment(cfg)
         assert (tmp_path / "envout" / "env" / "summary.csv").exists()
 
