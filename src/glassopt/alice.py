@@ -408,17 +408,17 @@ class Alice:
 # Reference optimizers (replication oracles)
 
 
-def reference_adam(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps=100):
-    """Textbook Adam with bias correction. Returns the (n_steps+1, d) trajectory.
+def adam_iterates(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps=100):
+    """Textbook Adam with bias correction. Yields theta_0, ..., theta_n_steps.
 
     Operation order inside the update mirrors the optimizer's in-place
     running averages so that pinned-limit replication is exact to the ulp.
+    Each yielded iterate is a fresh array that later steps do not modify.
     """
     theta = np.array(params, dtype=np.float64)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    traj = np.empty((n_steps + 1, theta.shape[0]))
-    traj[0] = theta
+    yield theta
     for t in range(1, n_steps + 1):
         g = np.asarray(grad_fn(theta), dtype=np.float64)
         m = beta1 * m + (1.0 - beta1) * g
@@ -426,22 +426,42 @@ def reference_adam(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_step
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         theta = theta - lr * (m_hat / (np.sqrt(v_hat) + eps))
-        traj[t] = theta
-    return traj
+        yield theta
 
 
-def reference_sgdm(params, grad_fn, lr, beta1=0.9, n_steps=100):
-    """SGD with (1-beta1)-scaled momentum: v <- b1 v + (1-b1) g, theta <- theta - lr v."""
+def sgdm_iterates(params, grad_fn, lr, beta1=0.9, n_steps=100):
+    """SGD with (1-beta1)-scaled momentum: v <- b1 v + (1-b1) g, theta <- theta - lr v.
+
+    Yields theta_0, ..., theta_n_steps, each a fresh array.
+    """
     theta = np.array(params, dtype=np.float64)
     v = np.zeros_like(theta)
-    traj = np.empty((n_steps + 1, theta.shape[0]))
-    traj[0] = theta
-    for t in range(1, n_steps + 1):
+    yield theta
+    for _ in range(n_steps):
         g = np.asarray(grad_fn(theta), dtype=np.float64)
         v = beta1 * v + (1.0 - beta1) * g
         theta = theta - lr * v
+        yield theta
+
+
+def _trajectory(iterates, n_steps):
+    """The (n_steps+1, d) array of an optimizer's iterates, filled as they come."""
+    theta = next(iterates)
+    traj = np.empty((n_steps + 1, theta.shape[0]))
+    traj[0] = theta
+    for t, theta in enumerate(iterates, start=1):
         traj[t] = theta
     return traj
+
+
+def reference_adam(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps=100):
+    """adam_iterates as an (n_steps+1, d) trajectory."""
+    return _trajectory(adam_iterates(params, grad_fn, lr, beta1, beta2, eps, n_steps), n_steps)
+
+
+def reference_sgdm(params, grad_fn, lr, beta1=0.9, n_steps=100):
+    """sgdm_iterates as an (n_steps+1, d) trajectory."""
+    return _trajectory(sgdm_iterates(params, grad_fn, lr, beta1, n_steps), n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ from . import __version__, netkit, oracles
 from .alice import (
     Alice,
     AliceConfig,
+    adam_iterates,
     glass_term,
     modified_hessian,
     naq_exactness_check,
-    reference_adam,
-    reference_sgdm,
+    sgdm_iterates,
 )
 from .glass import (
     PowerLawReport,
@@ -134,6 +134,14 @@ class ExperimentConfig:
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds must be distinct, got {repeated} more than once")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise ConfigError(f"seeds must be >= 0, got {negative}")
+        # parse_config reads '#' as the start of a comment, so a manifest could
+        # not carry such a value back.
+        for key in ("name", "output_dir"):
+            if "#" in getattr(self, key):
+                raise ConfigError(f"{key} must not contain '#', got {getattr(self, key)!r}")
         if self.name in ("", ".", "..") or Path(self.name).name != self.name:
             raise ConfigError(f"name must be a single path component, got {self.name!r}")
         if self.steps < 1:
@@ -394,6 +402,13 @@ def write_report(path, rows: list[CheckRow]) -> None:
 # Training runs
 
 
+def _last(iterates):
+    """The final iterate of an optimizer, holding one iterate at a time."""
+    for theta in iterates:
+        pass
+    return theta
+
+
 def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
     data = task_batch(cfg, seed)
     params = build_model(cfg.model, seed)
@@ -430,7 +445,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
             )
         final_params = opt.params
     else:
-        stepper = reference_adam if cfg.optimizer == "adam" else reference_sgdm
+        iterates = adam_iterates if cfg.optimizer == "adam" else sgdm_iterates
         clock = {"tic": time.perf_counter()}
 
         def grad_fn(theta):
@@ -442,9 +457,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
             clock["tic"] = time.perf_counter()
             return g
 
-        kwargs = {"lr": cfg.baseline_lr, "n_steps": cfg.steps}
-        traj = stepper(params, grad_fn, **kwargs)
-        final_params = traj[-1]
+        final_params = _last(iterates(params, grad_fn, lr=cfg.baseline_lr, n_steps=cfg.steps))
 
     write_csv(run_dir / "train_log.csv", TRAIN_LOG_HEADER, rows)
     return loss(cfg.model, final_params, data)
@@ -457,6 +470,15 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
 def default_partitions(spec: ModelSpec) -> dict[str, np.ndarray]:
     """One partition per layer (weights plus bias); the last is the final layer."""
     return {f"layer_{i + 1}": spec.layer_param_indices(i) for i in range(spec.n_layers)}
+
+
+# Gradient calls with fewer (rows x parameters) than this spend more time
+# handing the GIL between two probe lanes than the second core saves. On a
+# 2-vCPU VM with BLAS on one thread, two lanes broke even near 400 rows at
+# d = 9210 (5 layers) and 500 rows at d = 5590 (7 layers), and won from 32
+# rows at d = 46410 (3 layers); below the bound the scales run one after
+# the other.
+_LANES_MIN_WORK = 4_000_000
 
 
 def powerlaw_experiment(
@@ -475,23 +497,44 @@ def powerlaw_experiment(
     The two probe scales share one Rademacher seed, so their sample pairing
     cancels most of the Monte-Carlo noise in the exponent. Gradients are
     evaluated on the full dataset.
+
+    When a gradient call has at least _LANES_MIN_WORK (rows x parameters),
+    the 2 lam measurement runs on a second thread while lam runs on this
+    one; netkit's gradient keeps a workspace per thread and releases the GIL
+    in its matmuls, so the two overlap. Each scale draws from its own
+    Generator in its own order, so the report is that of the serial runs
+    either way. An error at lam is raised before one at 2 lam.
     """
-    params = build_model(spec, seed)
-    if warmup_steps > 0:
-        stream = _minibatch_stream(data, warmup_batch_size, seed)
-
-        def warm_grad(theta):
-            return gradient(spec, theta, next(stream))[1]
-
-        params = reference_adam(params, warm_grad, warmup_lr, n_steps=warmup_steps)[-1]
+    params = _warm_up(spec, data, seed, warmup_steps, warmup_lr, warmup_batch_size)
 
     def grad_fn(theta):
         return gradient(spec, theta, data)[1]
 
     probe_seed = int(np.random.SeedSequence([seed, 0x9B0E]).generate_state(1)[0])
-    meas_1 = measure_variations(grad_fn, params, lam, n_samples, probe_seed)
-    meas_2 = measure_variations(grad_fn, params, 2.0 * lam, n_samples, probe_seed)
+
+    def measure(scale):
+        return measure_variations(grad_fn, params, scale, n_samples, probe_seed)
+
+    if data.size * spec.param_count < _LANES_MIN_WORK:
+        meas_1, meas_2 = measure(lam), measure(2.0 * lam)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            at_2lam = lane.submit(measure, 2.0 * lam)
+            meas_1 = measure(lam)
+            meas_2 = at_2lam.result()
     return power_law(meas_1, meas_2, partitions or default_partitions(spec))
+
+
+def _warm_up(spec, data, seed, steps, lr, batch_size) -> np.ndarray:
+    """The model at `seed` after `steps` minibatch Adam steps, keeping no trajectory."""
+    stream = _minibatch_stream(data, batch_size, seed)
+
+    def warm_grad(theta):
+        return gradient(spec, theta, next(stream))[1]
+
+    return _last(adam_iterates(build_model(spec, seed), warm_grad, lr, n_steps=steps))
 
 
 # ---------------------------------------------------------------------------

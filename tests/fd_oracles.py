@@ -223,3 +223,38 @@ def reference_mc_estimator(tm, density, kspec, n_samples, seed):
         aggregate_bias=agg_bias,
         aggregate_bias_se=agg_se,
     )
+
+
+# The Adam and SGD-M loops as they were before their arithmetic moved into
+# glassopt.alice's iterate generators. Both the generators and the
+# trajectories built from them must agree with these bitwise.
+
+
+def reference_adam_loop(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps=100):
+    theta = np.array(params, dtype=np.float64)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    traj = np.empty((n_steps + 1, theta.shape[0]))
+    traj[0] = theta
+    for t in range(1, n_steps + 1):
+        g = np.asarray(grad_fn(theta), dtype=np.float64)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta = theta - lr * (m_hat / (np.sqrt(v_hat) + eps))
+        traj[t] = theta
+    return traj
+
+
+def reference_sgdm_loop(params, grad_fn, lr, beta1=0.9, n_steps=100):
+    theta = np.array(params, dtype=np.float64)
+    v = np.zeros_like(theta)
+    traj = np.empty((n_steps + 1, theta.shape[0]))
+    traj[0] = theta
+    for t in range(1, n_steps + 1):
+        g = np.asarray(grad_fn(theta), dtype=np.float64)
+        v = beta1 * v + (1.0 - beta1) * g
+        theta = theta - lr * v
+        traj[t] = theta
+    return traj

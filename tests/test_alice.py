@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fd_oracles import reference_adam_loop, reference_sgdm_loop
 from glassopt import alice, netkit
 from glassopt.alice import (
     Alice,
     AliceConfig,
     TopographyState,
+    adam_iterates,
     apply_step,
     glass_term,
     modified_hessian,
@@ -18,6 +20,7 @@ from glassopt.alice import (
     quick_update,
     reference_adam,
     reference_sgdm,
+    sgdm_iterates,
     step_limits,
     topography_update,
 )
@@ -354,6 +357,20 @@ class TestReplication:
 
 
 class TestReferenceOptimizers:
+    @pytest.mark.parametrize("n_steps", [0, 1, 60])
+    def test_match_the_frozen_loops_bitwise(self, n_steps):
+        _, params, _, grad_fn = small_net(seed=7, loss="xent")
+        adam_args = (params, grad_fn, 3e-3, 0.8, 0.99, 1e-7, n_steps)
+        sgdm_args = (params, grad_fn, 5e-3, 0.7, n_steps)
+        for fn, iterates, frozen, args in (
+            (reference_adam, adam_iterates, reference_adam_loop, adam_args),
+            (reference_sgdm, sgdm_iterates, reference_sgdm_loop, sgdm_args),
+        ):
+            expected = frozen(*args)
+            assert np.array_equal(fn(*args), expected)
+            # Each iterate is its own array: later steps leave it as yielded.
+            assert np.array_equal(np.stack(list(iterates(*args))), expected)
+
     def test_zero_gradient_keeps_parameters(self):
         params = np.array([1.0, -2.0])
         for traj in (

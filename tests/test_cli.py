@@ -113,10 +113,13 @@ class TestProbeCommand:
         cfg.probe.samples = 8
         cfg.probe.warmup_steps = 5
         path = write_config(tmp_path, cfg)
-        code = cli.main(["probe", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 0
-        report = tmp_path / "out" / "cli_probe" / "seed_0" / "powerlaw.csv"
-        assert report.read_text().startswith("partition,sum_v_lambda,sum_v_2lambda,p")
+        reports = []
+        for out in ("out", "again"):
+            code = cli.main(["probe", "--config", str(path), "--out", str(tmp_path / out)])
+            assert code == 0
+            reports.append((tmp_path / out / "cli_probe" / "seed_0" / "powerlaw.csv").read_bytes())
+        assert reports[0].startswith(b"partition,sum_v_lambda,sum_v_2lambda,p")
+        assert reports[0] == reports[1]
 
     def test_malformed_config_line_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

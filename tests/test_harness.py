@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glassopt import harness, netkit
+from glassopt import glass, harness, netkit
 from glassopt.alice import CURVATURE_TERMS, LIMIT_METHODS, AliceConfig, reference_adam
 from glassopt.harness import (
     DataParams,
@@ -20,7 +21,7 @@ from glassopt.harness import (
     run_experiment,
     serialize_config,
 )
-from glassopt.netkit import Batch, ConfigError, ModelSpec
+from glassopt.netkit import Batch, ConfigError, ModelSpec, NumericsError
 
 DOCS_CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
 
@@ -38,8 +39,11 @@ def _positive():
 
 
 @st.composite
-def valid_configs(draw):
-    """Configs the constructors accept: with or without a model, with or without naq."""
+def config_fields(draw):
+    """ExperimentConfig fields with or without a model, with or without naq.
+
+    The constructors accept them all, except a name or output_dir with a '#'.
+    """
     model = None
     if draw(st.booleans()):
         widths = tuple(draw(st.lists(st.integers(1, 64), min_size=3, max_size=6)))
@@ -74,14 +78,14 @@ def valid_configs(draw):
         lam=draw(_positive()), samples=draw(st.integers(1, 1000)),
         warmup_steps=draw(st.integers(0, 1000)), warmup_lr=draw(_positive()),
     )
-    return ExperimentConfig(
-        name=draw(st.text("abxyz019_-.", min_size=1, max_size=10).filter(
+    return dict(
+        name=draw(st.text("abxyz019_-.#", min_size=1, max_size=10).filter(
             lambda n: n not in (".", ".."))),
         task=draw(st.sampled_from(tasks)),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4,
                                   unique=True))),
         steps=draw(st.integers(1, 10**6)), batch_size=draw(st.integers(0, 4096)),
-        output_dir=draw(st.text("abc/_-.", max_size=12)),
+        output_dir=draw(st.text("abc/_-.#", max_size=12)),
         optimizer=draw(st.sampled_from(harness.OPTIMIZERS)), baseline_lr=draw(_positive()),
         model=model, alice=alice, data=data, probe=probe,
     )
@@ -129,8 +133,14 @@ class TestConfigFormat:
         assert parse_config(serialize_config(cfg)) == cfg
 
     @settings(max_examples=200, deadline=None)
-    @given(valid_configs())
-    def test_round_trip_property(self, cfg):
+    @given(config_fields())
+    def test_round_trip_property(self, fields):
+        # parse_config would cut a '#' off as a comment, so it never gets into a config.
+        if "#" in fields["name"] + fields["output_dir"]:
+            with pytest.raises(ConfigError, match=r"^(name|output_dir) must not contain '#'"):
+                ExperimentConfig(**fields)
+            return
+        cfg = ExperimentConfig(**fields)
         assert parse_config(serialize_config(cfg)) == cfg
 
     @pytest.mark.parametrize("name", ["train_blobs.cfg", "probe_mlp.cfg"])
@@ -163,6 +173,8 @@ class TestConfigFormat:
         "key, raw",
         [
             ("batch_size", "-5"),
+            ("seeds", "-1"),
+            ("seeds", "0,-3"),
             ("data.samples", "0"),
             ("probe.samples", "0"),
             ("data.label_flip", "2"),
@@ -376,6 +388,12 @@ class TestRunExperiment:
         assert (tmp_path / "envout" / "env" / "summary.csv").exists()
 
 
+@pytest.fixture(params=["lanes", "serial"])
+def probe_lanes(request, monkeypatch):
+    """Run the probe's two scales on two threads, or one after the other."""
+    monkeypatch.setattr(harness, "_LANES_MIN_WORK", 0 if request.param == "lanes" else math.inf)
+
+
 class TestPowerlawExperiment:
     def test_probe_on_small_network(self):
         spec = ModelSpec((4, 8, 8, 3), "xent")
@@ -404,6 +422,118 @@ class TestPowerlawExperiment:
         assert not summary.errors
         lines = (tmp_path / "probe" / "seed_0" / "powerlaw.csv").read_text().splitlines()
         assert lines[0] == "partition,sum_v_lambda,sum_v_2lambda,p"
+
+    def test_equals_two_serial_measurements(self, probe_lanes):
+        spec = ModelSpec((4, 8, 8, 3), "xent")
+        data = harness.make_classification_batch(
+            DataParams(samples=120, classes=3, noise=1.0), 4, 3, seed=0
+        )
+        report = powerlaw_experiment(
+            spec, data, lam=0.002, n_samples=8, seed=5, warmup_steps=10, warmup_batch_size=32
+        )
+        stream = harness._minibatch_stream(data, 32, 5)
+        warm = lambda th: netkit.gradient(spec, th, next(stream))[1]  # noqa: E731
+        params = reference_adam(netkit.build_model(spec, 5), warm, 2e-3, n_steps=10)[-1]
+        grad_fn = lambda th: netkit.gradient(spec, th, data)[1]  # noqa: E731
+        probe_seed = int(np.random.SeedSequence([5, 0x9B0E]).generate_state(1)[0])
+        serial = glass.power_law(
+            glass.measure_variations(grad_fn, params, 0.002, 8, probe_seed),
+            glass.measure_variations(grad_fn, params, 0.004, 8, probe_seed),
+            default_partitions(spec),
+        )
+        assert repr(report) == repr(serial)
+
+    @staticmethod
+    def _failing_at(monkeypatch, scales):
+        """Make the probe's gradient raise NumericsError at the given probe scales."""
+        measure = harness.measure_variations
+
+        def flaky(grad_fn, mu, lam, n_samples, seed):
+            if lam in scales:
+                def grad_fn(theta):
+                    raise NumericsError(f"non-finite gradient at lam = {lam}")
+
+            return measure(grad_fn, mu, lam, n_samples, seed)
+
+        monkeypatch.setattr(harness, "measure_variations", flaky)
+
+    def test_error_at_double_scale_is_raised_and_recorded(self, probe_lanes, monkeypatch, tmp_path):
+        self._failing_at(monkeypatch, {0.004})
+        cfg = ExperimentConfig(
+            name="probe", task="powerlaw-probe", seeds=(0,), batch_size=32,
+            model=ModelSpec((4, 8, 8, 3), "xent"), data=DataParams(samples=100, classes=3),
+        )
+        cfg.probe.lam, cfg.probe.samples, cfg.probe.warmup_steps = 0.002, 4, 2
+        with pytest.raises(NumericsError, match="lam = 0.004"):
+            powerlaw_experiment(cfg.model, harness.task_batch(cfg, 0), 0.002, 4, warmup_steps=2)
+        summary = run_experiment(cfg, tmp_path)
+        expected = "seed 0: NumericsError: non-finite gradient at lam = 0.004"
+        assert summary.errors == (expected,)
+        assert (tmp_path / "probe" / "seed_0" / "error.txt").read_text() == expected + "\n"
+
+    def test_error_at_base_scale_wins(self, probe_lanes, monkeypatch):
+        self._failing_at(monkeypatch, {0.002, 0.004})
+        spec = ModelSpec((3, 4, 2))
+        data = harness.make_regression_batch(DataParams(samples=20), 3, 2, seed=0)
+        with pytest.raises(NumericsError, match="lam = 0.002"):
+            powerlaw_experiment(spec, data, 0.002, 4, warmup_steps=0)
+
+    def test_scales_run_on_two_threads_at_once(self, monkeypatch):
+        # The lam measurement waits for the 2 lam one to start: a serial probe
+        # would block here until the timeout.
+        measure = harness.measure_variations
+        started = {}
+        double_started = threading.Event()
+
+        def watched(grad_fn, mu, lam, n_samples, seed):
+            started[lam] = threading.get_ident()
+            if lam == 0.004:
+                double_started.set()
+            elif not double_started.wait(10.0):
+                raise AssertionError("the 2 lam measurement did not start")
+            return measure(grad_fn, mu, lam, n_samples, seed)
+
+        monkeypatch.setattr(harness, "measure_variations", watched)
+        # 2000 rows x 26 parameters is below the lanes' bound, so it is lowered here.
+        monkeypatch.setattr(harness, "_LANES_MIN_WORK", 2000 * 26)
+        spec = ModelSpec((3, 4, 2))
+        data = harness.make_regression_batch(DataParams(samples=2000), 3, 2, seed=0)
+        powerlaw_experiment(spec, data, 0.002, 4, warmup_steps=0)
+        assert started[0.002] == threading.get_ident() != started[0.004]
+
+    def test_small_calls_run_on_this_thread(self, monkeypatch):
+        threads = set()
+        measure = harness.measure_variations
+
+        def watched(*args):
+            threads.add(threading.get_ident())
+            return measure(*args)
+
+        monkeypatch.setattr(harness, "measure_variations", watched)
+        monkeypatch.setattr(harness, "_LANES_MIN_WORK", 2000 * 26 + 1)
+        spec = ModelSpec((3, 4, 2))
+        data = harness.make_regression_batch(DataParams(samples=2000), 3, 2, seed=0)
+        powerlaw_experiment(spec, data, 0.002, 4, warmup_steps=0)
+        assert threads == {threading.get_ident()}
+
+    def test_warm_up_keeps_no_trajectory(self):
+        # A 200-step trajectory at d = 9210 is 14.7 MB; the warm-up holds a
+        # handful of d-length vectors and netkit's batch-128 workspace instead.
+        cfg = load_config(DOCS_CONFIGS / "probe_mlp.cfg")
+        data = harness.task_batch(cfg, 0)
+        spec, steps, lr = cfg.model, cfg.probe.warmup_steps, cfg.probe.warmup_lr
+        assert (spec.param_count, steps, cfg.batch_size) == (9210, 200, 128)
+        tracemalloc.start()
+        try:
+            params = harness._warm_up(spec, data, 0, steps, lr, cfg.batch_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+        stream = harness._minibatch_stream(data, cfg.batch_size, 0)
+        warm = lambda th: netkit.gradient(spec, th, next(stream))[1]  # noqa: E731
+        expected = reference_adam(netkit.build_model(spec, 0), warm, lr, n_steps=steps)[-1]
+        assert np.array_equal(params, expected)
 
     def test_shared_probe_seed_pairs_scales(self):
         # a purely quadratic synthetic gradient must give exactly p = 2
