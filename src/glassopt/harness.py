@@ -472,15 +472,6 @@ def default_partitions(spec: ModelSpec) -> dict[str, np.ndarray]:
     return {f"layer_{i + 1}": spec.layer_param_indices(i) for i in range(spec.n_layers)}
 
 
-# Gradient calls with fewer (rows x parameters) than this spend more time
-# handing the GIL between two probe lanes than the second core saves. On a
-# 2-vCPU VM with BLAS on one thread, two lanes broke even near 400 rows at
-# d = 9210 (5 layers) and 500 rows at d = 5590 (7 layers), and won from 32
-# rows at d = 46410 (3 layers); below the bound the scales run one after
-# the other.
-_LANES_MIN_WORK = 4_000_000
-
-
 def powerlaw_experiment(
     spec: ModelSpec,
     data: Batch,
@@ -498,12 +489,11 @@ def powerlaw_experiment(
     cancels most of the Monte-Carlo noise in the exponent. Gradients are
     evaluated on the full dataset.
 
-    When a gradient call has at least _LANES_MIN_WORK (rows x parameters),
-    the 2 lam measurement runs on a second thread while lam runs on this
+    The 2 lam measurement runs on a second thread while lam runs on this
     one; netkit's gradient keeps a workspace per thread and releases the GIL
     in its matmuls, so the two overlap. Each scale draws from its own
-    Generator in its own order, so the report is that of the serial runs
-    either way. An error at lam is raised before one at 2 lam.
+    Generator in its own order, so the report is that of the serial runs.
+    An error at lam is raised before one at 2 lam.
     """
     params = _warm_up(spec, data, seed, warmup_steps, warmup_lr, warmup_batch_size)
 
@@ -515,15 +505,12 @@ def powerlaw_experiment(
     def measure(scale):
         return measure_variations(grad_fn, params, scale, n_samples, probe_seed)
 
-    if data.size * spec.param_count < _LANES_MIN_WORK:
-        meas_1, meas_2 = measure(lam), measure(2.0 * lam)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=1) as lane:
-            at_2lam = lane.submit(measure, 2.0 * lam)
-            meas_1 = measure(lam)
-            meas_2 = at_2lam.result()
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        at_2lam = lane.submit(measure, 2.0 * lam)
+        meas_1 = measure(lam)
+        meas_2 = at_2lam.result()
     return power_law(meas_1, meas_2, partitions or default_partitions(spec))
 
 
