@@ -40,6 +40,9 @@ _QUAD_SPAN = 8.0
 _GL_PANELS = 48
 _GL_ORDER = 32
 _GL_BLOCK = 64
+# Elements per block of rademacher_signs' in-place cast: the block bounds the
+# temporary numpy allocates for an in-place pass (about 0.5 MB).
+_SIGN_BLOCK = 1 << 16
 
 
 def _canonical_density(density: str) -> str:
@@ -47,6 +50,24 @@ def _canonical_density(density: str) -> str:
     if density not in DENSITIES:
         raise ConfigError(f"unknown sample density {density!r}, expected one of {DENSITIES}")
     return density
+
+
+def rademacher_signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Independent +-1.0 signs of the given shape from one rng.integers(0, 2) draw.
+
+    The int64 draw is cast to +-1.0 in place, block by block, into a float
+    view of its own memory, so no second array of the shape is allocated.
+    The values, and the stream the draw consumes, equal those of
+    rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0.
+    """
+    bits = rng.integers(0, 2, size=shape)
+    flat = bits.reshape(-1)
+    signs = flat.view(np.float64)
+    for lo in range(0, flat.size, _SIGN_BLOCK):
+        blk = slice(lo, lo + _SIGN_BLOCK)
+        np.multiply(flat[blk], 2.0, out=signs[blk])
+        signs[blk] -= 1.0
+    return signs.reshape(bits.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +420,7 @@ def measure_variations(
     g0 = np.asarray(grad_fn(mu), dtype=np.float64)
     acc = np.zeros_like(g0)
     for _ in range(n_samples):
-        signs = rng.integers(0, 2, size=mu.shape[0]).astype(np.float64) * 2.0 - 1.0
+        signs = rademacher_signs(rng, mu.shape[0])
         gamma = np.asarray(grad_fn(mu + lam * signs), dtype=np.float64) - g0
         acc += gamma * gamma
     return GradientVariationMeasurement(float(lam), acc / n_samples, int(n_samples))

@@ -33,7 +33,6 @@ from .alice import (
 )
 from .glass import (
     PowerLawReport,
-    density_matrix,
     estimator_variance,
     kernel_constant,
     make_kernel,
@@ -137,11 +136,17 @@ class ExperimentConfig:
         negative = [s for s in self.seeds if s < 0]
         if negative:
             raise ConfigError(f"seeds must be >= 0, got {negative}")
-        # parse_config reads '#' as the start of a comment, so a manifest could
-        # not carry such a value back.
+        # parse_config reads '#' as the start of a comment, strips each value and
+        # reads the file line by line, so a manifest could not carry such a
+        # value back.
         for key in ("name", "output_dir"):
-            if "#" in getattr(self, key):
-                raise ConfigError(f"{key} must not contain '#', got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if "#" in value:
+                raise ConfigError(f"{key} must not contain '#', got {value!r}")
+            if value != value.strip():
+                raise ConfigError(f"{key} must not start or end with whitespace, got {value!r}")
+            if len(value.splitlines()) > 1:
+                raise ConfigError(f"{key} must not contain a line break, got {value!r}")
         if self.name in ("", ".", "..") or Path(self.name).name != self.name:
             raise ConfigError(f"name must be a single path component, got {self.name!r}")
         if self.steps < 1:
@@ -477,13 +482,12 @@ def powerlaw_experiment(
     data: Batch,
     lam: float,
     n_samples: int,
-    partitions: dict[str, np.ndarray] | None = None,
     seed: int = 0,
     warmup_steps: int = 200,
     warmup_lr: float = 2e-3,
     warmup_batch_size: int = 128,
 ) -> PowerLawReport:
-    """Train briefly, then fit per-partition variation exponents at lam and 2 lam.
+    """Train briefly, then fit per-layer variation exponents at lam and 2 lam.
 
     The two probe scales share one Rademacher seed, so their sample pairing
     cancels most of the Monte-Carlo noise in the exponent. Gradients are
@@ -511,7 +515,7 @@ def powerlaw_experiment(
         at_2lam = lane.submit(measure, 2.0 * lam)
         meas_1 = measure(lam)
         meas_2 = at_2lam.result()
-    return power_law(meas_1, meas_2, partitions or default_partitions(spec))
+    return power_law(meas_1, meas_2, default_partitions(spec))
 
 
 def _warm_up(spec, data, seed, steps, lr, batch_size) -> np.ndarray:
@@ -568,11 +572,14 @@ class RunSummary:
 
 
 def aggregate(values) -> tuple[float, float, float]:
-    """(min, median, max); the median of an even count is the mean of the middle two."""
+    """(min, median, max); the median of an even count is the mean of the middle two.
+
+    A NaN value (a failed seed) makes all three NaN, whatever its position.
+    """
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("cannot aggregate an empty result list")
-    return min(values), float(np.median(values)), max(values)
+    return float(np.min(values)), float(np.median(values)), float(np.max(values))
 
 
 def resolve_output_dir(cfg: ExperimentConfig | None, out_root=None) -> Path:
@@ -678,12 +685,8 @@ def _suite_kernel(seed: int) -> list[CheckRow]:
 
 def _suite_glass(seed: int) -> list[CheckRow]:
     scenario = oracles.build_uniform_preactivation_net(seed=seed)
-    records = netkit.relu_introspect(
-        scenario.spec, scenario.params, scenario.batch, scenario.psi
-    )
-    density = density_matrix(records, scenario.psi)
-    small = oracles.mc_variation(scenario, density, 5e-5, 2000, seed + 1)
-    large = oracles.mc_variation(scenario, density, 0.5, 200, seed + 2)
+    small = oracles.mc_variation(scenario, 5e-5, 2000, seed + 1)
+    large = oracles.mc_variation(scenario, 0.5, 200, seed + 2)
     return [
         CheckRow("variation_bound_coverage_small_step", small.fraction_within, 1.0,
                  math.nan, small.n_samples, small.fraction_within >= 0.99),

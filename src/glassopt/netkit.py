@@ -155,11 +155,12 @@ class ReluUnitRecord:
 
 
 def _views(spec: ModelSpec, params: np.ndarray):
-    """Per-layer (weight, bias) views into a flat parameter vector."""
+    """Per-layer (weight, bias) views into a flat parameter vector, or into each row of a stack."""
     weights, biases = [], []
+    lead = params.shape[:-1]
     for w_sl, b_sl, (fi, fo) in spec.layer_slices():
-        weights.append(params[w_sl].reshape(fi, fo))
-        biases.append(params[b_sl])
+        weights.append(params[..., w_sl].reshape(*lead, fi, fo))
+        biases.append(params[..., b_sl])
     return weights, biases
 
 
@@ -309,33 +310,17 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch):
     return value, grad
 
 
-def _preactivation_grad(spec, weights, inputs, preacts, acts, layer, neuron, sample):
-    """Gradient of one hidden pre-activation w.r.t. the flat parameter vector."""
-    grad = np.zeros(spec.param_count)
-    g_weights, g_biases = _views(spec, grad)
-    a_in = inputs[sample] if layer == 0 else acts[layer - 1][sample]
-    g_weights[layer][:, neuron] = a_in
-    g_biases[layer][neuron] = 1.0
-    if layer == 0:
-        return grad
-    d_a = weights[layer][:, neuron]
-    for i in range(layer - 1, -1, -1):
-        d_y = d_a * (preacts[i][sample] > 0.0)
-        a_prev = inputs[sample] if i == 0 else acts[i - 1][sample]
-        g_weights[i][...] = np.outer(a_prev, d_y)
-        g_biases[i][...] = d_y
-        if i > 0:
-            d_a = weights[i] @ d_y
-    return grad
-
-
 def relu_introspect(spec: ModelSpec, params: np.ndarray, batch: Batch, psi: float):
     """Collect every hidden (unit, sample) pair with |pre-activation| < psi.
 
     Each record carries the gradient of its pre-activation w.r.t. the full
-    parameter vector, computed by a dedicated backward pass, plus the
-    derivative of the batch loss w.r.t. the unit's post-activation. Records
-    are ordered by (layer, neuron, sample).
+    parameter vector, plus the derivative of the batch loss w.r.t. the unit's
+    post-activation. Records are ordered by (layer, neuron, sample).
+
+    One backward pass per hidden layer serves all K records of that layer:
+    record k's grad_y is row k of a (K x d) block. Each row takes the same
+    products, and the same matrix-vector call, as a pass of its own would, so
+    grad_y is bitwise that of a separate backward pass per record.
     """
     if not psi > 0:
         raise ConfigError("psi must be positive")
@@ -344,6 +329,7 @@ def relu_introspect(spec: ModelSpec, params: np.ndarray, batch: Batch, psi: floa
     preacts, acts = forward(spec, params, batch.inputs)
     _, d_y = _loss_and_dout(spec, acts[-1], batch.targets)
     weights, _ = _views(spec, params)
+    layer_inputs = [batch.inputs, *acts[:-1]]
 
     # dloss/dz per hidden layer: the backward signal before the ReLU mask.
     d_z = [None] * spec.n_hidden
@@ -354,19 +340,22 @@ def relu_introspect(spec: ModelSpec, params: np.ndarray, batch: Batch, psi: floa
 
     records = []
     for layer in range(spec.n_hidden):
-        mask = np.abs(preacts[layer]) < psi
-        for neuron, sample in np.argwhere(mask.T):
-            grad_y = _preactivation_grad(
-                spec, weights, batch.inputs, preacts, acts, layer, int(neuron), int(sample)
-            )
-            records.append(
-                ReluUnitRecord(
-                    layer=int(layer),
-                    neuron=int(neuron),
-                    sample=int(sample),
-                    y=float(preacts[layer][sample, neuron]),
-                    dloss_dz=float(d_z[layer][sample, neuron]),
-                    grad_y=grad_y,
-                )
-            )
+        neurons, samples = np.nonzero(np.abs(preacts[layer]).T < psi)
+        block = np.zeros((neurons.size, spec.param_count))
+        g_weights, g_biases = _views(spec, block)
+        rows = np.arange(neurons.size)
+        g_weights[layer][rows, :, neurons] = layer_inputs[layer][samples]
+        g_biases[layer][rows, neurons] = 1.0
+        d_a = weights[layer][:, neurons].T
+        for i in range(layer - 1, -1, -1):
+            d_y = d_a * (preacts[i][samples] > 0.0)
+            np.multiply(layer_inputs[i][samples][:, :, None], d_y[:, None, :], out=g_weights[i])
+            g_biases[i][...] = d_y
+            if i > 0:
+                # One matrix-vector product per record: d_y @ weights[i].T, a
+                # single matrix product, rounds differently.
+                d_a = np.matmul(weights[i], d_y[:, :, None])[:, :, 0]
+        for k, (neuron, sample) in enumerate(zip(neurons.tolist(), samples.tolist())):
+            y, dz = float(preacts[layer][sample, neuron]), float(d_z[layer][sample, neuron])
+            records.append(ReluUnitRecord(layer, neuron, sample, y, dz, block[k]))
     return records

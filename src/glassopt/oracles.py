@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netkit
-from .glass import GlassDensityMatrix, optimal_kernel_weight, variation_bound
+from .glass import density_matrix, optimal_kernel_weight, rademacher_signs, variation_bound
 from .netkit import Batch, ConfigError, ModelSpec
 
 _CHUNK = 20_000
@@ -52,10 +52,10 @@ class SyntheticGlass1D:
     kick: str = "gauss"
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ConfigError("glass density rho must be >= 0")
-        if self.lam <= 0:
-            raise ConfigError("walk length lam must be > 0")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ConfigError(f"glass density rho must be finite and >= 0, got {self.rho}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError(f"walk length lam must be finite and > 0, got {self.lam}")
         if self.n_kinks < 1 or self.trials < 1:
             raise ConfigError("need at least one kink and one trial")
         if self.kick not in ("gauss", "rademacher"):
@@ -187,18 +187,12 @@ class McEstimatorResult:
 def _draw(rng: np.random.Generator, density: str, shape, buf: np.ndarray | None) -> np.ndarray:
     """Draw an (m, d) sample matrix of the normal or the Rademacher density.
 
-    Normal samples fill the leading m rows of buf. Rademacher signs are drawn
-    as int64 and cast to +-1.0 in place, block by block, into a float view of
-    that draw, so neither density allocates a second (m, d) array; buf is then
-    unused. The values equal those of a fresh draw and cast.
+    Normal samples fill the leading m rows of buf. Rademacher signs come from
+    rademacher_signs, which casts its draw in place, so neither density
+    allocates a second (m, d) array; buf is then unused.
     """
     if density == "rademacher":
-        bits = rng.integers(0, 2, size=shape)
-        signs = bits.view(np.float64)
-        for blk in _row_blocks(*shape):
-            np.multiply(bits[blk], 2.0, out=signs[blk])
-            signs[blk] -= 1.0
-        return signs
+        return rademacher_signs(rng, shape)
     return rng.standard_normal(shape, out=buf[: shape[0]])
 
 
@@ -330,43 +324,38 @@ class VariationCoverage:
 
 def mc_variation(
     scenario: GlassScenario,
-    r_matrix: GlassDensityMatrix | np.ndarray,
     delta_scale: float,
     n_samples: int,
     seed: int,
 ) -> VariationCoverage:
     """Check empirical v(delta) <= R |delta| elementwise by direct sampling.
 
-    R is either a factored GlassDensityMatrix, whose bound is taken through
-    variation_bound without building the dense matrix, or a dense d x d array.
-    Perturbations are Rademacher sign vectors of magnitude delta_scale.
-    Samples whose projection onto a unit's pre-activation gradient reaches
-    psi violate the small-step precondition; their fraction is reported.
+    R is factored with density_matrix from the scenario's near-threshold
+    records, and its bound is taken through variation_bound without building
+    the dense matrix. Perturbations are Rademacher sign vectors of magnitude
+    delta_scale. Samples whose projection onto a unit's pre-activation
+    gradient reaches psi violate the small-step precondition; their fraction
+    is reported.
     """
     if delta_scale < 0:
         raise ConfigError("delta_scale must be >= 0")
     spec, params, batch = scenario.spec, scenario.params, scenario.batch
     d = spec.param_count
     records = netkit.relu_introspect(spec, params, batch, scenario.psi)
+    bound = variation_bound(density_matrix(records, scenario.psi, d), np.full(d, delta_scale))
     gy = np.stack([r.grad_y for r in records]) if records else np.zeros((0, d))
     rng = np.random.default_rng(seed)
     _, g0 = netkit.gradient(spec, params, batch)
     acc = np.zeros(d)
     violations = 0
     for _ in range(n_samples):
-        signs = rng.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
-        delta = delta_scale * signs
+        delta = delta_scale * rademacher_signs(rng, d)
         _, g1 = netkit.gradient(spec, params + delta, batch)
         gamma = g1 - g0
         acc += gamma * gamma
         if gy.shape[0]:
             violations += int(np.count_nonzero(np.abs(gy @ delta) >= scenario.psi))
     v = acc / n_samples
-    step = np.full(d, delta_scale)
-    if isinstance(r_matrix, GlassDensityMatrix):
-        bound = variation_bound(r_matrix, step)
-    else:
-        bound = np.asarray(r_matrix) @ step
     checks = max(n_samples * gy.shape[0], 1)
     return VariationCoverage(
         v=v,
@@ -515,7 +504,7 @@ class StaircaseGradientField:
     def random(d: int, n_kinks: int, span: float, magnitude: float, seed: int):
         rng = np.random.default_rng(seed)
         thresholds = np.sort(rng.uniform(-span, span, size=(d, n_kinks)), axis=1)
-        signs = rng.integers(0, 2, size=(d, n_kinks)).astype(np.float64) * 2.0 - 1.0
+        signs = rademacher_signs(rng, (d, n_kinks))
         return StaircaseGradientField(thresholds, signs, float(magnitude))
 
     @property

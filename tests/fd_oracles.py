@@ -52,6 +52,18 @@ def _loss_and_dout(spec, out, targets):
     return value, p / n
 
 
+def _layer_views(spec, flat):
+    """Per-layer (weight, bias) views into a flat parameter-length vector, sliced here."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
 def reference_gradient(spec, params, batch):
     """Reverse-mode (loss, gradient) that allocates every temporary afresh.
 
@@ -59,13 +71,7 @@ def reference_gradient(spec, params, batch):
     own layer loop), but with the same floating-point operations in the same
     order, so netkit.gradient must agree with it bitwise.
     """
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-        weights.append(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-        biases.append(params[offset : offset + fan_out])
-        offset += fan_out
+    weights, biases = _layer_views(spec, params)
     preacts, acts = [], []
     a = batch.inputs
     for i, (w, b) in enumerate(zip(weights, biases)):
@@ -94,6 +100,35 @@ def fd_preactivation_gradient(spec, params, batch, layer, neuron, sample, h=1e-5
         y_minus = netkit.forward(spec, shifted, batch.inputs)[0][layer][sample, neuron]
         fd[i] = (y_plus - y_minus) / (2.0 * h)
     return fd
+
+
+def reference_preactivation_grads(spec, params, batch, psi):
+    """grad_y of every hidden (unit, sample) with |pre-activation| < psi, one backward pass each.
+
+    The per-record backward that relu_introspect ran before it gathered each
+    layer's records into one pass, frozen. Returns one gradient per record in
+    (layer, neuron, sample) order; relu_introspect's grad_y must agree with
+    it bitwise.
+    """
+    preacts, acts = netkit.forward(spec, params, batch.inputs)
+    weights, _ = _layer_views(spec, params)
+    layer_inputs = [batch.inputs, *acts[:-1]]
+    grads = []
+    for layer in range(len(weights) - 1):
+        for neuron, sample in np.argwhere(np.abs(preacts[layer]).T < psi):
+            grad = np.zeros(spec.param_count)
+            g_weights, g_biases = _layer_views(spec, grad)
+            g_weights[layer][:, neuron] = layer_inputs[layer][sample]
+            g_biases[layer][neuron] = 1.0
+            d_a = weights[layer][:, neuron]
+            for i in range(layer - 1, -1, -1):
+                d_y = d_a * (preacts[i][sample] > 0.0)
+                g_weights[i][...] = np.outer(layer_inputs[i][sample], d_y)
+                g_biases[i][...] = d_y
+                if i > 0:
+                    d_a = weights[i] @ d_y
+            grads.append(grad)
+    return grads
 
 
 def fine_grid_kernel_constant(omega2, restrict, intervals=400_000):

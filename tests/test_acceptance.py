@@ -291,12 +291,8 @@ def test_c09_underdetermined_least_squares():
 def test_c10_density_matrix_bound():
     """Empirical variations within R|delta| for >= 99% of coordinates; large steps break it."""
     scenario = oracles.build_uniform_preactivation_net(n_in=120, n_hidden=30, psi=0.05, seed=0)
-    records = netkit.relu_introspect(
-        scenario.spec, scenario.params, scenario.batch, scenario.psi
-    )
-    r_mat = glass.density_matrix(records, scenario.psi).R
-    small = oracles.mc_variation(scenario, r_mat, 5e-5, 10_000, seed=1)
-    large = oracles.mc_variation(scenario, r_mat, 0.5, 200, seed=2)
+    small = oracles.mc_variation(scenario, 5e-5, 10_000, seed=1)
+    large = oracles.mc_variation(scenario, 0.5, 200, seed=2)
     report(
         "C10 density bound", coverage=small.fraction_within,
         precondition_violations=small.precondition_violation_fraction,

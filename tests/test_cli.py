@@ -49,9 +49,10 @@ class TestSimulateCommand:
         assert (tmp_path / "underdetermined_ls.csv").exists()
 
     def test_invalid_density_is_config_error(self, tmp_path, capsys):
-        code = cli.main(["simulate", "glass-walk", "--rho", "-1", "--out", str(tmp_path)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        for flag, value in [("--rho", "-1"), ("--rho", "nan"), ("--lam", "nan"), ("--lam", "inf")]:
+            code = cli.main(["simulate", "glass-walk", flag, value, "--out", str(tmp_path)])
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_unknown_scenario_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -384,6 +384,16 @@ class TestEstimatorVariance:
         )
 
 
+@pytest.mark.parametrize("shape", [1, 7, (3, 5), (2, glass._SIGN_BLOCK + 3)])
+def test_rademacher_signs_equal_a_fresh_draw_and_cast(shape):
+    # (2, _SIGN_BLOCK + 3) casts in three blocks, the last a partial one.
+    fresh, shared = np.random.default_rng(4), np.random.default_rng(4)
+    expected = fresh.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+    signs = glass.rademacher_signs(shared, shape)
+    assert signs.dtype == np.float64 and signs.tobytes() == expected.tobytes()
+    assert shared.random() == fresh.random()  # the draw consumed the same stream
+
+
 class TestMeasureVariations:
     def test_constant_gradient_zero(self):
         meas = glass.measure_variations(lambda _: np.ones(4), np.zeros(4), 0.1, 16, 0)

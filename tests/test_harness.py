@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import tracemalloc
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glassopt import glass, harness, netkit
@@ -88,14 +89,34 @@ def config_fields(draw):
     )
 
 
+# The characters str.splitlines breaks a line at, and those str.strip removes.
+LINE_BREAKS = [c for c in map(chr, range(0x3000)) if len(f"a{c}b".splitlines()) == 2]
+WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
+
+
 @st.composite
-def fields_with_hash(draw):
-    """(fields, key): valid config fields with a '#' put into fields[key]."""
+def fields_with_unparsable_text(draw):
+    """(fields, key, message): valid config fields with fields[key] spoilt for a manifest.
+
+    fields[key] gets a '#' anywhere, whitespace at one end, or a line break
+    inside; message is the start of the ConfigError each must raise.
+    """
     fields = draw(config_fields())
     key = draw(st.sampled_from(("name", "output_dir")))
-    at = draw(st.integers(0, len(fields[key])))
-    fields[key] = fields[key][:at] + "#" + fields[key][at:]
-    return fields, key
+    value = fields[key]
+    kind = draw(st.sampled_from(("#", "edge", "break")))
+    if kind == "#":
+        at = draw(st.integers(0, len(value)))
+        fields[key] = value[:at] + "#" + value[at:]
+        return fields, key, f"{key} must not contain '#'"
+    if kind == "edge":
+        space = draw(st.sampled_from(WHITESPACE))
+        fields[key] = draw(st.sampled_from((space + value, value + space)))
+        return fields, key, f"{key} must not start or end with whitespace"
+    value = f"x{value}x"
+    at = draw(st.integers(1, len(value) - 1))
+    fields[key] = value[:at] + draw(st.sampled_from(LINE_BREAKS)) + value[at:]
+    return fields, key, f"{key} must not contain a line break"
 
 
 class TestAggregate:
@@ -115,6 +136,10 @@ class TestAggregate:
         shuffled = list(values)
         rng.shuffle(shuffled)
         assert aggregate(shuffled) == aggregate(values)
+
+    @pytest.mark.parametrize("values", itertools.permutations([1.0, math.nan, 2.0]))
+    def test_failed_seed_makes_every_statistic_nan(self, values):
+        assert all(math.isnan(v) for v in aggregate(values))
 
 
 class TestConfigFormat:
@@ -145,12 +170,17 @@ class TestConfigFormat:
         cfg = ExperimentConfig(**fields)
         assert parse_config(serialize_config(cfg)) == cfg
 
-    @settings(max_examples=50, deadline=None)
-    @given(fields_with_hash())
-    def test_hash_in_name_or_output_dir_rejected(self, case):
-        # parse_config would cut a '#' off as a comment, so a manifest could not carry it back.
-        fields, key = case
-        with pytest.raises(ConfigError, match=f"^{key} must not contain '#'"):
+    @settings(max_examples=100, deadline=None)
+    @given(fields_with_unparsable_text())
+    @example(({"name": " a"}, "name", "name must not start or end with whitespace"))
+    @example(({"output_dir": "out "}, "output_dir", "output_dir must not start or end with"))
+    @example(({"name": "a\x0cb"}, "name", "name must not contain a line break"))
+    @example(({"output_dir": "o\nseeds = 5"}, "output_dir", "output_dir must not contain a line"))
+    def test_unparsable_name_or_output_dir_rejected(self, case):
+        # parse_config cuts a '#' off as a comment, strips each value and reads
+        # line by line, so a manifest could not carry any of these back.
+        fields, key, message = case
+        with pytest.raises(ConfigError, match=f"^{message}"):
             ExperimentConfig(**fields)
 
     @pytest.mark.parametrize("name", ["train_blobs.cfg", "probe_mlp.cfg"])

@@ -13,6 +13,7 @@ from fd_oracles import (
     fd_preactivation_gradient,
     random_model_and_batch,
     reference_gradient,
+    reference_preactivation_grads,
 )
 from glassopt import harness, netkit
 from glassopt.netkit import Batch, ConfigError, ModelSpec, NumericsError
@@ -285,6 +286,26 @@ class TestReluIntrospect:
             )
             rel = np.abs(fd - record.grad_y).max() / max(np.abs(record.grad_y).max(), 1e-12)
             assert rel < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("loss", ["mse", "xent"])
+    def test_grad_y_bitwise_equal_to_per_record_backward(self, loss, depth, n):
+        widths = (3, *(4 + i for i in range(depth)), 3)
+        spec, params, batch = random_model_and_batch(depth * 10 + n, widths, loss, n)
+        preacts, _ = netkit.forward(spec, params, batch.inputs)
+        minima = sorted(float(np.abs(y).min()) for y in preacts[:-1])
+        # Between the smallest and the largest per-layer minimum, at least one
+        # hidden layer has records and at least one has none.
+        psis = [np.inf] + ([0.5 * (minima[0] + minima[-1])] if depth > 1 else [])
+        for psi in psis:
+            records = netkit.relu_introspect(spec, params, batch, psi)
+            reference = reference_preactivation_grads(spec, params, batch, psi)
+            assert len(records) == len(reference)
+            for record, grad in zip(records, reference):
+                assert np.array_equal(record.grad_y, grad)
+            layers = len({r.layer for r in records})
+            assert layers == spec.n_hidden if psi == np.inf else 0 < layers < spec.n_hidden
 
     def test_dloss_dz_consistent_with_param_gradient(self):
         # Chain rule check: for an active unit, d loss / d b_j equals dloss_dz
