@@ -24,8 +24,11 @@ lam_min = lam_max the trajectory reproduces SGD-M or Adam exactly. Setting
 phi = 1 - b1 and omega = 1 gives the accelerated variant whose running
 gradient error contracts by exactly b1 per step on linear gradient fields.
 
-The full update is written in-place and allocates a single parameter-length
-temporary beyond the persistent state.
+Both updates work in place: standalone, each allocates one parameter-length
+temporary beyond the persistent state (none when handed one), and neither
+writes into the arrays the gradient callable returns. Alice.step runs the
+step arithmetic in a per-instance workspace, bitwise equal to composing the
+public step functions, and allocates only its record's three arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .netkit import ConfigError, NumericsError
+from .netkit import ConfigError, NumericsError, all_finite
 
 LIMIT_METHODS = ("fixed", "sgdm", "adam")
 CURVATURE_TERMS = ("rho", "h_abs", "h_rms")
@@ -161,7 +164,7 @@ class StepRecord:
 
 def _checked_grad(grad_fn, point, label) -> np.ndarray:
     g = np.asarray(grad_fn(point), dtype=np.float64)
-    if not np.all(np.isfinite(g)):
+    if not all_finite(g):
         raise NumericsError(f"non-finite gradient at the {label} evaluation")
     return g
 
@@ -174,11 +177,17 @@ def _check_statistics(state: TopographyState, names: tuple[str, ...]) -> None:
     Adam-like step bound |g_hat| / (sqrt(s_hat) + eps) zero, and Alice would
     take silent zero steps.
     """
-    bad = [name for name in names if not np.isfinite(getattr(state, name)).all()]
+    bad = [name for name in names if not all_finite(getattr(state, name))]
     if bad:
         raise NumericsError(
             f"running statistics overflowed at update {state.step_count}: {', '.join(bad)}"
         )
+
+
+def _average_into(avg: np.ndarray, beta: float, term: np.ndarray) -> None:
+    """avg <- beta * avg + term, in place; term holds the already weighted new value."""
+    avg *= beta
+    avg += term
 
 
 def topography_update(
@@ -191,8 +200,8 @@ def topography_update(
     """Full three-evaluation update of all running statistics, in place.
 
     Probe points and intermediate quantities are staged through one
-    parameter-length temporary (plus the arrays grad_fn returns, which are
-    recycled as workspace once consumed). Returns the mutated state.
+    parameter-length temporary, temp if given; the arrays grad_fn returns are
+    only read. Returns the mutated state.
     """
     rng = np.random.default_rng(rng)
     lam = cfg.lam
@@ -211,54 +220,58 @@ def topography_update(
     temp += state.nu
     g_minus = _checked_grad(grad_fn, temp, "minus-probe")
 
+    # The difference quotient (g+ - g-) / (2 lam) feeds both h_abs and h_rms2;
+    # with one temporary it is formed twice rather than kept.
     np.subtract(g_plus, g_minus, out=temp)
     temp /= 2.0 * lam
-    # g_minus <- (g+ + g-)/2; g_plus becomes free workspace
-    np.add(g_plus, g_minus, out=g_minus)
-    g_minus *= 0.5
+    np.abs(temp, out=temp)
+    temp *= 1.0 - cfg.beta2
+    _average_into(state.h_abs, cfg.beta2, temp)
 
-    state.h_abs *= cfg.beta2
-    np.abs(temp, out=g_plus)
-    g_plus *= 1.0 - cfg.beta2
-    state.h_abs += g_plus
-
-    state.h_rms2 *= cfg.beta2
+    np.subtract(g_plus, g_minus, out=temp)
+    temp /= 2.0 * lam
     np.multiply(temp, temp, out=temp)
     temp *= 1.0 - cfg.beta2
-    state.h_rms2 += temp
+    _average_into(state.h_rms2, cfg.beta2, temp)
 
+    # temp <- (g+ + g-)/2, held until the center gradient arrives
+    np.add(g_plus, g_minus, out=temp)
+    temp *= 0.5
     g0 = _checked_grad(grad_fn, state.nu, "center")
 
-    state.rho *= cfg.beta2
-    np.subtract(g_minus, g0, out=g_minus)
-    np.multiply(g_minus, g_minus, out=g_minus)
-    g_minus *= (1.0 - cfg.beta2) * (2.0 / lam)
-    state.rho += g_minus
+    np.subtract(temp, g0, out=temp)
+    np.multiply(temp, temp, out=temp)
+    temp *= (1.0 - cfg.beta2) * (2.0 / lam)
+    _average_into(state.rho, cfg.beta2, temp)
 
-    state.g *= cfg.beta1
-    np.multiply(g0, 1.0 - cfg.beta1, out=temp)
-    state.g += temp
-
-    state.s *= cfg.beta2
-    np.multiply(g0, g0, out=temp)
-    temp *= 1.0 - cfg.beta2
-    state.s += temp
-
-    state.step_count += 1
+    _update_g_and_s(state, g0, cfg, temp)
     _check_statistics(state, ("g", "s", "rho", "h_abs", "h_rms2"))
     return state
+
+
+def _update_g_and_s(state: TopographyState, g0: np.ndarray, cfg: AliceConfig, temp) -> None:
+    """g <- b1 g + (1-b1) g0 and s <- b2 s + (1-b2) g0^2 in place; counts the update."""
+    np.multiply(g0, 1.0 - cfg.beta1, out=temp)
+    _average_into(state.g, cfg.beta1, temp)
+    np.multiply(g0, g0, out=temp)
+    temp *= 1.0 - cfg.beta2
+    _average_into(state.s, cfg.beta2, temp)
+    state.step_count += 1
 
 
 def quick_update(
     state: TopographyState,
     grad_fn: Callable[[np.ndarray], np.ndarray],
     cfg: AliceConfig,
+    temp: np.ndarray | None = None,
 ) -> TopographyState:
-    """Single-evaluation update of g and s only; curvature statistics stay frozen."""
+    """Single-evaluation update of g and s only; curvature statistics stay frozen.
+
+    g and s are updated in place through one parameter-length temporary,
+    temp if given.
+    """
     g0 = _checked_grad(grad_fn, state.nu, "center")
-    state.g = cfg.beta1 * state.g + (1.0 - cfg.beta1) * g0
-    state.s = cfg.beta2 * state.s + (1.0 - cfg.beta2) * (g0 * g0)
-    state.step_count += 1
+    _update_g_and_s(state, g0, cfg, np.empty(state.dim) if temp is None else temp)
     _check_statistics(state, ("g", "s"))
     return state
 
@@ -373,6 +386,12 @@ class Alice:
     instances are independent. The gradient callable is invoked only from
     step(). A cycle of (1 full + quick_steps quick) updates runs with the
     full update first; quick_steps=0 makes every step a full update.
+
+    The step is the composition curvature_terms -> glass_term ->
+    modified_hessian -> qn_scale -> apply_step, fused: the same ufuncs in the
+    same order, written into a per-instance workspace, so every step is
+    bitwise that composition and raises the same errors. Only the record's
+    delta, h_glass and h_bar are allocated, fresh on every step.
     """
 
     def __init__(self, params: np.ndarray, cfg: AliceConfig, seed: int = 0):
@@ -381,7 +400,12 @@ class Alice:
         self.rng = np.random.default_rng(seed)
         self.n_grad_evals = 0
         self._cycle_pos = 0
-        self._temp = np.empty(self.state.dim)
+        d = self.state.dim
+        # Step workspace: |g|, scratch, step scale, and its lower and upper
+        # bounds. The updates, which finish before the step, use the scratch.
+        self._work = tuple(np.empty((5, d)))
+        self._temp = self._work[1]
+        self._mask = np.empty(d, dtype=bool)
 
     @property
     def params(self) -> np.ndarray:
@@ -395,13 +419,120 @@ class Alice:
         if self._cycle_pos == 0:
             topography_update(self.state, counted, self.cfg, self.rng, self._temp)
         else:
-            quick_update(self.state, counted, self.cfg)
+            quick_update(self.state, counted, self.cfg, self._temp)
         self._cycle_pos = (self._cycle_pos + 1) % (self.cfg.quick_steps + 1)
+        return self._apply()
 
-        rho, h = curvature_terms(self.state, self.cfg)
-        h_glass = glass_term(rho, self.state.g, self.cfg.eps)
-        h_bar = modified_hessian(h_glass, h, self.cfg.eps)
-        return apply_step(self.state, qn_scale(self.state.g, h_bar), self.cfg, h_glass, h_bar)
+    def _any_negative(self, x: np.ndarray) -> bool:
+        return np.count_nonzero(np.less(x, 0.0, out=self._mask)) > 0
+
+    def _apply(self) -> StepRecord:
+        state, cfg, eps = self.state, self.cfg, self.cfg.eps
+        g = state.g
+        abs_g, tmp, scale, lo, hi = self._work
+        # With eps > 0 two of the public functions' checks cannot fire: h_glass
+        # is a nonnegative rho over a positive denominator, and h_bar >= eps
+        # makes |g| / h_bar nonnegative. They run only when eps <= 0.
+        eps_positive = eps > 0
+        # |g| is formed once; glass_term, qn_scale and the sgdm and adam
+        # bounds each take it (|g / c| == |g| / c exactly for c > 0).
+        np.abs(g, out=abs_g)
+
+        # glass_term: 3 rho / (4 pi |g| + eps); without rho it is exactly 0.
+        if "rho" in cfg.terms:
+            if self._any_negative(state.rho):
+                raise ConfigError("glass density must be nonnegative")
+            h_glass = np.multiply(abs_g, _FOUR_PI)
+            h_glass += eps
+            np.multiply(state.rho, 3.0, out=tmp)
+            np.divide(tmp, h_glass, out=h_glass)
+        else:
+            h_glass = np.zeros(state.dim)
+
+        # modified_hessian: h_glass + h + sqrt(h_glass * (h_glass + 2 h)) + eps
+        if "h_abs" in cfg.terms:
+            h = state.h_abs
+        elif "h_rms" in cfg.terms:
+            h = np.sqrt(state.h_rms2, out=lo)
+        else:
+            h = lo
+            h.fill(0.0)
+        if (not eps_positive and self._any_negative(h_glass)) or self._any_negative(h):
+            raise ConfigError("curvature terms must be nonnegative")
+        h_bar = np.add(h_glass, h)
+        np.multiply(h, 2.0, out=tmp)
+        tmp += h_glass
+        tmp *= h_glass
+        np.sqrt(tmp, out=tmp)
+        h_bar += tmp
+        h_bar += eps
+
+        # qn_scale, then apply_step with step_limits' bounds: lam_min and
+        # lam_max times base, or the constants themselves for fixed limits.
+        np.divide(abs_g, h_bar, out=scale)
+        if not eps_positive and self._any_negative(scale):
+            raise ConfigError("delta_scale must be nonnegative")
+        method = cfg.limit_method
+        if method == "fixed":
+            base = None
+        elif method == "sgdm":
+            base = abs_g
+        elif method == "adam":
+            if state.step_count < 1:
+                raise ConfigError("adam limits need at least one topography update")
+            base = np.divide(abs_g, 1.0 - cfg.beta1**state.step_count, out=hi)
+            np.divide(state.s, 1.0 - cfg.beta2**state.step_count, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            base /= tmp
+        else:
+            raise ConfigError(f"limit_method must be one of {LIMIT_METHODS}")
+        # lo is +0 everywhere when lam_min is +0.0 and base is finite (|g| is,
+        # after the statistics check). Then no scale lies below lo, and clip
+        # is the upper clamp alone, which np.minimum gives bitwise: neither
+        # scale nor hi is ever -0, and a NaN in either is passed through.
+        lo_is_zero = (
+            eps_positive
+            and cfg.lam_max > 0
+            and cfg.lam_min == 0.0
+            and math.copysign(1.0, cfg.lam_min) > 0
+            and (method != "adam" or all_finite(base))
+        )
+        if base is None:
+            lo, hi = cfg.lam_min, cfg.lam_max
+        else:
+            if not lo_is_zero:
+                np.multiply(base, cfg.lam_min, out=lo)
+            np.multiply(base, cfg.lam_max, out=hi)
+        d = state.dim or math.nan  # an empty vector's fractions are NaN, as np.mean's are
+        high_frac = np.count_nonzero(np.greater(scale, hi, out=self._mask)) / d
+        if lo_is_zero:
+            low_frac = 0.0 / d
+            np.minimum(scale, hi, out=scale)
+        else:
+            low_frac = np.count_nonzero(np.less(scale, lo, out=self._mask)) / d
+            np.clip(scale, lo, hi, out=scale)
+        delta = np.sign(g)
+        np.negative(delta, out=delta)
+        delta *= scale
+        if cfg.omega == 1.0:
+            np.add(state.mu, delta, out=state.nu)
+        else:
+            np.multiply(delta, cfg.omega, out=tmp)
+            np.add(state.mu, tmp, out=state.nu)
+        if cfg.phi == 1.0:
+            state.mu += delta
+        else:
+            np.multiply(delta, cfg.phi, out=tmp)
+            state.mu += tmp
+        return StepRecord(
+            delta=delta,
+            h_glass=h_glass,
+            h_bar=h_bar,
+            clamped_low_fraction=low_frac,
+            clamped_high_fraction=high_frac,
+            interior_fraction=1.0 - low_frac - high_frac,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = harness.resolve_output_dir(None, args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.scenario == "glass-walk":
         sim = oracles.SyntheticGlass1D(
             rho=args.rho, lam=args.lam, n_kinks=args.kinks,
@@ -94,7 +92,7 @@ def cmd_simulate(args) -> int:
                      abs(res.variance - res.predicted_variance)
                      <= max(3 * res.variance_se, 0.02 * res.predicted_variance)),
         ]
-        path = out / "glass_walk.csv"
+        name = "glass_walk.csv"
     else:
         rep = oracles.underdetermined_ls(args.seed)
         rows = [
@@ -107,8 +105,12 @@ def cmd_simulate(args) -> int:
             CheckRow("min_norm_solution_norm", rep.min_norm_solution_norm,
                      math.nan, math.nan, 1, True),
         ]
-        path = out / "underdetermined_ls.csv"
+        name = "underdetermined_ls.csv"
     ok = _print_rows(rows)
+    # Made only now, so a scenario rejected above leaves no output directory.
+    out = harness.resolve_output_dir(None, args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
     write_report(path, rows)
     print(f"report written to {path}")
     return 0 if ok else 1

@@ -61,6 +61,7 @@ TRAIN_LOG_HEADER = (
     "mean_hbar",
     "clamp_lo",
     "clamp_hi",
+    "grad_evals",
     "wall_ms",
 )
 REPORT_HEADER = ("quantity", "empirical", "predicted", "std_error", "n")
@@ -415,20 +416,31 @@ def _last(iterates):
 
 
 def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
+    """Train one seed; each train_log.csv row logs the step's last gradient call.
+
+    grad_evals is cumulative: Alice's own count (criterion C11), or the step
+    number for adam and sgdm, which spend one gradient per step.
+    """
     data = task_batch(cfg, seed)
     params = build_model(cfg.model, seed)
     stream = _minibatch_stream(data, cfg.batch_size, seed)
+    d = params.shape[0]
     rows = []
-    last = {"loss": math.nan, "grad_norm": math.nan}
+    # The loss and gradient of the most recent gradient call. The optimizers
+    # only read the gradient, so its norm can be taken once per step.
+    last = {"loss": math.nan, "grad": None}
 
     def make_grad_fn(batch):
         def grad_fn(theta):
-            value, grad = gradient(cfg.model, theta, batch)
-            last["loss"] = value
-            last["grad_norm"] = float(np.linalg.norm(grad))
-            return grad
+            last["loss"], last["grad"] = gradient(cfg.model, theta, batch)
+            return last["grad"]
 
         return grad_fn
+
+    def logged(step, mean_rho, mean_hbar, clamp_lo, clamp_hi, grad_evals, wall_ms):
+        grad_norm = float(np.linalg.norm(last["grad"]))
+        return (step, last["loss"], grad_norm, mean_rho, mean_hbar, clamp_lo, clamp_hi,
+                grad_evals, wall_ms)
 
     if cfg.optimizer == "alice":
         opt = Alice(params, cfg.alice, seed=seed)
@@ -436,15 +448,15 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
             tic = time.perf_counter()
             record = opt.step(make_grad_fn(next(stream)))
             wall_ms = (time.perf_counter() - tic) * 1e3
+            # sum / d is the mean bitwise: np.mean divides the same sum by d.
             rows.append(
-                (
+                logged(
                     step,
-                    last["loss"],
-                    last["grad_norm"],
-                    float(opt.state.rho.mean()),
-                    float(record.h_bar.mean()),
+                    float(opt.state.rho.sum()) / d,
+                    float(record.h_bar.sum()) / d,
                     record.clamped_low_fraction,
                     record.clamped_high_fraction,
+                    opt.n_grad_evals,
                     wall_ms,
                 )
             )
@@ -456,9 +468,8 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
         def grad_fn(theta):
             g = make_grad_fn(next(stream))(theta)
             wall_ms = (time.perf_counter() - clock["tic"]) * 1e3
-            rows.append(
-                (len(rows) + 1, last["loss"], last["grad_norm"], 0.0, 0.0, 0.0, 0.0, wall_ms)
-            )
+            step = len(rows) + 1
+            rows.append(logged(step, 0.0, 0.0, 0.0, 0.0, step, wall_ms))
             clock["tic"] = time.perf_counter()
             return g
 

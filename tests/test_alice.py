@@ -7,11 +7,13 @@ import pytest
 from fd_oracles import reference_adam_loop, reference_sgdm_loop
 from glassopt import alice, netkit
 from glassopt.alice import (
+    LIMIT_METHODS,
     Alice,
     AliceConfig,
     TopographyState,
     adam_iterates,
     apply_step,
+    curvature_terms,
     glass_term,
     modified_hessian,
     naq_coefficients,
@@ -309,6 +311,191 @@ class TestStepPieces:
         assert np.all(magnitude >= 0.05 - 1e-15)
         assert np.all(magnitude <= 0.2 + 1e-15)
         assert record.clamped_low_fraction + record.clamped_high_fraction <= 1.0
+
+
+class TestInPlaceUpdates:
+    """The in-place updates against the textbook expressions, bitwise."""
+
+    @staticmethod
+    def _state_and_grads(seed, d=37):
+        rng = np.random.default_rng(seed)
+        state = TopographyState.fresh(rng.standard_normal(d))
+        for name in ("g", "rho", "h_abs", "h_rms2", "s"):
+            value = rng.standard_normal(d)
+            setattr(state, name, value * value if name != "g" else value)
+        state.nu = state.mu + 0.01 * rng.standard_normal(d)
+        state.step_count = 3
+        grads = [rng.standard_normal(d) for _ in range(3)]
+        for g in grads:
+            g[::5] = 0.0
+        return state, grads
+
+    def test_quick_update(self):
+        cfg = AliceConfig(beta1=0.8, beta2=0.99)
+        state, (g0, _, _) = self._state_and_grads(0)
+        g_want = cfg.beta1 * state.g + (1.0 - cfg.beta1) * g0
+        s_want = cfg.beta2 * state.s + (1.0 - cfg.beta2) * (g0 * g0)
+        returned = g0.copy()
+        quick_update(state, lambda _: returned, cfg)
+        assert state.g.tobytes() == g_want.tobytes()
+        assert state.s.tobytes() == s_want.tobytes()
+        assert returned.tobytes() == g0.tobytes()
+
+    def test_topography_update_reads_but_never_writes_the_gradients(self):
+        cfg = AliceConfig(lam=0.03, beta1=0.8, beta2=0.99)
+        state, grads = self._state_and_grads(1)
+        before = TopographyState(**{k: np.copy(v) for k, v in vars(state).items()})
+        returned = [g.copy() for g in grads]
+        points = []
+
+        def grad_fn(point):
+            points.append(point.copy())
+            return returned[len(points) - 1]
+
+        topography_update(state, grad_fn, cfg, rng=4)
+        g_plus, g_minus, g0 = grads
+        lam, b1, b2 = cfg.lam, cfg.beta1, cfg.beta2
+        signs = np.random.default_rng(4).random(state.dim) - 0.5
+        assert points[0].tobytes() == (before.nu + np.copysign(lam, signs)).tobytes()
+        diff = (g_plus - g_minus) / (2.0 * lam)
+        centered = (g_plus + g_minus) * 0.5 - g0
+        want = {
+            "h_abs": b2 * before.h_abs + (1.0 - b2) * np.abs(diff),
+            "h_rms2": b2 * before.h_rms2 + (1.0 - b2) * (diff * diff),
+            "rho": b2 * before.rho + ((1.0 - b2) * (2.0 / lam)) * (centered * centered),
+            "g": b1 * before.g + (1.0 - b1) * g0,
+            "s": b2 * before.s + (1.0 - b2) * (g0 * g0),
+        }
+        for name, value in want.items():
+            assert getattr(state, name).tobytes() == value.tobytes(), name
+        for got, sent in zip(returned, grads):
+            assert got.tobytes() == sent.tobytes()
+
+
+def _composed_step(state, cfg, rng, full, grad_fn):
+    """One Alice step from the public pieces, in the order Alice.step promises."""
+    if full:
+        topography_update(state, grad_fn, cfg, rng)
+    else:
+        quick_update(state, grad_fn, cfg)
+    rho, h = curvature_terms(state, cfg)
+    h_glass = glass_term(rho, state.g, cfg.eps)
+    h_bar = modified_hessian(h_glass, h, cfg.eps)
+    return apply_step(state, qn_scale(state.g, h_bar), cfg, h_glass, h_bar)
+
+
+TERM_SETS = [(), ("rho",), ("h_abs",), ("h_rms",), ("rho", "h_abs"), ("rho", "h_rms")]
+
+
+class TestFusedStepMatchesComposition:
+    @pytest.mark.parametrize("naq", [False, True])
+    @pytest.mark.parametrize("quick_steps", [0, 2])
+    @pytest.mark.parametrize("terms", TERM_SETS, ids=lambda t: "+".join(t) or "none")
+    @pytest.mark.parametrize("limit_method", LIMIT_METHODS)
+    @pytest.mark.parametrize("lam_min", [0.0, 2e-3])
+    def test_bitwise(self, limit_method, terms, quick_steps, naq, lam_min):
+        d, n_steps = 48, 7
+        rng = np.random.default_rng(
+            [LIMIT_METHODS.index(limit_method), TERM_SETS.index(terms), quick_steps, naq]
+        )
+        hess = rng.standard_normal((d, d)) / d
+        offset = rng.standard_normal(d)
+        zero = np.zeros(d, dtype=bool)
+        zero[::6] = True  # coordinates whose gradient is exactly zero
+
+        def grad_fn(theta):
+            g = hess @ theta + offset + 0.3 * np.sin(7.0 * theta)
+            g[zero] = 0.0
+            return g
+
+        cfg = AliceConfig(
+            lam=1e-2, beta1=0.8, beta2=0.95, lam_min=lam_min, lam_max=0.05,
+            limit_method=limit_method, quick_steps=quick_steps, terms=terms, naq=naq,
+            phi=None if naq else 0.6, omega=None if naq else 0.8,
+        )
+        start = rng.standard_normal(d)
+        opt = Alice(start, cfg, seed=3)
+        ref_state, ref_rng = TopographyState.fresh(start), np.random.default_rng(3)
+        kept = None
+        for step in range(n_steps):
+            record = opt.step(grad_fn)
+            want = _composed_step(ref_state, cfg, ref_rng, step % (quick_steps + 1) == 0, grad_fn)
+            for name in ("delta", "h_glass", "h_bar"):
+                assert getattr(record, name).tobytes() == getattr(want, name).tobytes(), name
+                for buf in (*opt._work, opt._temp):
+                    assert not np.shares_memory(getattr(record, name), buf)
+            for name in ("clamped_low_fraction", "clamped_high_fraction", "interior_fraction"):
+                assert getattr(record, name) == getattr(want, name), name
+            for name in ("g", "s", "rho", "h_abs", "h_rms2", "mu", "nu"):
+                assert getattr(opt.state, name).tobytes() == getattr(ref_state, name).tobytes()
+            assert not np.any(record.delta[zero])
+            if step == 1:
+                kept = record
+                kept_bytes = [a.tobytes() for a in (record.delta, record.h_glass, record.h_bar)]
+        # A record kept across later steps is left as it was returned.
+        assert [a.tobytes() for a in (kept.delta, kept.h_glass, kept.h_bar)] == kept_bytes
+
+    def test_overflowing_adam_bound_matches_composition(self):
+        # With eps = 1e-300 and s = 0 the bound |g_hat| / (sqrt(s_hat) + eps)
+        # overflows to inf, so lam_min * base is 0 * inf = NaN and so is the
+        # step there; lam_min = 0 must not be taken as a zero lower bound.
+        def make_grad_fn():
+            calls = [0]
+
+            def grad_fn(_):
+                calls[0] += 1
+                return np.full(4, 1e10) if calls[0] <= 3 else np.array([0.0, 1.0, 0.0, 1.0])
+
+            return grad_fn
+
+        cfg = AliceConfig(lam=1e-3, beta1=0.9, beta2=0.0, eps=1e-300, lam_min=0.0,
+                          lam_max=0.01, limit_method="adam", quick_steps=1)
+        opt, opt_grad = Alice(np.zeros(4), cfg, seed=0), make_grad_fn()
+        ref_state, ref_grad = TopographyState.fresh(np.zeros(4)), make_grad_fn()
+        ref_rng = np.random.default_rng(0)
+        with np.errstate(all="ignore"):
+            for step in range(2):
+                record = opt.step(opt_grad)
+                want = _composed_step(ref_state, cfg, ref_rng, step == 0, ref_grad)
+        assert np.isnan(record.delta[[0, 2]]).all()
+        assert record.delta.tobytes() == want.delta.tobytes()
+        assert opt.state.mu.tobytes() == ref_state.mu.tobytes()
+
+    def test_fixed_lower_bound_gives_zero_step_where_gradient_is_zero(self):
+        cfg = AliceConfig(lam=1e-2, lam_min=0.01, lam_max=0.05, limit_method="fixed")
+        opt = Alice(np.ones(6), cfg, seed=0)
+        for _ in range(3):
+            record = opt.step(lambda th: np.array([1.0, 0.0, -2.0, 0.0, 0.5, 3.0]) * th)
+        zero = np.array([False, True, False, True, False, False])
+        assert np.array_equal(record.delta[zero], np.zeros(2))
+        assert np.all(np.abs(record.delta[~zero]) >= 0.01)
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_step_allocates_only_its_record(self, full):
+        # Gradients come from a preallocated pool, so beyond the record's
+        # delta, h_glass and h_bar a step may allocate at most one more
+        # parameter-length array (plus small bool or scalar scratch).
+        d = 400_000
+        pool = [np.full(d, 0.5) for _ in range(3)]
+        calls = [0]
+
+        def grad_fn(_):
+            calls[0] += 1
+            return pool[calls[0] % 3]
+
+        opt = Alice(np.zeros(d), AliceConfig(lam=0.01, quick_steps=1), seed=0)
+        for _ in range(2 if full else 3):  # warm caches; the next step is full or quick
+            opt.step(grad_fn)
+        assert (opt._cycle_pos == 0) == full
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            record = opt.step(grad_fn)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.delta.shape == (d,)
+        assert peak - baseline < (3 + 1.5) * 8 * d
 
 
 class TestQuickStepAccounting:

@@ -54,6 +54,13 @@ class TestSimulateCommand:
             assert code == 2
             assert "config error" in capsys.readouterr().err
 
+    def test_rejected_scenario_leaves_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "DIR"
+        code = cli.main(["simulate", "glass-walk", "--lam", "nan", "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["simulate", "coin-flip"])

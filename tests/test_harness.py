@@ -374,7 +374,9 @@ class TestRunExperiment:
         summary = run_experiment(cfg, tmp_path)
         base = tmp_path / "train"
         log = (base / "seed_1" / "train_log.csv").read_text().splitlines()
-        assert log[0] == ",".join(harness.TRAIN_LOG_HEADER)
+        assert log[0] == ",".join(harness.TRAIN_LOG_HEADER) == (
+            "step,loss,grad_norm,mean_rho,mean_hbar,clamp_lo,clamp_hi,grad_evals,wall_ms"
+        )
         assert len(log) == 5
         summary_lines = (base / "summary.csv").read_text().splitlines()
         assert summary_lines[0] == "seed,final_metric"
@@ -382,6 +384,29 @@ class TestRunExperiment:
             "1", "2", "min", "median", "max",
         ]
         assert len(summary.per_seed) == 2
+
+    @pytest.mark.parametrize(
+        "optimizer, quick_steps, steps",
+        [("alice", 3, 9), ("alice", 0, 5), ("adam", 0, 4), ("sgdm", 0, 4)],
+    )
+    def test_grad_evals_column_counts_gradients(self, tmp_path, optimizer, quick_steps, steps):
+        # The last row is criterion C11's count: steps + 2 * ceil(steps / (q + 1))
+        # for Alice, one gradient per step for the baselines.
+        cfg = ExperimentConfig(
+            name="evals", task="synthetic-regression", seeds=(0,), steps=steps, batch_size=8,
+            model=ModelSpec((3, 6, 2)), data=DataParams(samples=16), optimizer=optimizer,
+            alice=AliceConfig(lam=1e-3, lam_max=0.01, quick_steps=quick_steps),
+        )
+        run_experiment(cfg, tmp_path)
+        lines = (tmp_path / "evals" / "seed_0" / "train_log.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[-2:] == ["grad_evals", "wall_ms"]
+        evals = [int(line.split(",")[header.index("grad_evals")]) for line in lines[1:]]
+        if optimizer == "alice":
+            assert evals[-1] == steps + 2 * math.ceil(steps / (quick_steps + 1))
+        else:
+            assert evals[-1] == steps
+        assert evals == sorted(evals) and len(evals) == steps
 
     def test_three_seed_quadratic_bowl_matches_reference_adam(self, tmp_path):
         # Alice pinned to Adam limits must land exactly on reference Adam runs.

@@ -147,6 +147,38 @@ class TestGradient:
             netkit.gradient(spec, params, Batch(np.ones((1, 2)), np.zeros((1, 1))))
 
 
+class TestAllFinite:
+    """The one-pass finiteness check falls back to an entrywise test when unsure."""
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 5)])
+    def test_finite_entries_whose_squares_or_sum_overflow(self, shape):
+        x = np.full(shape, 1e308)
+        x.flat[::2] = -1e308
+        flags = np.empty(x.size, dtype=bool)
+        assert netkit.all_finite(x) and netkit.all_finite(x, flags)
+        assert netkit.all_finite(np.full(shape, 1e200))
+        assert netkit.all_finite(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("shape", [(7,), (4, 5)])
+    def test_any_inf_or_nan_entry(self, shape, bad):
+        for fill in (0.0, 1e308):
+            x = np.full(shape, fill)
+            x.flat[3] = bad
+            assert not netkit.all_finite(x)
+            assert not netkit.all_finite(x, np.empty(x.size, dtype=bool))
+
+    def test_gradient_names_layer_of_minus_inf_preactivation(self):
+        # The ReLU would turn a -inf pre-activation into 0; the check comes first.
+        spec, params, batch = random_model_and_batch(11, (4, 6, 5, 3), "xent", 9)
+        bad = params.copy()
+        bad[spec.layer_slices()[1][1].start] = -np.inf  # a layer-1 bias
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NumericsError, match="non-finite pre-activations at layer 1"
+        ):
+            netkit.gradient(spec, bad, batch)
+
+
 def assert_matches_reference(spec, params, batch):
     value, grad = netkit.gradient(spec, params, batch)
     ref_value, ref_grad = reference_gradient(spec, params, batch)
