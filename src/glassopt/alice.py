@@ -17,18 +17,19 @@ with a Rademacher sign vector t, then updates
     s      <- b2*s      + (1-b2) * g0^2
 
 Quick steps refresh only g and s from a single evaluation, freezing the
-curvature statistics. The step itself clamps the modified quasi-Newton scale
-|g| / h_bar between bounds that can be fixed lengths, SGD-M-like multiples of
-|g|, or Adam-like lam * |g| / (sqrt(s) + eps); with phi = omega = 1 and
-lam_min = lam_max the trajectory reproduces SGD-M or Adam exactly. Setting
-phi = 1 - b1 and omega = 1 gives the accelerated variant whose running
-gradient error contracts by exactly b1 per step on linear gradient fields.
+curvature statistics. The step itself, apply_step, clamps the modified
+quasi-Newton scale |g| / h_bar between bounds that can be fixed lengths,
+SGD-M-like multiples of |g|, or Adam-like lam * |g| / (sqrt(s) + eps); with
+phi = omega = 1 and lam_min = lam_max the trajectory reproduces SGD-M or Adam
+exactly. Setting phi = 1 - b1 and omega = 1 gives the accelerated variant
+whose running gradient error contracts by exactly b1 per step on linear
+gradient fields.
 
-Both updates work in place: standalone, each allocates one parameter-length
-temporary beyond the persistent state (none when handed one), and neither
-writes into the arrays the gradient callable returns. Alice.step runs the
-step arithmetic in a per-instance workspace, bitwise equal to composing the
-public step functions, and allocates only its record's three arrays.
+Both updates and the step work in place: standalone, each update allocates
+one parameter-length temporary beyond the persistent state (none when handed
+one), and neither writes into the arrays the gradient callable returns.
+Alice.step hands all three a per-instance workspace and allocates only its
+record's three arrays.
 """
 
 from __future__ import annotations
@@ -74,8 +75,13 @@ class AliceConfig:
     naq: bool = False
 
     def __post_init__(self):
+        # beta1 is checked before naq_coefficients reads it, so that its
+        # message names the config key.
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"alice.{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.naq:
-            for name, value in (("phi", 1.0 - self.beta1), ("omega", 1.0)):
+            for name, value in zip(("phi", "omega"), naq_coefficients(self.beta1)):
                 if getattr(self, name) not in (None, value):
                     raise ConfigError(
                         f"alice.{name} = {getattr(self, name)!r} conflicts with alice.naq = true,"
@@ -88,9 +94,6 @@ class AliceConfig:
         self.terms = tuple(self.terms)
         if not self.lam > 0:
             raise ConfigError(f"alice.lam must be positive, got {self.lam}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"alice.{name} must lie in [0, 1), got {getattr(self, name)}")
         if not self.eps > 0:
             raise ConfigError(f"alice.eps must be positive, got {self.eps}")
         if not 0.0 < self.phi <= 1.0:
@@ -276,79 +279,122 @@ def quick_update(
     return state
 
 
-def glass_term(rho: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
-    """Per-coordinate glass curvature 3 rho / (4 pi |g| + eps)."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if np.any(rho < 0):
-        raise ConfigError("glass density must be nonnegative")
-    return 3.0 * rho / (_FOUR_PI * np.abs(g) + eps)
-
-
-def modified_hessian(h_glass: np.ndarray, h: np.ndarray, eps: float) -> np.ndarray:
-    """Combine glass and Hessian curvatures into the step denominator.
-
-    h_bar = h_glass + h + sqrt(h_glass * (h_glass + 2 h)) + eps, the exact
-    per-coordinate minimizer denominator for a gradient plus quadratic plus
-    3/2-power glass penalty. Both inputs must be nonnegative; callers must
-    rectify h first.
-    """
-    h_glass = np.asarray(h_glass, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if np.any(h_glass < 0) or np.any(h < 0):
-        raise ConfigError("curvature terms must be nonnegative")
-    return h_glass + h + np.sqrt(h_glass * (h_glass + 2.0 * h)) + eps
-
-
-def qn_scale(g: np.ndarray, h_bar: np.ndarray) -> np.ndarray:
-    """Quasi-Newton step magnitude |g| / h_bar."""
-    return np.abs(g) / h_bar
-
-
-def step_limits(method: str, g: np.ndarray, s: np.ndarray, cfg: AliceConfig, step_count: int):
-    """Lower/upper step-magnitude bounds for the active limit method.
-
-    fixed: the constants lam_min, lam_max. sgdm: lam_min/lam_max * |g|.
-    adam: lam_min/lam_max * |g_hat| / (sqrt(s_hat) + eps) with g_hat, s_hat
-    bias-corrected by the update count, so that pinning lam_min = lam_max
-    reproduces the reference methods step for step.
-    """
-    if method == "fixed":
-        return np.full_like(g, cfg.lam_min), np.full_like(g, cfg.lam_max)
-    if method == "sgdm":
-        base = np.abs(g)
-        return cfg.lam_min * base, cfg.lam_max * base
-    if method == "adam":
-        if step_count < 1:
-            raise ConfigError("adam limits need at least one topography update")
-        g_hat = g / (1.0 - cfg.beta1**step_count)
-        s_hat = s / (1.0 - cfg.beta2**step_count)
-        base = np.abs(g_hat) / (np.sqrt(s_hat) + cfg.eps)
-        return cfg.lam_min * base, cfg.lam_max * base
-    raise ConfigError(f"limit_method must be one of {LIMIT_METHODS}")
+def _any_negative(x: np.ndarray, mask: np.ndarray) -> bool:
+    return np.count_nonzero(np.less(x, 0.0, out=mask)) > 0
 
 
 def apply_step(
     state: TopographyState,
-    delta_scale: np.ndarray,
     cfg: AliceConfig,
-    h_glass: np.ndarray | None = None,
-    h_bar: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StepRecord:
-    """Clamp the step magnitude, orient it downhill, and move mu and nu.
+    """Take one step from the running statistics, in place; returns its record.
 
-    nu <- mu + omega * delta and mu <- mu + phi * delta, both from the
-    pre-step mu. Where g is exactly zero the step is zero.
+    Per coordinate, with rho and h the curvature statistics cfg.terms selects
+    (zero when absent; h is h_abs, else sqrt(h_rms2)):
+
+        h_glass = 3 rho / (4 pi |g| + eps)
+        h_bar   = h_glass + h + sqrt(h_glass * (h_glass + 2 h)) + eps
+        delta   = -sign(g) * clip(|g| / h_bar, lo, hi)
+        nu     <- mu + omega * delta,   mu <- mu + phi * delta
+
+    h_bar is the exact minimizer denominator for a gradient plus quadratic
+    plus 3/2-power glass penalty. The bounds (lo, hi) are lam_min and lam_max
+    for fixed limits, those times |g| for sgdm, and those times
+    |g_hat| / (sqrt(s_hat) + eps) for adam, with g_hat and s_hat
+    bias-corrected by the update count, so that pinning lam_min = lam_max
+    reproduces the reference methods step for step. Where g is exactly zero
+    the step is zero.
+
+    work is a (5 x d float rows, d bool) workspace, allocated when None; the
+    record's delta, h_glass and h_bar are fresh arrays on every call.
     """
-    delta_scale = np.asarray(delta_scale, dtype=np.float64)
-    if np.any(delta_scale < 0):
-        raise ConfigError("delta_scale must be nonnegative")
-    lo, hi = step_limits(cfg.limit_method, state.g, state.s, cfg, state.step_count)
-    clamped = np.clip(delta_scale, lo, hi)
-    low_frac = float(np.mean(delta_scale < lo))
-    high_frac = float(np.mean(delta_scale > hi))
-    delta = -np.sign(state.g) * clamped
-    np.add(state.mu, cfg.omega * delta, out=state.nu)
-    state.mu += cfg.phi * delta
+    g, eps = state.g, cfg.eps
+    if work is None:
+        work = (np.empty((5, state.dim)), np.empty(state.dim, dtype=bool))
+    (abs_g, tmp, scale, lo, hi), mask = work
+    # A validated cfg has eps > 0, so h_glass and |g| / h_bar need no sign
+    # check. |g| is formed once; the glass term, the scale and the sgdm and
+    # adam bounds each take it (|g / c| == |g| / c exactly for c > 0).
+    np.abs(g, out=abs_g)
+
+    if "rho" in cfg.terms:
+        if _any_negative(state.rho, mask):
+            raise ConfigError("glass density must be nonnegative")
+        h_glass = np.multiply(abs_g, _FOUR_PI)
+        h_glass += eps
+        np.multiply(state.rho, 3.0, out=tmp)
+        np.divide(tmp, h_glass, out=h_glass)
+    else:
+        h_glass = np.zeros(state.dim)
+
+    if "h_abs" in cfg.terms:
+        h = state.h_abs
+    elif "h_rms" in cfg.terms:
+        h = np.sqrt(state.h_rms2, out=lo)
+    else:
+        h = lo
+        h.fill(0.0)
+    if _any_negative(h, mask):
+        raise ConfigError("curvature terms must be nonnegative")
+    h_bar = np.add(h_glass, h)
+    np.multiply(h, 2.0, out=tmp)
+    tmp += h_glass
+    tmp *= h_glass
+    np.sqrt(tmp, out=tmp)
+    h_bar += tmp
+    h_bar += eps
+
+    np.divide(abs_g, h_bar, out=scale)
+    method = cfg.limit_method
+    if method == "fixed":
+        base = None
+    elif method == "sgdm":
+        base = abs_g
+    else:  # adam
+        if state.step_count < 1:
+            raise ConfigError("adam limits need at least one topography update")
+        base = np.divide(abs_g, 1.0 - cfg.beta1**state.step_count, out=hi)
+        np.divide(state.s, 1.0 - cfg.beta2**state.step_count, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        base /= tmp
+    # lo is +0 everywhere when lam_min is +0.0 and base is finite (|g| is,
+    # after the statistics check). Then no scale lies below lo, and clip
+    # is the upper clamp alone, which np.minimum gives bitwise: neither
+    # scale nor hi is ever -0, and a NaN in either is passed through.
+    lo_is_zero = (
+        cfg.lam_min == 0.0
+        and math.copysign(1.0, cfg.lam_min) > 0
+        and (method != "adam" or all_finite(base))
+    )
+    if base is None:
+        lo, hi = cfg.lam_min, cfg.lam_max
+    else:
+        if not lo_is_zero:
+            np.multiply(base, cfg.lam_min, out=lo)
+        np.multiply(base, cfg.lam_max, out=hi)
+    d = state.dim or math.nan  # an empty vector's fractions are NaN, as np.mean's are
+    high_frac = np.count_nonzero(np.greater(scale, hi, out=mask)) / d
+    if lo_is_zero:
+        low_frac = 0.0 / d
+        np.minimum(scale, hi, out=scale)
+    else:
+        low_frac = np.count_nonzero(np.less(scale, lo, out=mask)) / d
+        np.clip(scale, lo, hi, out=scale)
+    delta = np.sign(g)
+    np.negative(delta, out=delta)
+    delta *= scale
+    if cfg.omega == 1.0:
+        np.add(state.mu, delta, out=state.nu)
+    else:
+        np.multiply(delta, cfg.omega, out=tmp)
+        np.add(state.mu, tmp, out=state.nu)
+    if cfg.phi == 1.0:
+        state.mu += delta
+    else:
+        np.multiply(delta, cfg.phi, out=tmp)
+        state.mu += tmp
     return StepRecord(
         delta=delta,
         h_glass=h_glass,
@@ -367,18 +413,6 @@ def naq_coefficients(beta1: float) -> tuple[float, float]:
     return 1.0 - beta1, 1.0
 
 
-def curvature_terms(state: TopographyState, cfg: AliceConfig):
-    """Active (rho, h) pair per the configured terms."""
-    rho = state.rho if "rho" in cfg.terms else np.zeros(state.dim)
-    if "h_abs" in cfg.terms:
-        h = state.h_abs
-    elif "h_rms" in cfg.terms:
-        h = np.sqrt(state.h_rms2)
-    else:
-        h = np.zeros(state.dim)
-    return rho, h
-
-
 class Alice:
     """Stateful driver: topography updates interleaved with optimization steps.
 
@@ -387,11 +421,8 @@ class Alice:
     step(). A cycle of (1 full + quick_steps quick) updates runs with the
     full update first; quick_steps=0 makes every step a full update.
 
-    The step is the composition curvature_terms -> glass_term ->
-    modified_hessian -> qn_scale -> apply_step, fused: the same ufuncs in the
-    same order, written into a per-instance workspace, so every step is
-    bitwise that composition and raises the same errors. Only the record's
-    delta, h_glass and h_bar are allocated, fresh on every step.
+    Each step runs apply_step in a per-instance workspace, so only the
+    record's delta, h_glass and h_bar are allocated, fresh on every step.
     """
 
     def __init__(self, params: np.ndarray, cfg: AliceConfig, seed: int = 0):
@@ -401,8 +432,8 @@ class Alice:
         self.n_grad_evals = 0
         self._cycle_pos = 0
         d = self.state.dim
-        # Step workspace: |g|, scratch, step scale, and its lower and upper
-        # bounds. The updates, which finish before the step, use the scratch.
+        # apply_step's workspace: |g|, scratch, step scale, and its lower and
+        # upper bounds. The updates, which finish before the step, use the scratch.
         self._work = tuple(np.empty((5, d)))
         self._temp = self._work[1]
         self._mask = np.empty(d, dtype=bool)
@@ -421,118 +452,7 @@ class Alice:
         else:
             quick_update(self.state, counted, self.cfg, self._temp)
         self._cycle_pos = (self._cycle_pos + 1) % (self.cfg.quick_steps + 1)
-        return self._apply()
-
-    def _any_negative(self, x: np.ndarray) -> bool:
-        return np.count_nonzero(np.less(x, 0.0, out=self._mask)) > 0
-
-    def _apply(self) -> StepRecord:
-        state, cfg, eps = self.state, self.cfg, self.cfg.eps
-        g = state.g
-        abs_g, tmp, scale, lo, hi = self._work
-        # With eps > 0 two of the public functions' checks cannot fire: h_glass
-        # is a nonnegative rho over a positive denominator, and h_bar >= eps
-        # makes |g| / h_bar nonnegative. They run only when eps <= 0.
-        eps_positive = eps > 0
-        # |g| is formed once; glass_term, qn_scale and the sgdm and adam
-        # bounds each take it (|g / c| == |g| / c exactly for c > 0).
-        np.abs(g, out=abs_g)
-
-        # glass_term: 3 rho / (4 pi |g| + eps); without rho it is exactly 0.
-        if "rho" in cfg.terms:
-            if self._any_negative(state.rho):
-                raise ConfigError("glass density must be nonnegative")
-            h_glass = np.multiply(abs_g, _FOUR_PI)
-            h_glass += eps
-            np.multiply(state.rho, 3.0, out=tmp)
-            np.divide(tmp, h_glass, out=h_glass)
-        else:
-            h_glass = np.zeros(state.dim)
-
-        # modified_hessian: h_glass + h + sqrt(h_glass * (h_glass + 2 h)) + eps
-        if "h_abs" in cfg.terms:
-            h = state.h_abs
-        elif "h_rms" in cfg.terms:
-            h = np.sqrt(state.h_rms2, out=lo)
-        else:
-            h = lo
-            h.fill(0.0)
-        if (not eps_positive and self._any_negative(h_glass)) or self._any_negative(h):
-            raise ConfigError("curvature terms must be nonnegative")
-        h_bar = np.add(h_glass, h)
-        np.multiply(h, 2.0, out=tmp)
-        tmp += h_glass
-        tmp *= h_glass
-        np.sqrt(tmp, out=tmp)
-        h_bar += tmp
-        h_bar += eps
-
-        # qn_scale, then apply_step with step_limits' bounds: lam_min and
-        # lam_max times base, or the constants themselves for fixed limits.
-        np.divide(abs_g, h_bar, out=scale)
-        if not eps_positive and self._any_negative(scale):
-            raise ConfigError("delta_scale must be nonnegative")
-        method = cfg.limit_method
-        if method == "fixed":
-            base = None
-        elif method == "sgdm":
-            base = abs_g
-        elif method == "adam":
-            if state.step_count < 1:
-                raise ConfigError("adam limits need at least one topography update")
-            base = np.divide(abs_g, 1.0 - cfg.beta1**state.step_count, out=hi)
-            np.divide(state.s, 1.0 - cfg.beta2**state.step_count, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += eps
-            base /= tmp
-        else:
-            raise ConfigError(f"limit_method must be one of {LIMIT_METHODS}")
-        # lo is +0 everywhere when lam_min is +0.0 and base is finite (|g| is,
-        # after the statistics check). Then no scale lies below lo, and clip
-        # is the upper clamp alone, which np.minimum gives bitwise: neither
-        # scale nor hi is ever -0, and a NaN in either is passed through.
-        lo_is_zero = (
-            eps_positive
-            and cfg.lam_max > 0
-            and cfg.lam_min == 0.0
-            and math.copysign(1.0, cfg.lam_min) > 0
-            and (method != "adam" or all_finite(base))
-        )
-        if base is None:
-            lo, hi = cfg.lam_min, cfg.lam_max
-        else:
-            if not lo_is_zero:
-                np.multiply(base, cfg.lam_min, out=lo)
-            np.multiply(base, cfg.lam_max, out=hi)
-        d = state.dim or math.nan  # an empty vector's fractions are NaN, as np.mean's are
-        high_frac = np.count_nonzero(np.greater(scale, hi, out=self._mask)) / d
-        if lo_is_zero:
-            low_frac = 0.0 / d
-            np.minimum(scale, hi, out=scale)
-        else:
-            low_frac = np.count_nonzero(np.less(scale, lo, out=self._mask)) / d
-            np.clip(scale, lo, hi, out=scale)
-        delta = np.sign(g)
-        np.negative(delta, out=delta)
-        delta *= scale
-        if cfg.omega == 1.0:
-            np.add(state.mu, delta, out=state.nu)
-        else:
-            np.multiply(delta, cfg.omega, out=tmp)
-            np.add(state.mu, tmp, out=state.nu)
-        if cfg.phi == 1.0:
-            state.mu += delta
-        else:
-            np.multiply(delta, cfg.phi, out=tmp)
-            state.mu += tmp
-        return StepRecord(
-            delta=delta,
-            h_glass=h_glass,
-            h_bar=h_bar,
-            clamped_low_fraction=low_frac,
-            clamped_high_fraction=high_frac,
-            interior_fraction=1.0 - low_frac - high_frac,
-        )
+        return apply_step(self.state, self.cfg, (self._work, self._mask))
 
 
 # ---------------------------------------------------------------------------

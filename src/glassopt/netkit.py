@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,11 +108,13 @@ class Batch:
     """A batch of inputs with targets.
 
     Targets are an (n, w_out) float matrix for mse, or a length-n integer
-    vector of class indices for xent.
+    vector of class indices for xent. class_range is the (min, max) of
+    integer targets, taken once here, and None for float targets.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
+    class_range: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=np.float64)
@@ -127,6 +129,8 @@ class Batch:
             raise ConfigError("batch targets contain non-finite entries")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", t)
+        integral = t.dtype != np.float64 and t.size > 0
+        object.__setattr__(self, "class_range", (int(t.min()), int(t.max())) if integral else None)
 
     @property
     def size(self) -> int:
@@ -185,9 +189,10 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> None:
                 f"mse targets must have shape ({batch.size}, {w_out}), got {batch.targets.shape}"
             )
     else:
-        if batch.targets.ndim != 1 or batch.targets.shape[0] != batch.size:
+        classes = batch.class_range
+        if batch.targets.ndim != 1 or batch.targets.shape[0] != batch.size or classes is None:
             raise ConfigError("xent targets must be a length-n vector of class indices")
-        if batch.targets.min() < 0 or batch.targets.max() >= w_out:
+        if classes[0] < 0 or classes[1] >= w_out:
             raise ConfigError(f"class indices must lie in [0, {w_out})")
 
 

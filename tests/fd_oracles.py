@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from glassopt import netkit, oracles
+from glassopt.alice import StepRecord
 from glassopt.glass import optimal_kernel_weight
 
 
@@ -293,3 +294,32 @@ def reference_sgdm_loop(params, grad_fn, lr, beta1=0.9, n_steps=100):
         theta = theta - lr * v
         traj[t] = theta
     return traj
+
+
+def reference_step(state, cfg):
+    """Alice's step, one unfused expression per stage: the bitwise reference for apply_step."""
+    g, eps = state.g, cfg.eps
+    rho = state.rho if "rho" in cfg.terms else np.zeros(state.dim)
+    if "h_abs" in cfg.terms:
+        h = state.h_abs
+    elif "h_rms" in cfg.terms:
+        h = np.sqrt(state.h_rms2)
+    else:
+        h = np.zeros(state.dim)
+    h_glass = 3.0 * rho / (4.0 * math.pi * np.abs(g) + eps)
+    h_bar = h_glass + h + np.sqrt(h_glass * (h_glass + 2.0 * h)) + eps
+    scale = np.abs(g) / h_bar
+    if cfg.limit_method == "fixed":
+        lo, hi = np.full_like(g, cfg.lam_min), np.full_like(g, cfg.lam_max)
+    else:
+        base = np.abs(g)
+        if cfg.limit_method == "adam":
+            g_hat = g / (1.0 - cfg.beta1**state.step_count)
+            s_hat = state.s / (1.0 - cfg.beta2**state.step_count)
+            base = np.abs(g_hat) / (np.sqrt(s_hat) + eps)
+        lo, hi = cfg.lam_min * base, cfg.lam_max * base
+    low, high = float(np.mean(scale < lo)), float(np.mean(scale > hi))
+    delta = -np.sign(g) * np.clip(scale, lo, hi)
+    np.add(state.mu, cfg.omega * delta, out=state.nu)
+    state.mu += cfg.phi * delta
+    return StepRecord(delta, h_glass, h_bar, low, high, 1.0 - low - high)

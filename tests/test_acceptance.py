@@ -15,8 +15,8 @@ from glassopt import glass, harness, netkit, oracles
 from glassopt.alice import (
     Alice,
     AliceConfig,
-    glass_term,
-    modified_hessian,
+    TopographyState,
+    apply_step,
     naq_exactness_check,
     reference_adam,
     reference_sgdm,
@@ -186,26 +186,32 @@ def test_c05_reflected_walk_bound():
 
 
 def test_c06_step_optimality():
-    """Closed-form step matches golden-section argmin within 1e-6 over a 1e3 grid."""
+    """Alice's step matches golden-section argmin within 1e-6 over a 1e3 grid."""
     rng = np.random.default_rng(7)
     eps = 1e-8
+    # Fixed limits [0, inf] lift the bounds: |delta| is the closed form |g| / h_bar.
+    cfg = AliceConfig(eps=eps, lam_min=0.0, lam_max=math.inf, limit_method="fixed")
+
+    def step(g, h, rho):
+        state = TopographyState.fresh(np.zeros(np.size(g)))
+        state.g[:], state.h_abs[:], state.rho[:] = g, h, rho
+        return apply_step(state, cfg)
+
+    draws = [
+        (rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]), rng.uniform(0.1, 10.0),
+         rng.uniform(0.1, 10.0))
+        for _ in range(1000)
+    ]
+    closed = np.abs(step(*np.array(draws).T).delta)
     worst = 0.0
-    for _ in range(1000):
-        g = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-        h = rng.uniform(0.1, 10.0)
-        rho = rng.uniform(0.1, 10.0)
-        h_glass = glass_term(np.array([rho]), np.array([g]), eps)
-        h_bar = modified_hessian(h_glass, np.array([h]), eps)
-        closed = abs(g) / float(h_bar[0])
+    for magnitude, (g, h, rho) in zip(closed.tolist(), draws):
         ref = oracles.step_objective_argmin(g, h, rho)
-        worst = max(worst, abs(closed - ref) / ref)
+        worst = max(worst, abs(magnitude - ref) / ref)
     # degenerate rows collapse exactly
     h_vals = rng.uniform(0.1, 10.0, size=100)
-    rho_zero = modified_hessian(glass_term(np.zeros(100), np.ones(100), eps), h_vals, eps)
-    assert np.array_equal(rho_zero, h_vals + eps)
-    hg = glass_term(rng.uniform(0.1, 10.0, size=100), np.ones(100), eps)
-    h_zero = modified_hessian(hg, np.zeros(100), eps)
-    assert np.array_equal(h_zero, 2.0 * hg + eps)
+    assert np.array_equal(step(np.ones(100), h_vals, 0.0).h_bar, h_vals + eps)
+    h_zero = step(np.ones(100), 0.0, rng.uniform(0.1, 10.0, size=100))
+    assert np.array_equal(h_zero.h_bar, 2.0 * h_zero.h_glass + eps)
     report("C6 step optimality", worst_rel_err=worst)
     assert worst < 1e-6
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import reference_adam_loop, reference_sgdm_loop
+from fd_oracles import reference_adam_loop, reference_sgdm_loop, reference_step
 from glassopt import alice, netkit
 from glassopt.alice import (
     LIMIT_METHODS,
@@ -13,17 +13,12 @@ from glassopt.alice import (
     TopographyState,
     adam_iterates,
     apply_step,
-    curvature_terms,
-    glass_term,
-    modified_hessian,
     naq_coefficients,
     naq_exactness_check,
-    qn_scale,
     quick_update,
     reference_adam,
     reference_sgdm,
     sgdm_iterates,
-    step_limits,
     topography_update,
 )
 from glassopt.netkit import Batch, ConfigError, ModelSpec, NumericsError
@@ -214,44 +209,64 @@ class TestTopographyUpdate:
         assert state.step_count == 2
 
 
+def filled_state(g, h_abs=0.0, rho=0.0, s=0.0, mu=0.0, step_count=1):
+    """A TopographyState whose running statistics hold the given values."""
+    g = np.asarray(g, dtype=np.float64)
+    state = TopographyState.fresh(np.broadcast_to(mu, g.shape))
+    state.g[:], state.h_abs[:], state.rho[:], state.s[:] = g, h_abs, rho, s
+    state.step_count = step_count
+    return state
+
+
+# Fixed limits [0, inf]: the step magnitude is |g| / h_bar, unclamped.
+UNCLAMPED = {"lam_min": 0.0, "lam_max": math.inf, "limit_method": "fixed"}
+
+
 class TestStepPieces:
+    """Each stage of apply_step, seen through its record and the moved positions."""
+
     def test_glass_term_zero_density(self):
-        assert np.array_equal(glass_term(np.zeros(3), np.ones(3), 1e-8), np.zeros(3))
+        record = apply_step(filled_state(np.ones(3)), AliceConfig(eps=1e-8))
+        assert np.array_equal(record.h_glass, np.zeros(3))
 
     def test_glass_term_arithmetic(self):
-        value = glass_term(np.array([4.0 * math.pi]), np.array([-1.0]), 0.0)
-        assert value[0] == pytest.approx(3.0, rel=1e-15)
+        # eps = 1e-300 vanishes next to 4 pi |g|.
+        state = filled_state([-1.0], rho=4.0 * math.pi)
+        record = apply_step(state, AliceConfig(eps=1e-300, **UNCLAMPED))
+        assert record.h_glass[0] == pytest.approx(3.0, rel=1e-15)
 
     def test_glass_term_vanishing_gradient_stability(self):
-        rho = np.array([2.0])
-        value = glass_term(rho, np.zeros(1), 1e-6)
-        assert value[0] == pytest.approx(3.0 * 2.0 / 1e-6, rel=1e-12)
+        record = apply_step(filled_state(np.zeros(1), rho=2.0), AliceConfig(eps=1e-6))
+        assert record.h_glass[0] == pytest.approx(3.0 * 2.0 / 1e-6, rel=1e-12)
 
     def test_modified_hessian_pure_quasi_newton(self):
         h = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(modified_hessian(np.zeros(3), h, 1e-8), h + 1e-8)
+        record = apply_step(filled_state(np.ones(3), h_abs=h), AliceConfig(eps=1e-8))
+        assert np.array_equal(record.h_bar, h + 1e-8)
 
     def test_modified_hessian_pure_glass(self):
-        hg = np.array([0.5, 1.5])
-        assert np.array_equal(modified_hessian(hg, np.zeros(2), 1e-8), 2.0 * hg + 1e-8)
+        state = filled_state(np.ones(2), rho=[0.5, 1.5])
+        record = apply_step(state, AliceConfig(eps=1e-8))
+        assert np.all(record.h_glass > 0.0)
+        assert np.array_equal(record.h_bar, 2.0 * record.h_glass + 1e-8)
 
     def test_modified_hessian_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            modified_hessian(np.array([-0.1]), np.zeros(1), 1e-8)
-        with pytest.raises(ConfigError):
-            modified_hessian(np.zeros(1), np.array([-0.1]), 1e-8)
+        with pytest.raises(ConfigError, match="glass density must be nonnegative"):
+            apply_step(filled_state(np.ones(1), rho=-0.1), AliceConfig())
+        with pytest.raises(ConfigError, match="curvature terms must be nonnegative"):
+            apply_step(filled_state(np.ones(1), h_abs=-0.1), AliceConfig())
 
     def test_qn_scale(self):
-        assert np.array_equal(qn_scale(np.zeros(3), np.ones(3)), np.zeros(3))
-        eps = 1e-8
-        assert qn_scale(np.array([eps]), np.array([eps]))[0] == 1.0
+        cfg = AliceConfig(eps=1e-8, **UNCLAMPED)
+        assert np.array_equal(apply_step(filled_state(np.zeros(3)), cfg).delta, np.zeros(3))
+        # rho = h = 0 leaves h_bar = eps, so the scale is eps / eps.
+        assert apply_step(filled_state([1e-8]), cfg).delta[0] == -1.0
 
     def test_fixed_limits_pin_step(self):
-        cfg = AliceConfig(lam_min=0.3, lam_max=0.3, limit_method="fixed")
-        state = TopographyState.fresh(np.zeros(4))
-        state.g = np.array([1.0, -2.0, 0.5, 3.0])
-        state.step_count = 1
-        record = apply_step(state, np.array([10.0, 0.0, 0.2, 0.3]), cfg)
+        cfg = AliceConfig(lam_min=0.3, lam_max=0.3, limit_method="fixed", terms=("h_abs",))
+        # scales |g| / h_bar of about 10, 2e-6, 0.2 and 0.3
+        state = filled_state([1.0, -2.0, 0.5, 3.0], h_abs=[0.1, 1e6, 2.5, 10.0])
+        record = apply_step(state, cfg)
         assert np.array_equal(np.abs(record.delta), np.full(4, 0.3))
 
     def test_adam_limit_bound_matches_lam_max(self):
@@ -259,58 +274,60 @@ class TestStepPieces:
         cfg = AliceConfig(
             beta1=0.0, beta2=0.0, eps=1e-15, lam_min=0.0, lam_max=0.07, limit_method="adam"
         )
-        g = np.array([2.0, -0.5])
-        lo, hi = step_limits("adam", g, g * g, cfg, step_count=1)
-        assert np.allclose(hi, 0.07, rtol=1e-12)
-        assert np.array_equal(lo, np.zeros(2))
+        g = np.array([2.0, -0.5, 1.0])
+        record = apply_step(filled_state(g, h_abs=[0.0, 0.0, 1e12], s=g * g), cfg)
+        assert np.allclose(np.abs(record.delta[:2]), 0.07, rtol=1e-12)
+        # the lower bound is 0: a scale of about 1e-12 is left as it is
+        assert record.delta[2] == -1.0 / record.h_bar[2]
+        assert record.clamped_low_fraction == 0.0
+        assert record.clamped_high_fraction == pytest.approx(2.0 / 3.0)
 
     def test_sgdm_limits_scale_with_gradient(self):
         cfg = AliceConfig(lam_min=0.1, lam_max=0.5, limit_method="sgdm")
-        g = np.array([2.0, -4.0])
-        lo, hi = step_limits("sgdm", g, np.zeros(2), cfg, step_count=1)
-        assert np.allclose(lo, [0.2, 0.4])
-        assert np.allclose(hi, [1.0, 2.0])
+        # tiny scales meet the lower bound, huge ones the upper
+        state = filled_state([2.0, -4.0, 2.0, -4.0], h_abs=[1e6, 1e6, 1e-6, 1e-6])
+        record = apply_step(state, cfg)
+        assert np.allclose(np.abs(record.delta), [0.2, 0.4, 1.0, 2.0])
 
     def test_apply_step_positions(self):
         cfg = AliceConfig(phi=0.1, omega=1.0, lam_min=1.0, lam_max=1.0, limit_method="fixed")
-        state = TopographyState.fresh(np.zeros(2))
-        state.g = np.array([-1.0, 0.0])  # descent pushes coordinate 0 up
-        state.step_count = 1
-        apply_step(state, np.ones(2), cfg)
+        state = filled_state([-1.0, 0.0])  # descent pushes coordinate 0 up
+        apply_step(state, cfg)
         assert state.mu == pytest.approx([0.1, 0.0])
         assert state.nu == pytest.approx([1.0, 0.0])
 
     def test_apply_step_equal_fractions_collapse_positions(self):
         cfg = AliceConfig(phi=0.7, omega=0.7, lam_min=0.0, lam_max=1.0, limit_method="fixed")
-        state = TopographyState.fresh(np.random.default_rng(0).standard_normal(5))
-        state.g = np.random.default_rng(1).standard_normal(5)
-        state.step_count = 1
-        apply_step(state, np.full(5, 0.2), cfg)
+        state = filled_state(
+            np.random.default_rng(1).standard_normal(5),
+            h_abs=5.0,
+            mu=np.random.default_rng(0).standard_normal(5),
+        )
+        apply_step(state, cfg)
         assert np.array_equal(state.mu, state.nu)
 
     def test_descent_sign_invariant(self):
         rng = np.random.default_rng(7)
         cfg = AliceConfig(lam_min=0.01, lam_max=0.5, limit_method="fixed")
         for _ in range(20):
-            state = TopographyState.fresh(rng.standard_normal(6))
-            state.g = rng.standard_normal(6) * (rng.random(6) > 0.2)
-            state.step_count = 1
-            record = apply_step(state, rng.random(6), cfg)
+            mu = rng.standard_normal(6)
+            g = rng.standard_normal(6) * (rng.random(6) > 0.2)
+            state = filled_state(g, h_abs=rng.random(6), rho=rng.random(6), mu=mu)
+            record = apply_step(state, cfg)
             assert np.all(record.delta * state.g <= 0.0)
             nonzero = state.g != 0
             assert np.all(np.sign(record.delta[nonzero]) == -np.sign(state.g[nonzero]))
 
     def test_clamp_invariant(self):
         rng = np.random.default_rng(8)
-        cfg = AliceConfig(lam_min=0.05, lam_max=0.2, limit_method="fixed")
-        state = TopographyState.fresh(rng.standard_normal(16))
-        state.g = rng.standard_normal(16)
-        state.step_count = 1
-        record = apply_step(state, rng.random(16) * 10, cfg)
+        cfg = AliceConfig(lam_min=0.05, lam_max=0.2, limit_method="fixed", terms=("h_abs",))
+        mu = rng.standard_normal(16)
+        state = filled_state(rng.standard_normal(16), h_abs=rng.random(16) * 10, mu=mu)
+        record = apply_step(state, cfg)
         magnitude = np.abs(record.delta[state.g != 0])
         assert np.all(magnitude >= 0.05 - 1e-15)
         assert np.all(magnitude <= 0.2 + 1e-15)
-        assert record.clamped_low_fraction + record.clamped_high_fraction <= 1.0
+        assert 0.0 < record.clamped_low_fraction + record.clamped_high_fraction <= 1.0
 
 
 class TestInPlaceUpdates:
@@ -373,15 +390,12 @@ class TestInPlaceUpdates:
 
 
 def _composed_step(state, cfg, rng, full, grad_fn):
-    """One Alice step from the public pieces, in the order Alice.step promises."""
+    """One Alice step from the public updates and the frozen reference step."""
     if full:
         topography_update(state, grad_fn, cfg, rng)
     else:
         quick_update(state, grad_fn, cfg)
-    rho, h = curvature_terms(state, cfg)
-    h_glass = glass_term(rho, state.g, cfg.eps)
-    h_bar = modified_hessian(h_glass, h, cfg.eps)
-    return apply_step(state, qn_scale(state.g, h_bar), cfg, h_glass, h_bar)
+    return reference_step(state, cfg)
 
 
 TERM_SETS = [(), ("rho",), ("h_abs",), ("h_rms",), ("rho", "h_abs"), ("rho", "h_rms")]
@@ -434,6 +448,28 @@ class TestFusedStepMatchesComposition:
                 kept_bytes = [a.tobytes() for a in (record.delta, record.h_glass, record.h_bar)]
         # A record kept across later steps is left as it was returned.
         assert [a.tobytes() for a in (kept.delta, kept.h_glass, kept.h_bar)] == kept_bytes
+
+    @pytest.mark.parametrize("terms", TERM_SETS, ids=lambda t: "+".join(t) or "none")
+    @pytest.mark.parametrize("limit_method", LIMIT_METHODS)
+    def test_bitwise_without_workspace(self, limit_method, terms):
+        cfg = AliceConfig(lam_min=2e-3, lam_max=0.05, limit_method=limit_method, terms=terms,
+                          phi=0.6, omega=0.8)
+        rng = np.random.default_rng([LIMIT_METHODS.index(limit_method), TERM_SETS.index(terms)])
+        values = rng.standard_normal((6, 40))
+        values[0, ::6] = 0.0
+        states = []
+        for _ in range(2):
+            state = filled_state(values[0], h_abs=values[1] ** 2, rho=values[2] ** 2,
+                                 s=values[3] ** 2, mu=values[4], step_count=3)
+            state.h_rms2[:] = values[5] ** 2
+            states.append(state)
+        record, want = apply_step(states[0], cfg), reference_step(states[1], cfg)
+        for name in ("delta", "h_glass", "h_bar"):
+            assert getattr(record, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("clamped_low_fraction", "clamped_high_fraction", "interior_fraction"):
+            assert getattr(record, name) == getattr(want, name), name
+        for name in ("mu", "nu"):
+            assert getattr(states[0], name).tobytes() == getattr(states[1], name).tobytes()
 
     def test_overflowing_adam_bound_matches_composition(self):
         # With eps = 1e-300 and s = 0 the bound |g_hat| / (sqrt(s_hat) + eps)

@@ -170,7 +170,8 @@ def test_version_flag():
 
 
 # Runs glassopt commands in a fresh interpreter whose imports of scipy fail,
-# then reports each exit code and any scipy module that got loaded anyway.
+# then reports each exit code, any scipy module that got loaded anyway, and
+# whether numpy.ma (which np.median imports on first use) was loaded.
 _SCIPY_BLOCKED = textwrap.dedent(
     """
     import importlib.abc, json, sys
@@ -186,7 +187,7 @@ _SCIPY_BLOCKED = textwrap.dedent(
 
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print(json.dumps({"codes": codes, "scipy": loaded}))
+    print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": "numpy.ma" in sys.modules}))
     """
 )
 
@@ -215,5 +216,5 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert report == {"codes": [0, 0, 0], "scipy": []}
+        assert report == {"codes": [0, 0, 0], "scipy": [], "numpy.ma": False}
         assert (tmp_path / "out" / "p" / "seed_0" / "powerlaw.csv").exists()

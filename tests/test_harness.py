@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glassopt import glass, harness, netkit
-from glassopt.alice import CURVATURE_TERMS, LIMIT_METHODS, AliceConfig, reference_adam
+from glassopt import alice, glass, harness, netkit
+from glassopt.alice import CURVATURE_TERMS, LIMIT_METHODS, Alice, AliceConfig, reference_adam
 from glassopt.harness import (
     DataParams,
     ExperimentConfig,
@@ -140,6 +140,17 @@ class TestAggregate:
     @pytest.mark.parametrize("values", itertools.permutations([1.0, math.nan, 2.0]))
     def test_failed_seed_makes_every_statistic_nan(self, values):
         assert all(math.isnan(v) for v in aggregate(values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=12))
+    @example([1e308, 1e308])
+    @example([0.1, 0.2])
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    def test_median_matches_numpy_bitwise(self, values):
+        with np.errstate(over="ignore"):
+            want = float(np.median(values))
+        assert repr(harness.median(values)) == repr(want)
 
 
 class TestConfigFormat:
@@ -298,6 +309,10 @@ class TestConfigFormat:
     def test_naq_rejects_explicit_fraction(self, key, raw):
         with pytest.raises(ConfigError, match=rf":3: {key} = {raw} conflicts with alice.naq"):
             parse_config(f"alice.beta1 = 0.9\nalice.naq = true\n{key} = {raw}\n")
+
+    def test_naq_names_an_out_of_range_beta1(self):
+        with pytest.raises(ConfigError, match=r":2: alice.beta1 must lie in \[0, 1\), got 1.5"):
+            parse_config("alice.naq = true\nalice.beta1 = 1.5\n")
 
     def test_zero_batch_size_still_means_full_batch(self):
         assert parse_config("batch_size = 0\n").batch_size == 0
@@ -601,6 +616,23 @@ class TestVerifySuites:
     def test_fast_suites_pass(self, suite):
         rows = harness.run_verify_suite(suite, seed=0)
         assert rows and all(r.passed for r in rows)
+
+    def test_step_suite_checks_the_step_alice_runs(self, monkeypatch):
+        real = alice.apply_step
+
+        def eps_twice(state, cfg, work=None):
+            record = real(state, cfg, work)
+            record.h_bar[:] += cfg.eps
+            return record
+
+        monkeypatch.setattr(alice, "apply_step", eps_twice)
+        record = Alice(np.zeros(2), AliceConfig(terms=("h_abs",))).step(lambda _: np.ones(2))
+        assert np.array_equal(record.h_bar, np.full(2, 2e-8))
+        rows = harness.run_verify_suite("step", seed=0)
+        assert [r.quantity for r in rows if not r.passed] == [
+            "collapsed_form_rho_zero_exact",
+            "collapsed_form_h_zero_exact",
+        ]
 
     def test_all_equals_the_single_suites_in_order(self):
         together = harness.run_verify_suite("all", seed=0)

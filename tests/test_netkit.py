@@ -105,6 +105,21 @@ class TestLoss:
         with pytest.raises(ConfigError):
             netkit.loss(spec, np.zeros(spec.param_count), Batch(np.ones((2, 3)), np.zeros((2, 1))))
 
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            ([0, 3, 1], r"class indices must lie in \[0, 3\)"),
+            ([-1, 0, 2], r"class indices must lie in \[0, 3\)"),
+            ([0.0, 1.0, 2.0], "xent targets must be a length-n vector of class indices"),
+        ],
+    )
+    def test_xent_targets_outside_the_classes_rejected(self, targets, message):
+        spec = ModelSpec((2, 3, 3), "xent")
+        batch = Batch(np.ones((3, 2)), np.array(targets))
+        for fn in (netkit.loss, lambda *a: netkit.gradient(*a)[0]):
+            with pytest.raises(ConfigError, match=message):
+                fn(spec, np.zeros(spec.param_count), batch)
+
 
 class TestGradient:
     def test_zero_net_zero_targets(self):
