@@ -40,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from .glass import rademacher_signs
 from .netkit import ConfigError, NumericsError, all_finite
 
 LIMIT_METHODS = ("fixed", "sgdm", "adam")
@@ -202,19 +203,19 @@ def topography_update(
 ) -> TopographyState:
     """Full three-evaluation update of all running statistics, in place.
 
-    Probe points and intermediate quantities are staged through one
-    parameter-length temporary, temp if given; the arrays grad_fn returns are
-    only read. Returns the mutated state.
+    The probe signs t are one glass.rademacher_signs draw of length d from
+    rng, written into temp. Probe points and intermediate quantities are
+    staged through that one parameter-length temporary, temp if given; the
+    arrays grad_fn returns are only read. Returns the mutated state.
     """
     rng = np.random.default_rng(rng)
     lam = cfg.lam
     d = state.dim
     if temp is None:
         temp = np.empty(d)
-    # temp <- nu + lam * (random signs)
-    rng.random(out=temp)
-    temp -= 0.5
-    np.copysign(lam, temp, out=temp)
+    # temp <- nu + lam * (Rademacher signs)
+    rademacher_signs(rng, d, out=temp)
+    temp *= lam
     temp += state.nu
     g_plus = _checked_grad(grad_fn, temp, "plus-probe")
     # temp <- nu - (temp - nu), the mirrored probe point

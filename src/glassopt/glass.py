@@ -40,8 +40,8 @@ _QUAD_SPAN = 8.0
 _GL_PANELS = 48
 _GL_ORDER = 32
 _GL_BLOCK = 64
-# Elements per block of rademacher_signs' in-place cast: the block bounds the
-# temporary numpy allocates for an in-place pass (about 0.5 MB).
+# Elements per pass of rademacher_signs: each pass unpacks its bits into a 0/1
+# byte array of up to this size (64 kB), or of one row when rows are longer.
 _SIGN_BLOCK = 1 << 16
 
 
@@ -52,22 +52,36 @@ def _canonical_density(density: str) -> str:
     return density
 
 
-def rademacher_signs(rng: np.random.Generator, shape) -> np.ndarray:
-    """Independent +-1.0 signs of the given shape from one rng.integers(0, 2) draw.
+def rademacher_signs(
+    rng: np.random.Generator, shape, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Independent +-1.0 signs of the given shape, one random bit per sign.
 
-    The int64 draw is cast to +-1.0 in place, block by block, into a float
-    view of its own memory, so no second array of the shape is allocated.
-    The values, and the stream the draw consumes, equal those of
-    rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0.
+    The draw is a sequence of rows along the last axis (a 1-D shape is one
+    row). A row of n signs reads the first n bits, most significant bit of
+    each byte first, of rng.bytes(4 * ceil(n / 32)), and each bit b gives the
+    sign 2 b - 1. Every row starts on a fresh 32-bit word of the stream, so
+    an (m, n) draw equals m successive draws of n signs, and chunking the
+    rows never changes the numbers. The signs are written block by block
+    into out (a C-contiguous float64 array of the shape) when it is given,
+    else into a new array; no second array of the shape is allocated.
     """
-    bits = rng.integers(0, 2, size=shape)
-    flat = bits.reshape(-1)
-    signs = flat.view(np.float64)
-    for lo in range(0, flat.size, _SIGN_BLOCK):
-        blk = slice(lo, lo + _SIGN_BLOCK)
-        np.multiply(flat[blk], 2.0, out=signs[blk])
-        signs[blk] -= 1.0
-    return signs.reshape(bits.shape)
+    shape = tuple(int(k) for k in np.atleast_1d(shape))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    n = out.shape[-1]
+    rows = out.reshape(-1, n)
+    row_bytes = 4 * -(-n // 32)
+    step = max(1, _SIGN_BLOCK // n)
+    for lo in range(0, rows.shape[0], step):
+        blk = rows[lo : lo + step]
+        packed = np.frombuffer(rng.bytes(blk.shape[0] * row_bytes), dtype=np.uint8)
+        bits = np.unpackbits(packed.reshape(blk.shape[0], row_bytes), axis=1, count=n)
+        np.multiply(bits, 2.0, out=blk)
+        blk -= 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------

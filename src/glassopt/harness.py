@@ -284,6 +284,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             value = parser(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+        # Every float key is a finite number: inf and nan pass several range
+        # checks (inf > 0) and would run silently.
+        if parser is float and not math.isfinite(value):
+            raise ConfigError(f"{source}:{lineno}: {key} must be finite, got {raw}")
         if section is None:
             top[key] = value
         else:
@@ -665,7 +669,7 @@ def _suite_kernel(seed: int) -> list[CheckRow]:
     tm = oracles.TestMatrix.random_diag_dominant(200, seed)
     for density in ("rademacher", "normal"):
         kspec = make_kernel(density, tm.dominance)
-        res = oracles.mc_estimator(tm, density, kspec, 10_000, seed + 1)
+        res = oracles.mc_aggregate_bias(tm, density, kspec, 10_000, seed + 1)
         rows.append(
             CheckRow(f"zero_bias_z_{density}", res.aggregate_bias_z, 0.0, 1.0,
                      res.n_samples, abs(res.aggregate_bias_z) < 3.0)

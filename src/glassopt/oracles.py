@@ -31,6 +31,28 @@ def _row_blocks(rows: int, cols: int):
         yield slice(lo, min(lo + step, rows))
 
 
+def _draw(rng: np.random.Generator, density: str, out: np.ndarray) -> np.ndarray:
+    """Fill out, an (m, d) block of a chunk buffer, with normal samples or Rademacher signs.
+
+    Rademacher signs come from rademacher_signs, whose rows start on fresh
+    words of the stream, so the chunk size never changes the signs.
+    """
+    if density == "rademacher":
+        return rademacher_signs(rng, out.shape, out=out)
+    return rng.standard_normal(out=out)
+
+
+def _sample_chunks(rng: np.random.Generator, density: str, total: int, cols: int, rows: int):
+    """Yield total samples of length cols as (m, cols) chunks of at most rows samples.
+
+    Every chunk is drawn into one reused (rows, cols) buffer, so a chunk is
+    only valid until the next one is drawn; callers may overwrite it.
+    """
+    buf = np.empty((rows, cols))
+    for lo in range(0, total, rows):
+        yield _draw(rng, density, buf[: min(rows, total - lo)])
+
+
 # ---------------------------------------------------------------------------
 # Reflected 1D glass walk (loss-increase bound)
 
@@ -90,21 +112,15 @@ def glass_walk_expectation(sim: SyntheticGlass1D) -> GlassWalkResult:
     # At least one row: past 256 * _CHUNK kinks the quotient is 0 and the loop
     # would never advance.
     rows = min(max(_CHUNK // max(n // 256, 1), 1), sim.trials)
-    buf = np.empty((rows, n)) if density == "normal" else None
     delta_buf = np.empty(rows)
     s_abs = s_sq = s_delta = s_quad = 0.0
-    done = 0
-    while done < sim.trials:
-        m = min(rows, sim.trials - done)
-        kicks = _draw(rng, density, (m, n), buf)
-        delta = np.matmul(kicks, weights, out=delta_buf[:m])
-        del kicks
+    for kicks in _sample_chunks(rng, density, sim.trials, n, rows):
+        delta = np.matmul(kicks, weights, out=delta_buf[: kicks.shape[0]])
         delta *= sim.lam * kick_scale
         s_abs += float(np.sum(np.abs(delta)))
         s_sq += float(np.sum(delta * delta))
         s_delta += float(np.sum(delta))
         s_quad += float(np.sum(delta**4))
-        done += m
     t = sim.trials
     mean_abs = s_abs / t
     m2 = s_sq / t  # second moment; the mean is 0 by construction
@@ -176,24 +192,30 @@ class McEstimatorResult:
     variance: np.ndarray
     n_accepted: np.ndarray
     n_samples: int
-    aggregate_bias: float
-    aggregate_bias_se: float
-
-    @property
-    def aggregate_bias_z(self) -> float:
-        return self.aggregate_bias / self.aggregate_bias_se
 
 
-def _draw(rng: np.random.Generator, density: str, shape, buf: np.ndarray | None) -> np.ndarray:
-    """Draw an (m, d) sample matrix of the normal or the Rademacher density.
+def _kernel_estimates(delta: np.ndarray, mt: np.ndarray, kspec, out: np.ndarray) -> np.ndarray:
+    """est = kappa(delta) * (delta M^T) for a chunk of samples (rows), written into out."""
+    est = np.matmul(delta, mt, out=out[: delta.shape[0]])
+    for blk in _row_blocks(*est.shape):
+        est[blk] *= optimal_kernel_weight(delta[blk], kspec)
+    return est
 
-    Normal samples fill the leading m rows of buf. Rademacher signs come from
-    rademacher_signs, which casts its draw in place, so neither density
-    allocates a second (m, d) array; buf is then unused.
+
+def _gram_sums(m_mat: np.ndarray, chunks) -> tuple[np.ndarray, np.ndarray]:
+    """Per-index sums of est and est^2 over Rademacher chunks U, from G = sum U^T U.
+
+    With the identity kernel est_si = u_si (M u_s)_i, and u_si^2 = 1, so
+    sum_s est_si = sum_j M_ij G_ij and sum_s est_si^2 = (M G M^T)_ii. G's
+    entries are integers far below 2^53, so G is exact whatever the chunking
+    and the BLAS summation order.
     """
-    if density == "rademacher":
-        return rademacher_signs(rng, shape)
-    return rng.standard_normal(shape, out=buf[: shape[0]])
+    d = m_mat.shape[0]
+    gram = np.zeros((d, d))
+    part = np.empty((d, d))
+    for u in chunks:
+        gram += np.matmul(u.T, u, out=part)
+    return np.sum(m_mat * gram, axis=1), np.sum((m_mat @ gram) * m_mat, axis=1)
 
 
 def mc_estimator(
@@ -205,74 +227,106 @@ def mc_estimator(
 ) -> McEstimatorResult:
     """Sample kappa(delta_i) * (M delta)_i and report bias and variance per index.
 
-    The aggregate bias averages the per-sample row mean of (estimate - diag),
-    which keeps cross-coordinate correlations inside its standard error; it
-    is only meaningful for unrestricted kernels (every coordinate accepted).
+    Samples are drawn in chunks of at most _CHUNK rows into one reused
+    buffer. Unrestricted Rademacher runs, whose kernel is the identity, sum
+    only the sign Gram matrix G = U^T U of each chunk and read both
+    per-index sums off G (see _gram_sums): no M product and no kernel pass
+    per sample. Normal and restricted runs form every estimate directly.
     """
     if n_samples < 1000:
         raise ConfigError("estimator sampling needs at least 1e3 samples")
     d = tm.M.shape[0]
     diag = tm.diagonal
     rng = np.random.default_rng(seed)
-    sums = np.zeros(d)
-    sums_sq = np.zeros(d)
-    n_acc = np.zeros(d, dtype=np.int64)
-    agg_sum = 0.0
-    agg_sum_sq = 0.0
-    mt = np.ascontiguousarray(tm.M.T)
-    restricted = kspec.restrict > 0
-    # One chunk's working set: the draw, y (which becomes est in place) and the
-    # acceptance mask. Once est is formed the draw is dead, and its memory
-    # holds |delta|, est^2 and est - diag in turn.
     rows = min(_CHUNK, n_samples)
-    buf = np.empty((rows, d)) if density == "normal" else None
-    y_buf = np.empty((rows, d))
-    mask_buf = np.empty((rows, d), dtype=bool) if restricted else None
-    done = 0
-    while done < n_samples:
-        m = min(rows, n_samples - done)
-        delta = _draw(rng, density, (m, d), buf)
-        est = np.matmul(delta, mt, out=y_buf[:m])
-        for blk in _row_blocks(m, d):
-            est[blk] *= optimal_kernel_weight(delta[blk], kspec)
-        scratch = delta
-        if restricted:
-            mask = mask_buf[:m]
-            np.greater_equal(np.abs(delta, out=scratch), kspec.restrict, out=mask)
-            sums += np.sum(est, axis=0, where=mask)
-            sums_sq += np.sum(np.multiply(est, est, out=scratch), axis=0, where=mask)
-            n_acc += mask.sum(axis=0)
-        else:
-            sums += est.sum(axis=0)
-            sums_sq += np.sum(np.multiply(est, est, out=scratch), axis=0)
-            n_acc += m
-            row_mean = np.subtract(est, diag, out=scratch).mean(axis=1)
-            agg_sum += float(row_mean.sum())
-            agg_sum_sq += float(np.sum(row_mean * row_mean))
-        del delta, scratch
-        done += m
+    chunks = _sample_chunks(rng, density, n_samples, d, rows)
+    restricted = kspec.restrict > 0
+    if density == "rademacher" and kspec.density == "rademacher" and not restricted:
+        sums, sums_sq = _gram_sums(tm.M, chunks)
+        n_acc = np.full(d, n_samples, dtype=np.int64)
+    else:
+        sums = np.zeros(d)
+        sums_sq = np.zeros(d)
+        n_acc = np.zeros(d, dtype=np.int64)
+        mt = np.ascontiguousarray(tm.M.T)
+        # One chunk's working set: the draw, est and the acceptance mask. Once
+        # est is formed the draw is dead, and its memory holds |delta| and
+        # est^2 in turn.
+        y_buf = np.empty((rows, d))
+        mask_buf = np.empty((rows, d), dtype=bool) if restricted else None
+        for delta in chunks:
+            est = _kernel_estimates(delta, mt, kspec, y_buf)
+            if restricted:
+                mask = mask_buf[: delta.shape[0]]
+                np.greater_equal(np.abs(delta, out=delta), kspec.restrict, out=mask)
+                sums += np.sum(est, axis=0, where=mask)
+                sums_sq += np.sum(np.multiply(est, est, out=delta), axis=0, where=mask)
+                n_acc += mask.sum(axis=0)
+            else:
+                sums += est.sum(axis=0)
+                sums_sq += np.sum(np.multiply(est, est, out=delta), axis=0)
+                n_acc += delta.shape[0]
     safe = np.maximum(n_acc, 1)
     mean = sums / safe
     var = (sums_sq - safe * mean * mean) / np.maximum(safe - 1, 1)
     bias = mean - diag
-    bias_se = np.sqrt(var / safe)
-    if kspec.restrict > 0:
-        agg_bias = float(np.mean(bias))
-        agg_se = math.nan
-    else:
-        agg_bias = agg_sum / n_samples
-        agg_var = (agg_sum_sq - n_samples * agg_bias * agg_bias) / (n_samples - 1)
-        agg_se = math.sqrt(agg_var / n_samples)
     return McEstimatorResult(
         estimate=mean,
         bias=bias,
-        bias_se=bias_se,
+        bias_se=np.sqrt(var / safe),
         variance=var,
         n_accepted=n_acc,
         n_samples=int(n_samples),
-        aggregate_bias=agg_bias,
-        aggregate_bias_se=agg_se,
     )
+
+
+@dataclass(frozen=True)
+class AggregateBiasResult:
+    """Sample mean of the per-sample row mean of (estimate - diagonal), with its SE."""
+
+    aggregate_bias: float
+    aggregate_bias_se: float
+    n_samples: int
+
+    @property
+    def aggregate_bias_z(self) -> float:
+        return self.aggregate_bias / self.aggregate_bias_se
+
+
+def mc_aggregate_bias(
+    tm: TestMatrix,
+    density: str,
+    kspec,
+    n_samples: int,
+    seed: int,
+) -> AggregateBiasResult:
+    """Sample the aggregate bias of an unrestricted kernel estimator directly.
+
+    Each sample contributes the row mean of kappa(delta_i) * (M delta)_i -
+    M_ii, which keeps cross-coordinate correlations inside the standard
+    error. Its square is quartic in the draws, so no Gram matrix yields it:
+    every estimate is formed, from the same draws as mc_estimator at the same
+    seed.
+    """
+    if n_samples < 1000:
+        raise ConfigError("estimator sampling needs at least 1e3 samples")
+    if kspec.restrict > 0:
+        raise ConfigError("the aggregate bias needs an unrestricted kernel")
+    d = tm.M.shape[0]
+    diag = tm.diagonal
+    rng = np.random.default_rng(seed)
+    rows = min(_CHUNK, n_samples)
+    mt = np.ascontiguousarray(tm.M.T)
+    y_buf = np.empty((rows, d))
+    agg_sum = agg_sum_sq = 0.0
+    for delta in _sample_chunks(rng, density, n_samples, d, rows):
+        est = _kernel_estimates(delta, mt, kspec, y_buf)
+        row_mean = np.subtract(est, diag, out=delta).mean(axis=1)
+        agg_sum += float(row_mean.sum())
+        agg_sum_sq += float(np.sum(row_mean * row_mean))
+    agg_bias = agg_sum / n_samples
+    agg_var = (agg_sum_sq - n_samples * agg_bias * agg_bias) / (n_samples - 1)
+    return AggregateBiasResult(agg_bias, math.sqrt(agg_var / n_samples), int(n_samples))
 
 
 # ---------------------------------------------------------------------------

@@ -162,16 +162,36 @@ def random_model_and_batch(seed, widths=(3, 5, 2), loss="mse", n=6):
     return spec, params, netkit.Batch(inputs, targets)
 
 
+def reference_rademacher_signs(rng, shape):
+    """The Rademacher sign stream by its definition, frozen: one row at a time.
+
+    A shape is a sequence of rows along its last axis. Each row of n signs
+    takes rng.bytes(4 * ceil(n / 32)) afresh and reads its first n bits, most
+    significant bit of each byte first; bit b gives the sign 2 b - 1.
+    glass.rademacher_signs must agree with it bitwise.
+    """
+    shape = tuple(int(k) for k in np.atleast_1d(shape))
+    n = shape[-1]
+    k = np.arange(n)
+    rows = []
+    for _ in range(math.prod(shape[:-1])):
+        raw = np.frombuffer(rng.bytes(4 * math.ceil(n / 32)), dtype=np.uint8)
+        bits = (raw[k // 8] >> (7 - k % 8)) & 1
+        rows.append(2.0 * bits - 1.0)
+    return np.array(rows).reshape(shape)
+
+
 # The Monte-Carlo oracles as they were before they reused buffers, frozen: the
 # chunk sizes, draw order and reduction order that glassopt.oracles must keep,
 # with every temporary allocated afresh. The buffer-reusing versions must
-# agree with them bitwise.
+# agree with them bitwise, except the Gram-matrix path of mc_estimator, which
+# sums the same estimates in another order and must agree to round-off.
 _CHUNK = 20_000
 
 
 def _reference_draw(rng, density, shape):
     if density == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+        return reference_rademacher_signs(rng, shape)
     return rng.standard_normal(shape)
 
 
@@ -210,6 +230,10 @@ def reference_glass_walk_expectation(sim):
 
 
 def reference_mc_estimator(tm, density, kspec, n_samples, seed):
+    """The per-sample estimator loop: (McEstimatorResult, AggregateBiasResult or None).
+
+    The aggregate bias is reported for unrestricted kernels only.
+    """
     d = tm.M.shape[0]
     diag = tm.diagonal
     rng = np.random.default_rng(seed)
@@ -241,23 +265,20 @@ def reference_mc_estimator(tm, density, kspec, n_samples, seed):
     safe = np.maximum(n_acc, 1)
     mean = sums / safe
     var = (sums_sq - safe * mean * mean) / np.maximum(safe - 1, 1)
-    bias = mean - diag
-    if kspec.restrict > 0:
-        agg_bias = float(np.mean(bias))
-        agg_se = math.nan
-    else:
-        agg_bias = agg_sum / n_samples
-        agg_var = (agg_sum_sq - n_samples * agg_bias * agg_bias) / (n_samples - 1)
-        agg_se = math.sqrt(agg_var / n_samples)
-    return oracles.McEstimatorResult(
+    result = oracles.McEstimatorResult(
         estimate=mean,
-        bias=bias,
+        bias=mean - diag,
         bias_se=np.sqrt(var / safe),
         variance=var,
         n_accepted=n_acc,
         n_samples=int(n_samples),
-        aggregate_bias=agg_bias,
-        aggregate_bias_se=agg_se,
+    )
+    if kspec.restrict > 0:
+        return result, None
+    agg_bias = agg_sum / n_samples
+    agg_var = (agg_sum_sq - n_samples * agg_bias * agg_bias) / (n_samples - 1)
+    return result, oracles.AggregateBiasResult(
+        agg_bias, math.sqrt(agg_var / n_samples), int(n_samples)
     )
 
 

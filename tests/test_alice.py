@@ -4,7 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import reference_adam_loop, reference_sgdm_loop, reference_step
+from fd_oracles import (
+    reference_adam_loop,
+    reference_rademacher_signs,
+    reference_sgdm_loop,
+    reference_step,
+)
 from glassopt import alice, netkit
 from glassopt.alice import (
     LIMIT_METHODS,
@@ -372,8 +377,9 @@ class TestInPlaceUpdates:
         topography_update(state, grad_fn, cfg, rng=4)
         g_plus, g_minus, g0 = grads
         lam, b1, b2 = cfg.lam, cfg.beta1, cfg.beta2
-        signs = np.random.default_rng(4).random(state.dim) - 0.5
-        assert points[0].tobytes() == (before.nu + np.copysign(lam, signs)).tobytes()
+        signs = reference_rademacher_signs(np.random.default_rng(4), state.dim)
+        assert points[0].tobytes() == (before.nu + lam * signs).tobytes()
+        assert points[1].tobytes() == (before.nu - (points[0] - before.nu)).tobytes()
         diff = (g_plus - g_minus) / (2.0 * lam)
         centered = (g_plus + g_minus) * 0.5 - g0
         want = {

@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fd_oracles import fine_grid_kernel_constant, random_model_and_batch
+from fd_oracles import (
+    fine_grid_kernel_constant,
+    random_model_and_batch,
+    reference_rademacher_signs,
+)
 from glassopt import glass, netkit, oracles
 from glassopt.glass import GlassDensityDiag, GlassDensityMatrix
 from glassopt.netkit import ConfigError, NumericsError, ReluUnitRecord
@@ -384,14 +389,61 @@ class TestEstimatorVariance:
         )
 
 
-@pytest.mark.parametrize("shape", [1, 7, (3, 5), (2, glass._SIGN_BLOCK + 3)])
+@pytest.mark.parametrize(
+    "shape", [1, 7, (3, 5), (2, glass._SIGN_BLOCK + 3), 33, (1400, 100), (4, 64), 100_003]
+)
 def test_rademacher_signs_equal_a_fresh_draw_and_cast(shape):
-    # (2, _SIGN_BLOCK + 3) casts in three blocks, the last a partial one.
+    # Odd row lengths end mid-word. (2, _SIGN_BLOCK + 3) has rows longer than
+    # a block, (1400, 100) crosses two row-block boundaries, and a 100_003
+    # row is one long row.
     fresh, shared = np.random.default_rng(4), np.random.default_rng(4)
-    expected = fresh.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+    expected = reference_rademacher_signs(fresh, shape)
     signs = glass.rademacher_signs(shared, shape)
     assert signs.dtype == np.float64 and signs.tobytes() == expected.tobytes()
     assert shared.random() == fresh.random()  # the draw consumed the same stream
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_rademacher_signs_rows_equal_row_draws(m, n, seed):
+    whole, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+    signs = glass.rademacher_signs(whole, (m, n))
+    one_by_one = np.stack([glass.rademacher_signs(rows, n) for _ in range(m)])
+    assert signs.tobytes() == one_by_one.tobytes()
+    assert whole.random() == rows.random()
+
+
+def test_rademacher_signs_into_out_allocate_no_second_array():
+    out = np.empty((2000, 500))  # 8 MB
+    rng = np.random.default_rng(0)
+    glass.rademacher_signs(rng, out.shape, out=out)  # warm
+    tracemalloc.start()
+    try:
+        returned = glass.rademacher_signs(rng, out.shape, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert returned is out
+    assert peak <= 0.25e6  # one block's bits and packed bytes, about 0.07 MB
+
+
+@pytest.mark.parametrize(
+    "out", [np.empty((3, 4)), np.empty((4, 5), dtype=np.float32), np.empty((4, 10))[:, ::2]]
+)
+def test_rademacher_signs_reject_an_unfit_out(out):
+    with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+        glass.rademacher_signs(np.random.default_rng(0), (4, 5), out=out)
+
+
+@pytest.mark.parametrize("shape", [1_000_000, (1000, 1000)])
+def test_rademacher_signs_are_balanced_and_uncorrelated(shape):
+    # Over 1e6 fair independent signs the mean and the lag-1 product mean each
+    # have standard deviation 1e-3. The (1000, 1000) draw puts row ends
+    # (mid-word, n = 1000) inside the flattened sequence.
+    s = glass.rademacher_signs(np.random.default_rng(11), shape).ravel()
+    assert set(np.unique(s)) == {-1.0, 1.0}
+    assert abs(s.mean()) < 5.0 / math.sqrt(s.size)
+    assert abs(np.mean(s[1:] * s[:-1])) < 5.0 / math.sqrt(s.size - 1)
 
 
 class TestMeasureVariations:

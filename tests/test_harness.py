@@ -266,6 +266,35 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=rf":2: {key} must"):
             parse_config(f"model.widths = 3,4,2\n{key} = {raw}\nmodel.loss = xent\n")
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "baseline_lr",
+            "alice.lam",
+            "alice.beta1",
+            "alice.beta2",
+            "alice.eps",
+            "alice.phi",
+            "alice.omega",
+            "alice.lam_min",
+            "alice.lam_max",
+            "data.noise",
+            "data.center_scale",
+            "data.label_flip",
+            "probe.lam",
+            "probe.warmup_lr",
+        ],
+    )
+    def test_non_finite_float_names_key_and_line(self, key, raw):
+        with pytest.raises(ConfigError, match=rf":2: {key} must be finite, got {raw}$"):
+            parse_config(f"model.widths = 3,4,2\n{key} = {raw}\nmodel.loss = xent\n")
+
+    def test_infinite_step_bound_stays_legal_in_code(self):
+        # verify's step suite builds AliceConfig(lam_max=inf) directly; only
+        # config files must be finite.
+        assert AliceConfig(lam_min=0.0, lam_max=math.inf).lam_max == math.inf
+
     @pytest.mark.parametrize(
         "task, command",
         [

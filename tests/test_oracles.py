@@ -93,16 +93,44 @@ class TestBoundedWorkspaces:
         )
 
     @pytest.mark.parametrize(
-        "density, restrict", [("rademacher", 0.0), ("normal", 0.0), ("normal", 1.0)]
+        "density, restrict", [("rademacher", 0.5), ("normal", 0.0), ("normal", 1.0)]
     )
     @pytest.mark.parametrize("n_samples", [45_001, 1000])
     def test_estimator_bitwise_equal_to_reference(self, density, restrict, n_samples):
+        # Every path but the unrestricted Rademacher one forms each estimate.
         tm = oracles.TestMatrix.random_diag_dominant(50, seed=7)
         kspec = glass.make_kernel(density, tm.dominance, restrict=restrict)
         assert_bitwise_equal(
             oracles.mc_estimator(tm, density, kspec, n_samples, seed=8),
-            reference_mc_estimator(tm, density, kspec, n_samples, seed=8),
+            reference_mc_estimator(tm, density, kspec, n_samples, seed=8)[0],
         )
+
+    @pytest.mark.parametrize("density", ["rademacher", "normal"])
+    @pytest.mark.parametrize("n_samples", [45_001, 1000])
+    def test_aggregate_bias_bitwise_equal_to_reference(self, density, n_samples):
+        tm = oracles.TestMatrix.random_diag_dominant(50, seed=7)
+        kspec = glass.make_kernel(density, tm.dominance)
+        assert_bitwise_equal(
+            oracles.mc_aggregate_bias(tm, density, kspec, n_samples, seed=8),
+            reference_mc_estimator(tm, density, kspec, n_samples, seed=8)[1],
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d, n_samples", [(2, 1000), (7, 3001), (50, 21_001), (200, 20_500)])
+    def test_gram_path_matches_the_per_sample_loop(self, d, n_samples, seed):
+        # n_samples past 20_000 leaves a partial last chunk (1001 and 500 rows).
+        tm = oracles.TestMatrix.random_diag_dominant(d, seed=seed)
+        kspec = glass.make_kernel("rademacher", tm.dominance)
+        got = oracles.mc_estimator(tm, "rademacher", kspec, n_samples, seed=seed + 10)
+        want, _ = reference_mc_estimator(tm, "rademacher", kspec, n_samples, seed=seed + 10)
+        for name in ("estimate", "variance", "bias_se"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+        # bias = estimate - diag cancels, so it is held to the estimate's scale.
+        np.testing.assert_allclose(
+            got.bias, want.bias, rtol=0, atol=1e-12 * np.abs(want.estimate).max()
+        )
+        assert np.array_equal(got.n_accepted, want.n_accepted)
+        assert got.n_samples == want.n_samples
 
     @pytest.mark.parametrize("density", ["rademacher", "normal"])
     def test_estimator_peak_memory(self, density):
@@ -116,6 +144,18 @@ class TestBoundedWorkspaces:
             lambda: oracles.mc_estimator(tm, density, kspec, 1000, seed=1),
         )
         assert peak <= 80.0
+
+    def test_gram_path_peak_memory(self):
+        # The Gram path holds one 32 MB 20_000 x 200 sign chunk and the 0.3 MB
+        # G, its per-chunk product and the final products; a second
+        # chunk-size array (y or est) would pass 34 MB.
+        tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
+        kspec = glass.make_kernel("rademacher", tm.dominance)
+        peak = warm_peak_mb(
+            lambda: oracles.mc_estimator(tm, "rademacher", kspec, 100_000, seed=1),
+            lambda: oracles.mc_estimator(tm, "rademacher", kspec, 1000, seed=1),
+        )
+        assert peak <= 34.0
 
     @pytest.mark.parametrize("kick", ["gauss", "rademacher"])
     def test_walk_peak_memory(self, kick):
@@ -184,8 +224,16 @@ class TestMcEstimator:
 
     def test_minimum_sample_count(self):
         tm = oracles.TestMatrix.random_diag_dominant(10, seed=0)
-        with pytest.raises(ConfigError):
-            oracles.mc_estimator(tm, "rademacher", glass.make_kernel("rademacher", 0.0), 10, 0)
+        kspec = glass.make_kernel("rademacher", 0.0)
+        for oracle in (oracles.mc_estimator, oracles.mc_aggregate_bias):
+            with pytest.raises(ConfigError, match="at least 1e3 samples"):
+                oracle(tm, "rademacher", kspec, 10, 0)
+
+    def test_aggregate_bias_rejects_a_restricted_kernel(self):
+        tm = oracles.TestMatrix.random_diag_dominant(10, seed=0)
+        kspec = glass.make_kernel("normal", tm.dominance, restrict=1.0)
+        with pytest.raises(ConfigError, match="unrestricted kernel"):
+            oracles.mc_aggregate_bias(tm, "normal", kspec, 1000, 0)
 
 
 class TestVariationBoundOracle:
@@ -258,9 +306,15 @@ class TestSyntheticFields:
             oracles.quadratic_powerlaw_oracle(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
 
     def test_staircase_expected_variation_matches_monte_carlo(self):
-        field = oracles.StaircaseGradientField.random(64, 2000, span=1.0, magnitude=0.2, seed=7)
+        # The mean's noise comes from the frozen field: each coordinate's
+        # squared jump sum has relative spread ~1, so over d coordinates the
+        # mean's is ~1/sqrt(d). d = 1024 puts the 10% bound at ~3 of its
+        # standard deviations (0.03-0.04 over field seeds 0-19); at d = 64 it
+        # was under one, and about 40% of field seeds failed.
+        d = 1024
+        field = oracles.StaircaseGradientField.random(d, 2000, span=1.0, magnitude=0.2, seed=7)
         lam = 0.01
-        meas = glass.measure_variations(field.grad, np.zeros(64), lam, 200, seed=8)
+        meas = glass.measure_variations(field.grad, np.zeros(d), lam, 200, seed=8)
         expected = field.expected_variation(lam).mean()
         assert meas.v.mean() == pytest.approx(expected, rel=0.1)
 
