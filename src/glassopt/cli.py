@@ -116,6 +116,14 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
+def seed(raw: str) -> int:
+    """A --seed value: a nonnegative int, as numpy's generators and config seeds take."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glassopt",
@@ -127,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an oracle verification suite")
     p_verify.add_argument("--suite", required=True,
                           choices=[*harness.VERIFY_SUITES, "all"])
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=seed, default=0)
     p_verify.add_argument("--out", default="")
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -148,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--kinks", type=int, default=1000)
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--kick", choices=["gauss", "rademacher"], default="gauss")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=seed, default=0)
     p_sim.add_argument("--out", default="")
     p_sim.set_defaults(fn=cmd_simulate)
     return parser

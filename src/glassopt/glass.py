@@ -348,18 +348,24 @@ def make_kernel(density: str, omega2, restrict: float = 0.0) -> KernelSpec:
     )
 
 
-def optimal_kernel_weight(delta_i, kspec: KernelSpec):
+def optimal_kernel_weight(delta_i, kspec: KernelSpec, out: np.ndarray | None = None):
     """Evaluate the kernel at sample coordinate value(s) delta_i.
 
     For the two-point Rademacher density the general expression collapses to
     the identity kappa(delta) = delta, which is evaluated directly so the
     collapse is exact. Restricted kernels return 0 below the threshold.
+    Given out, a float64 array of the weight's shape, the weight is computed
+    in it one operation at a time: an unrestricted kernel then allocates no
+    array of that shape and returns out, a restricted one returns a new array.
     """
     delta_i = np.asarray(delta_i, dtype=np.float64)
     if kspec.density == "rademacher":
-        weight = delta_i.copy()
+        weight = np.positive(delta_i, out=out)
     else:
-        weight = delta_i / ((delta_i * delta_i + kspec.omega2) * kspec.c)
+        weight = np.multiply(delta_i, delta_i, out=out)
+        weight = np.add(weight, kspec.omega2, out=out)
+        weight = np.multiply(weight, kspec.c, out=out)
+        weight = np.divide(delta_i, weight, out=out)
     if kspec.restrict > 0:
         weight = np.where(np.abs(delta_i) >= kspec.restrict, weight, 0.0)
     if weight.ndim == 0:

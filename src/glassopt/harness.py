@@ -136,6 +136,15 @@ class ExperimentConfig:
         negative = [s for s in self.seeds if s < 0]
         if negative:
             raise ConfigError(f"seeds must be >= 0, got {negative}")
+        # parse_config rejects a non-finite float, so a manifest could not carry
+        # one back. AliceConfig alone still takes lam_max = inf, as verify's
+        # step suite builds it.
+        for key, (section, attr, parser) in _SCHEMA.items():
+            if parser is not float:
+                continue
+            value = getattr(self if section is None else getattr(self, section), attr)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         # parse_config reads '#' as the start of a comment, strips each value and
         # reads the file line by line, so a manifest could not carry such a
         # value back.

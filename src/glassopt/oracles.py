@@ -19,16 +19,15 @@ from . import netkit
 from .glass import density_matrix, optimal_kernel_weight, rademacher_signs, variation_bound
 from .netkit import Batch, ConfigError, ModelSpec
 
-_CHUNK = 20_000
-# Elements per row block of the in-place passes over a chunk: the block bounds
-# the temporaries those passes allocate (about 0.5 MB each).
-_BLOCK_ELEMS = 1 << 16
+# Every sample chunk holds at most this many float64 elements (1 MiB), so the
+# few chunk-size arrays an oracle works in take a few MiB, whatever its sample
+# count and sample length.
+_CHUNK_ELEMS = 1 << 17
 
 
-def _row_blocks(rows: int, cols: int):
-    step = max(1, _BLOCK_ELEMS // cols)
-    for lo in range(0, rows, step):
-        yield slice(lo, min(lo + step, rows))
+def _chunk_rows(total: int, cols: int) -> int:
+    """Rows of a chunk of samples of length cols: at least one, at most total."""
+    return max(1, min(total, _CHUNK_ELEMS // cols))
 
 
 def _draw(rng: np.random.Generator, density: str, out: np.ndarray) -> np.ndarray:
@@ -42,12 +41,15 @@ def _draw(rng: np.random.Generator, density: str, out: np.ndarray) -> np.ndarray
     return rng.standard_normal(out=out)
 
 
-def _sample_chunks(rng: np.random.Generator, density: str, total: int, cols: int, rows: int):
-    """Yield total samples of length cols as (m, cols) chunks of at most rows samples.
+def _sample_chunks(rng: np.random.Generator, density: str, total: int, cols: int):
+    """Yield total samples of length cols as (m, cols) chunks of _chunk_rows(total, cols) rows.
 
-    Every chunk is drawn into one reused (rows, cols) buffer, so a chunk is
-    only valid until the next one is drawn; callers may overwrite it.
+    The last chunk may be shorter. Every chunk is drawn into one reused
+    buffer of at most _CHUNK_ELEMS elements (one row when cols exceeds it),
+    so a chunk is only valid until the next one is drawn; callers may
+    overwrite it. The samples are those of one draw of shape (total, cols).
     """
+    rows = _chunk_rows(total, cols)
     buf = np.empty((rows, cols))
     for lo in range(0, total, rows):
         yield _draw(rng, density, buf[: min(rows, total - lo)])
@@ -102,19 +104,19 @@ def glass_walk_expectation(sim: SyntheticGlass1D) -> GlassWalkResult:
     move of length lam, giving Delta = lam * sum_j ((n-j)/n) * kick_j. The
     reflected trajectory |Delta| models a local loss floor; its mean is
     predicted to be sqrt(2 rho lam^3 / (3 pi)) and the unreflected variance
-    rho lam^3 / 3.
+    rho lam^3 / 3. Trials are drawn in 1 MiB chunks (see _sample_chunks),
+    about 131 trials of 1000 kinks each, and the four moment sums are
+    accumulated chunk by chunk, so only their round-off depends on the chunk
+    size.
     """
     rng = np.random.default_rng(sim.seed)
     n = sim.n_kinks
     weights = (n - np.arange(1, n + 1)) / n
     kick_scale = math.sqrt(sim.rho * sim.lam / n)
     density = "normal" if sim.kick == "gauss" else "rademacher"
-    # At least one row: past 256 * _CHUNK kinks the quotient is 0 and the loop
-    # would never advance.
-    rows = min(max(_CHUNK // max(n // 256, 1), 1), sim.trials)
-    delta_buf = np.empty(rows)
+    delta_buf = np.empty(_chunk_rows(sim.trials, n))
     s_abs = s_sq = s_delta = s_quad = 0.0
-    for kicks in _sample_chunks(rng, density, sim.trials, n, rows):
+    for kicks in _sample_chunks(rng, density, sim.trials, n):
         delta = np.matmul(kicks, weights, out=delta_buf[: kicks.shape[0]])
         delta *= sim.lam * kick_scale
         s_abs += float(np.sum(np.abs(delta)))
@@ -194,11 +196,15 @@ class McEstimatorResult:
     n_samples: int
 
 
-def _kernel_estimates(delta: np.ndarray, mt: np.ndarray, kspec, out: np.ndarray) -> np.ndarray:
-    """est = kappa(delta) * (delta M^T) for a chunk of samples (rows), written into out."""
-    est = np.matmul(delta, mt, out=out[: delta.shape[0]])
-    for blk in _row_blocks(*est.shape):
-        est[blk] *= optimal_kernel_weight(delta[blk], kspec)
+def _kernel_estimates(delta: np.ndarray, mt: np.ndarray, kspec, work: np.ndarray) -> np.ndarray:
+    """est = kappa(delta) * (delta M^T) for a chunk of samples (rows).
+
+    work is a (2, rows, d) buffer: est is written into work[0], and the
+    kernel weight is computed in work[1].
+    """
+    m = delta.shape[0]
+    est = np.matmul(delta, mt, out=work[0, :m])
+    est *= optimal_kernel_weight(delta, kspec, out=work[1, :m])
     return est
 
 
@@ -227,19 +233,21 @@ def mc_estimator(
 ) -> McEstimatorResult:
     """Sample kappa(delta_i) * (M delta)_i and report bias and variance per index.
 
-    Samples are drawn in chunks of at most _CHUNK rows into one reused
-    buffer. Unrestricted Rademacher runs, whose kernel is the identity, sum
-    only the sign Gram matrix G = U^T U of each chunk and read both
-    per-index sums off G (see _gram_sums): no M product and no kernel pass
-    per sample. Normal and restricted runs form every estimate directly.
+    Samples are drawn in 1 MiB chunks (see _sample_chunks), 655 samples at
+    d = 200, into one reused buffer. Unrestricted Rademacher runs, whose
+    kernel is the identity, sum only the sign Gram matrix G = U^T U of each
+    chunk and read both per-index sums off G (see _gram_sums): no M product
+    and no kernel pass per sample. Normal and restricted runs form every
+    estimate directly, in buffers of the chunk's shape, and sum them chunk by
+    chunk.
     """
     if n_samples < 1000:
         raise ConfigError("estimator sampling needs at least 1e3 samples")
     d = tm.M.shape[0]
     diag = tm.diagonal
     rng = np.random.default_rng(seed)
-    rows = min(_CHUNK, n_samples)
-    chunks = _sample_chunks(rng, density, n_samples, d, rows)
+    rows = _chunk_rows(n_samples, d)
+    chunks = _sample_chunks(rng, density, n_samples, d)
     restricted = kspec.restrict > 0
     if density == "rademacher" and kspec.density == "rademacher" and not restricted:
         sums, sums_sq = _gram_sums(tm.M, chunks)
@@ -249,13 +257,13 @@ def mc_estimator(
         sums_sq = np.zeros(d)
         n_acc = np.zeros(d, dtype=np.int64)
         mt = np.ascontiguousarray(tm.M.T)
-        # One chunk's working set: the draw, est and the acceptance mask. Once
-        # est is formed the draw is dead, and its memory holds |delta| and
-        # est^2 in turn.
-        y_buf = np.empty((rows, d))
+        # One chunk's working set: the draw, est, the kernel weight and the
+        # acceptance mask. Once est is formed the draw is dead, and its memory
+        # holds |delta| and est^2 in turn.
+        work = np.empty((2, rows, d))
         mask_buf = np.empty((rows, d), dtype=bool) if restricted else None
         for delta in chunks:
-            est = _kernel_estimates(delta, mt, kspec, y_buf)
+            est = _kernel_estimates(delta, mt, kspec, work)
             if restricted:
                 mask = mask_buf[: delta.shape[0]]
                 np.greater_equal(np.abs(delta, out=delta), kspec.restrict, out=mask)
@@ -315,12 +323,11 @@ def mc_aggregate_bias(
     d = tm.M.shape[0]
     diag = tm.diagonal
     rng = np.random.default_rng(seed)
-    rows = min(_CHUNK, n_samples)
     mt = np.ascontiguousarray(tm.M.T)
-    y_buf = np.empty((rows, d))
+    work = np.empty((2, _chunk_rows(n_samples, d), d))
     agg_sum = agg_sum_sq = 0.0
-    for delta in _sample_chunks(rng, density, n_samples, d, rows):
-        est = _kernel_estimates(delta, mt, kspec, y_buf)
+    for delta in _sample_chunks(rng, density, n_samples, d):
+        est = _kernel_estimates(delta, mt, kspec, work)
         row_mean = np.subtract(est, diag, out=delta).mean(axis=1)
         agg_sum += float(row_mean.sum())
         agg_sum_sq += float(np.sum(row_mean * row_mean))

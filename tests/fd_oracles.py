@@ -183,10 +183,17 @@ def reference_rademacher_signs(rng, shape):
 
 # The Monte-Carlo oracles as they were before they reused buffers, frozen: the
 # chunk sizes, draw order and reduction order that glassopt.oracles must keep,
-# with every temporary allocated afresh. The buffer-reusing versions must
-# agree with them bitwise, except the Gram-matrix path of mc_estimator, which
-# sums the same estimates in another order and must agree to round-off.
-_CHUNK = 20_000
+# with every temporary allocated afresh. A chunk of samples of length cols
+# fills at most 1 MiB of float64, and never less than one row. The
+# buffer-reusing versions must agree with them bitwise, except the Gram-matrix
+# path of mc_estimator, which sums the same estimates in another order and
+# must agree to round-off.
+_CHUNK_BYTES = 1 << 20
+
+
+def _reference_chunk_rows(total, cols):
+    """Samples per chunk: as many length-cols float64 rows as fit in _CHUNK_BYTES."""
+    return min(total, max(_CHUNK_BYTES // (8 * cols), 1))
 
 
 def _reference_draw(rng, density, shape):
@@ -203,7 +210,7 @@ def reference_glass_walk_expectation(sim):
     s_abs = s_sq = s_delta = s_quad = 0.0
     done = 0
     while done < sim.trials:
-        m = min(_CHUNK // max(n // 256, 1), sim.trials - done)
+        m = min(_reference_chunk_rows(sim.trials, n), sim.trials - done)
         kicks = _reference_draw(rng, "normal" if sim.kick == "gauss" else "rademacher", (m, n))
         delta = sim.lam * kick_scale * (kicks @ weights)
         s_abs += float(np.sum(np.abs(delta)))
@@ -245,7 +252,7 @@ def reference_mc_estimator(tm, density, kspec, n_samples, seed):
     mt = np.ascontiguousarray(tm.M.T)
     done = 0
     while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
+        m = min(_reference_chunk_rows(n_samples, d), n_samples - done)
         delta = _reference_draw(rng, density, (m, d))
         y = delta @ mt
         est = optimal_kernel_weight(delta, kspec) * y

@@ -32,6 +32,19 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["verify", "--suite", "naq"], ["simulate", "glass-walk"],
+                ["simulate", "underdetermined-ls"]]
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "DIR"
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*command, "--seed", "-1", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_glass_walk_report(self, tmp_path, capsys):
         code = cli.main(

@@ -291,6 +291,16 @@ class TestKernels:
         c = glass.kernel_constant("rademacher", np.array([0.0, 1.0, 3.0]))
         assert np.allclose(c, [1.0, 0.5, 0.25], rtol=1e-15)
 
+    @pytest.mark.parametrize("density", ["normal", "rademacher"])
+    def test_weight_computed_in_out_is_the_kernel_formula(self, density):
+        x = np.random.default_rng(0).standard_normal((7, 5))
+        kspec = glass.make_kernel(density, np.linspace(0.2, 1.0, 5))
+        want = x.copy() if density == "rademacher" else x / ((x * x + kspec.omega2) * kspec.c)
+        out = np.empty_like(x)
+        assert glass.optimal_kernel_weight(x, kspec, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert glass.optimal_kernel_weight(x, kspec).tobytes() == want.tobytes()
+
     def test_restricted_kernel_zero_below_threshold(self):
         kspec = glass.make_kernel("normal", 1.0, restrict=1.0)
         assert glass.optimal_kernel_weight(0.5, kspec) == 0.0

@@ -62,10 +62,12 @@ class TestGlassWalk:
         assert 0.5 * 0.8 < ratio < 0.5 * 1.2
 
     def test_more_kinks_than_a_chunk_holds(self):
-        n = 256 * (oracles._CHUNK + 1)  # a chunk of _CHUNK // (n // 256) = 0 rows
+        # One trial is one element past the chunk budget, so every chunk is one row.
+        n = oracles._CHUNK_ELEMS + 1
         sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, n_kinks=n, trials=2, seed=0)
         result = oracles.glass_walk_expectation(sim)
         assert result.trials == 2 and math.isfinite(result.mean_abs) and result.mean_abs > 0
+        assert_bitwise_equal(result, reference_glass_walk_expectation(sim))
 
     def test_invalid_parameters(self):
         for bad in (-1.0, math.nan, math.inf):
@@ -84,7 +86,9 @@ class TestBoundedWorkspaces:
     @pytest.mark.parametrize("kick", ["gauss", "rademacher"])
     @pytest.mark.parametrize("n_kinks, trials", [(1000, 15_001), (300, 45_001), (7, 333)])
     def test_walk_bitwise_equal_to_reference(self, kick, n_kinks, trials):
-        # 15_001 and 45_001 trials leave a partial last chunk (6666 and 20000 rows).
+        # 15_001 trials of 1000 kinks are 115 chunks of 131 rows, the last of 67;
+        # 45_001 of 300 kinks are 104 chunks of 436, the last of 93; 333 of 7
+        # kinks are one chunk, shorter than the 18_724 rows a chunk holds.
         sim = oracles.SyntheticGlass1D(
             rho=1.3, lam=0.7, n_kinks=n_kinks, trials=trials, seed=3, kick=kick
         )
@@ -98,6 +102,8 @@ class TestBoundedWorkspaces:
     @pytest.mark.parametrize("n_samples", [45_001, 1000])
     def test_estimator_bitwise_equal_to_reference(self, density, restrict, n_samples):
         # Every path but the unrestricted Rademacher one forms each estimate.
+        # At d = 50 a chunk holds 2621 samples: 45_001 are 18 chunks, the last
+        # of 444, and 1000 are one.
         tm = oracles.TestMatrix.random_diag_dominant(50, seed=7)
         kspec = glass.make_kernel(density, tm.dominance, restrict=restrict)
         assert_bitwise_equal(
@@ -118,7 +124,8 @@ class TestBoundedWorkspaces:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("d, n_samples", [(2, 1000), (7, 3001), (50, 21_001), (200, 20_500)])
     def test_gram_path_matches_the_per_sample_loop(self, d, n_samples, seed):
-        # n_samples past 20_000 leaves a partial last chunk (1001 and 500 rows).
+        # 21_001 samples at d = 50 are 9 chunks of 2621, the last of 33; 20_500
+        # at d = 200 are 32 chunks of 655, the last of 195; the rest are one chunk.
         tm = oracles.TestMatrix.random_diag_dominant(d, seed=seed)
         kspec = glass.make_kernel("rademacher", tm.dominance)
         got = oracles.mc_estimator(tm, "rademacher", kspec, n_samples, seed=seed + 10)
@@ -134,38 +141,62 @@ class TestBoundedWorkspaces:
 
     @pytest.mark.parametrize("density", ["rademacher", "normal"])
     def test_estimator_peak_memory(self, density):
-        # One 20_000 x 200 chunk is 32 MB and the loop holds two (65 MB);
-        # allocating per chunk peaks at 160 MB, and one more chunk-size
-        # temporary would pass 80 MB.
+        # A 1 MiB chunk is 655 x 200 samples. The Gram path (rademacher) peaks
+        # at 2.0 MB, the direct path (normal) at 3.5 MB: the draw, est and the
+        # kernel weight. One more chunk-size array would pass either bound.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance)
         peak = warm_peak_mb(
             lambda: oracles.mc_estimator(tm, density, kspec, 100_000, seed=1),
             lambda: oracles.mc_estimator(tm, density, kspec, 1000, seed=1),
         )
-        assert peak <= 80.0
+        assert peak <= {"rademacher": 3.0, "normal": 4.5}[density]
 
     def test_gram_path_peak_memory(self):
-        # The Gram path holds one 32 MB 20_000 x 200 sign chunk and the 0.3 MB
-        # G, its per-chunk product and the final products; a second
-        # chunk-size array (y or est) would pass 34 MB.
+        # The Gram path holds one 1 MiB sign chunk and the 0.3 MB G, its
+        # per-chunk product and the final products (2.0 MB); a second
+        # chunk-size array (y or est) would pass 3 MB.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel("rademacher", tm.dominance)
         peak = warm_peak_mb(
             lambda: oracles.mc_estimator(tm, "rademacher", kspec, 100_000, seed=1),
             lambda: oracles.mc_estimator(tm, "rademacher", kspec, 1000, seed=1),
         )
-        assert peak <= 34.0
+        assert peak <= 3.0
+
+    @pytest.mark.parametrize("density, restrict", [("rademacher", 0.5), ("normal", 1.0)])
+    def test_restricted_estimator_peak_memory(self, density, restrict):
+        # 4.8 MB: the direct path's arrays, the acceptance mask, and the
+        # masked kernel weight with its |delta|.
+        tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
+        kspec = glass.make_kernel(density, tm.dominance, restrict=restrict)
+        peak = warm_peak_mb(
+            lambda: oracles.mc_estimator(tm, density, kspec, 10_000, seed=1),
+            lambda: oracles.mc_estimator(tm, density, kspec, 1000, seed=1),
+        )
+        assert peak <= 5.75
+
+    @pytest.mark.parametrize("density", ["rademacher", "normal"])
+    def test_aggregate_bias_peak_memory(self, density):
+        # 3.6 MB (rademacher) and 3.5 MB (normal): the draw, est and the
+        # kernel weight.
+        tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
+        kspec = glass.make_kernel(density, tm.dominance)
+        peak = warm_peak_mb(
+            lambda: oracles.mc_aggregate_bias(tm, density, kspec, 10_000, seed=1),
+            lambda: oracles.mc_aggregate_bias(tm, density, kspec, 1000, seed=1),
+        )
+        assert peak <= 4.5
 
     @pytest.mark.parametrize("kick", ["gauss", "rademacher"])
     def test_walk_peak_memory(self, kick):
-        # One 6666 x 1000 chunk is 53 MB; allocating per chunk peaks at 107 MB
-        # (Gaussian) and 160 MB (Rademacher).
+        # One 131 x 1000 chunk is 1 MiB; the walk peaks at 1.1 MB (Gaussian)
+        # and 1.3 MB (Rademacher, whose signs are unpacked in blocks).
         def walk(trials):
             sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, trials=trials, seed=0, kick=kick)
             return oracles.glass_walk_expectation(sim)
 
-        assert warm_peak_mb(lambda: walk(100_000), lambda: walk(10)) <= 60.0
+        assert warm_peak_mb(lambda: walk(100_000), lambda: walk(10)) <= 2.0
 
 
 class TestTestMatrix:
