@@ -118,10 +118,10 @@ def cmd_simulate(args) -> int:
 
 def seed(raw: str) -> int:
     """A --seed value: a nonnegative int, as numpy's generators and config seeds take."""
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+    try:
+        return oracles.check_seed(int(raw))
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

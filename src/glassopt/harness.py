@@ -12,9 +12,11 @@ are the only non-reproducible output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -805,18 +807,22 @@ def _suite_step(seed: int) -> list[CheckRow]:
     ]
 
 
+def _walk_rows(kick: str, seed: int) -> list[CheckRow]:
+    """The walk suite's two rows for one kick distribution, from its own seeded walk."""
+    sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, trials=100_000, seed=seed, kick=kick)
+    res = oracles.glass_walk_expectation(sim)
+    ratio = res.mean_abs / res.predicted_mean_abs
+    var_ratio = res.variance / res.predicted_variance
+    return [
+        CheckRow(f"mean_abs_ratio_{kick}", ratio, 1.0, res.mean_abs_se, res.trials,
+                 0.98 <= ratio <= 1.02),
+        CheckRow(f"variance_ratio_{kick}", var_ratio, 1.0, res.variance_se, res.trials,
+                 0.98 <= var_ratio <= 1.02),
+    ]
+
+
 def _suite_walk(seed: int) -> list[CheckRow]:
-    rows = []
-    for kick in ("gauss", "rademacher"):
-        sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, trials=100_000, seed=seed, kick=kick)
-        res = oracles.glass_walk_expectation(sim)
-        ratio = res.mean_abs / res.predicted_mean_abs
-        var_ratio = res.variance / res.predicted_variance
-        rows.append(CheckRow(f"mean_abs_ratio_{kick}", ratio, 1.0, res.mean_abs_se,
-                             res.trials, 0.98 <= ratio <= 1.02))
-        rows.append(CheckRow(f"variance_ratio_{kick}", var_ratio, 1.0, res.variance_se,
-                             res.trials, 0.98 <= var_ratio <= 1.02))
-    return rows
+    return _walk_rows("gauss", seed) + _walk_rows("rademacher", seed)
 
 
 VERIFY_SUITES = {
@@ -828,24 +834,95 @@ VERIFY_SUITES = {
 }
 
 
+def _gauss_walk_worker(conn, seed: int) -> None:
+    """Worker-process target: send the Gaussian-kick walk rows, or the exception, then exit.
+
+    An exception is sent with its formatted traceback, which pickling drops.
+    """
+    try:
+        reply = ("rows", _walk_rows("gauss", seed))
+    except Exception as exc:  # noqa: BLE001 - the caller raises it at the walk's position
+        import traceback
+
+        reply = ("error", exc, traceback.format_exc())
+    conn.send(reply)
+    conn.close()
+
+
+@contextlib.contextmanager
+def _gauss_walk_process(seed: int):
+    """Run the Gaussian-kick walk in a worker process; yield a function returning its rows.
+
+    The worker is forked on Linux, so it starts with glassopt already
+    imported (Python 3.14 defaults to forkserver there, which would import it
+    again); elsewhere the platform's default start method runs the
+    module-level target. A fork is safe only while this process runs no other
+    thread, as the CLI does. Only the rows or the exception cross the pipe,
+    and the worker prints nothing. It is terminated if the block raises, and
+    reaped on every exit. multiprocessing is imported here, so that no other
+    command pays for its import.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    receive, send = ctx.Pipe(duplex=False)
+    # A forked worker would write out a copy of anything still buffered.
+    # multiprocessing's fork start flushes too, but does not document it.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    worker = ctx.Process(target=_gauss_walk_worker, args=(send, seed), daemon=True)
+    worker.start()
+    send.close()
+
+    def rows() -> list[CheckRow]:
+        try:
+            reply = receive.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(
+                f"the Gaussian walk worker exited with code {worker.exitcode} before replying"
+            ) from None
+        if reply[0] == "error":
+            raise reply[1] from RuntimeError(f"in the Gaussian walk worker:\n{reply[2]}")
+        return reply[1]
+
+    try:
+        yield rows
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        worker.join()
+        receive.close()
+
+
 def run_verify_suite(suite: str, seed: int = 0) -> list[CheckRow]:
     """Run one named verification suite (or all of them) and return its checks.
 
-    "all" runs the walk suite on a second thread while the other suites run
-    on this one; numpy's RNG and BLAS release the GIL, so the two overlap.
-    Each suite draws from its own seeded Generator and shares no state with
-    the others, so the rows are those of the serial runs. They come back in
-    VERIFY_SUITES order, and an exception from any suite is raised at that
-    suite's position.
+    "all" runs the walk suite's Gaussian-kick walk, its longest part, in a
+    worker process, while this process runs the kernel, glass, naq and step
+    suites and then the Rademacher-kick walk. A second thread would share
+    this one's interpreter lock, which the other suites hold between their
+    array passes. Each suite, and each kick of the walk, draws from its own
+    seeded Generator and shares no state with the others, so the rows are
+    those of the serial runs. They come back in VERIFY_SUITES order, and an
+    exception from any suite is raised at that suite's position; if both
+    kicks fail, the Gaussian one's is raised, as in a serial walk suite.
+    A single suite runs serially in this process.
     """
+    oracles.check_seed(seed)
     if suite == "all":
-        from concurrent.futures import ThreadPoolExecutor
-
         rows = []
-        with ThreadPoolExecutor(max_workers=1) as lane:
-            walk = lane.submit(run_verify_suite, "walk", seed)
+        with _gauss_walk_process(seed) as gauss_rows:
             for name in VERIFY_SUITES:
-                rows.extend(walk.result() if name == "walk" else run_verify_suite(name, seed))
+                if name != "walk":
+                    rows += run_verify_suite(name, seed)
+                    continue
+                try:
+                    rademacher = _walk_rows("rademacher", seed)
+                finally:  # a Gaussian error comes first, as in the serial walk suite
+                    rows += gauss_rows()
+                rows += rademacher
         return rows
     if suite not in VERIFY_SUITES:
         raise ConfigError(f"unknown suite {suite!r}, expected one of {(*VERIFY_SUITES, 'all')}")

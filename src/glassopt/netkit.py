@@ -13,18 +13,18 @@ The ReLU derivative at a pre-activation of exactly zero is 0: a unit sitting
 on its threshold counts as inactive. Every function here is pure in
 (spec, params, batch) and safe to call from multiple threads.
 
-gradient allocates no (batch x width) temporaries once warm, except the
-square behind the mse loss value, and no parameter-length array but the
-gradient it returns. Each thread keeps a private workspace, keyed
+gradient and loss allocate no (batch x width) temporaries once warm, except
+the square behind the mse loss value, and gradient no parameter-length array
+but the gradient it returns. Each thread keeps a private workspace, keyed
 by (layer widths, batch size) and rebuilt only when that key changes: one
 (batch x width) buffer per layer, which holds the layer's pre-activation, then
 its ReLU output (in place), then the backward signal that replaces it (for the
 output layer, the loss derivative, written in place), plus one bool buffer for
-the finiteness checks and ReLU masks. gradient runs its forward pass through
-forward, handing it the workspace; nothing in the workspace leaves gradient,
-every call returns a fresh gradient array, and concurrent calls from several
-threads stay safe. Called without a workspace, forward allocates every array
-it returns, so callers may keep them.
+the finiteness checks and ReLU masks. gradient and loss run their forward pass
+through forward, handing it the workspace; nothing in the workspace leaves
+either, every gradient call returns a fresh gradient array, and concurrent
+calls from several threads stay safe. Called without a workspace, forward
+allocates every array it returns, so callers may keep them.
 """
 
 from __future__ import annotations
@@ -283,13 +283,6 @@ def _loss_and_dout(spec: ModelSpec, out: np.ndarray, targets: np.ndarray):
     return value, p
 
 
-def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
-    """Mean loss of the batch."""
-    _check_batch(spec, batch)
-    _, acts = forward(spec, params, batch.inputs)
-    return _loss_and_dout(spec, acts[-1], batch.targets)[0]
-
-
 _workspace = threading.local()
 
 
@@ -307,6 +300,15 @@ def _workspace_buffers(spec: ModelSpec, n: int):
         _workspace.masks = [flags[: n * w].reshape(n, w) for w in widths]
         _workspace.key = key
     return _workspace.layers, _workspace.flags, _workspace.masks
+
+
+def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
+    """Mean loss of the batch, from a forward pass through this thread's workspace."""
+    params = _check_params(spec, params)
+    _check_batch(spec, batch)
+    layers, flags, _ = _workspace_buffers(spec, batch.size)
+    _, acts = forward(spec, params, batch.inputs, workspace=(layers, flags))
+    return _loss_and_dout(spec, acts[-1], batch.targets)[0]
 
 
 def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch):

@@ -25,6 +25,18 @@ from .netkit import Batch, ConfigError, ModelSpec
 _CHUNK_ELEMS = 1 << 17
 
 
+def check_seed(seed: int) -> int:
+    """seed as an int; ConfigError unless it is an integer >= 0, as numpy's generators need.
+
+    Every oracle that takes a seed checks it on entry, before any work.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def _chunk_rows(total: int, cols: int) -> int:
     """Rows of a chunk of samples of length cols: at least one, at most total."""
     return max(1, min(total, _CHUNK_ELEMS // cols))
@@ -84,6 +96,7 @@ class SyntheticGlass1D:
             raise ConfigError("need at least one kink and one trial")
         if self.kick not in ("gauss", "rademacher"):
             raise ConfigError(f"unknown kick distribution {self.kick!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -172,7 +185,7 @@ class TestMatrix:
     @staticmethod
     def random_diag_dominant(d: int, seed: int, omega_max: float = 1.0) -> "TestMatrix":
         """Random matrix with |diagonal| in [0.5, 1.5] and omega_i^2 <= omega_max."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(seed))
         diag = rng.uniform(0.5, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
         omega2 = rng.uniform(0.2, omega_max, size=d)
         off = rng.standard_normal((d, d))
@@ -245,7 +258,7 @@ def mc_estimator(
         raise ConfigError("estimator sampling needs at least 1e3 samples")
     d = tm.M.shape[0]
     diag = tm.diagonal
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     rows = _chunk_rows(n_samples, d)
     chunks = _sample_chunks(rng, density, n_samples, d)
     restricted = kspec.restrict > 0
@@ -322,7 +335,7 @@ def mc_aggregate_bias(
         raise ConfigError("the aggregate bias needs an unrestricted kernel")
     d = tm.M.shape[0]
     diag = tm.diagonal
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     mt = np.ascontiguousarray(tm.M.T)
     work = np.empty((2, _chunk_rows(n_samples, d), d))
     agg_sum = agg_sum_sq = 0.0
@@ -359,6 +372,7 @@ def build_uniform_preactivation_net(
     the pre-activations land on a seeded uniform draw, which makes the
     uniformity assumption of the density-matrix bound hold by construction.
     """
+    check_seed(seed)
     spec = ModelSpec((n_in, n_hidden, 1), "mse")
     params = netkit.build_model(spec, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x67A55]))
@@ -400,6 +414,7 @@ def mc_variation(
     """
     if delta_scale < 0:
         raise ConfigError("delta_scale must be >= 0")
+    check_seed(seed)
     spec, params, batch = scenario.spec, scenario.params, scenario.batch
     d = spec.param_count
     records = netkit.relu_introspect(spec, params, batch, scenario.psi)
@@ -455,7 +470,7 @@ def underdetermined_ls(
     overshoots while a small damped fraction of it reduces the loss.
     zero_rhs forces b = 0 (the trivial fixed point at the origin).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     a = rng.standard_normal((n_rows, n_cols))
     b = np.zeros(n_rows) if zero_rhs else rng.standard_normal(n_rows)
 
@@ -563,7 +578,7 @@ class StaircaseGradientField:
 
     @staticmethod
     def random(d: int, n_kinks: int, span: float, magnitude: float, seed: int):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(seed))
         thresholds = np.sort(rng.uniform(-span, span, size=(d, n_kinks)), axis=1)
         signs = rademacher_signs(rng, (d, n_kinks))
         return StaircaseGradientField(thresholds, signs, float(magnitude))

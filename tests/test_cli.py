@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from glassopt import cli, harness
 from glassopt.harness import ExperimentConfig, serialize_config
-from glassopt.netkit import ModelSpec
+from glassopt.netkit import ConfigError, ModelSpec
 
 
 def write_config(tmp_path, cfg, name="run.cfg"):
@@ -30,6 +31,38 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "--suite", "bogus"])
         assert excinfo.value.code == 2
+
+
+    @pytest.mark.parametrize("outcome, code", [("pass", 0), ("fail", 1), ("config error", 2)])
+    def test_all_leaves_no_process_behind(self, tmp_path, capsys, monkeypatch, outcome, code):
+        def walk_rows(kick, seed):
+            if kick == "gauss" and outcome == "config error":
+                raise ConfigError("no walk")
+            return [harness.CheckRow(kick, 0.0, 0.0, 0.0, 1, outcome == "pass")]
+
+        monkeypatch.setattr(harness, "_walk_rows", walk_rows)
+        for name in ("kernel", "glass", "naq", "step"):
+            monkeypatch.setitem(harness.VERIFY_SUITES, name, lambda seed: [])
+        assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path)]) == code
+        assert multiprocessing.active_children() == []
+        assert ("config error: no walk" in capsys.readouterr().err) == (outcome == "config error")
+
+    def test_all_flushes_before_it_forks(self):
+        # Piped stdout is block-buffered, so "started" is still in the buffer
+        # when the walk worker is forked; unflushed, the worker would print it
+        # again as it exits.
+        script = textwrap.dedent("""
+            from glassopt import harness
+            harness._walk_rows = lambda kick, seed: [harness.CheckRow(kick, 0, 0, 0, 1, True)]
+            for name in ("kernel", "glass", "naq", "step"):
+                harness.VERIFY_SUITES[name] = lambda seed: []
+            print("started")
+            print(len(harness.run_verify_suite("all")))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "started\n2\n", "")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
 import threading
 import tracemalloc
 from pathlib import Path
@@ -704,21 +706,27 @@ class TestVerifySuites:
         ]
 
     def test_all_equals_the_single_suites_in_order(self):
-        # Every oracle chunk holds at most 1 MiB, so the whole run, both lanes
-        # together, peaks near 7.5 MB; chunks of 20_000 rows peaked at 121 MB.
+        # Every oracle chunk holds at most 1 MiB. The worker's Gaussian walk is
+        # invisible to this process's tracemalloc, so the bound covers this
+        # process's part of "all" (near 4.3 MB), and then, on its own, a
+        # walk suite run in this process, Gaussian walk included (1.2 MB).
         tracemalloc.start()
         try:
             together = harness.run_verify_suite("all", seed=0)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+            peaks_mb = [tracemalloc.get_traced_memory()[1] / 1e6]
+            tracemalloc.reset_peak()
+            walk = harness.run_verify_suite("walk", seed=0)
+            peaks_mb.append(tracemalloc.get_traced_memory()[1] / 1e6)
         finally:
             tracemalloc.stop()
-        assert peak_mb <= 16.0
-        alone = [row for name in harness.VERIFY_SUITES for row in harness.run_verify_suite(name, 0)]
+        assert max(peaks_mb) <= 16.0
+        alone = [row for name in harness.VERIFY_SUITES if name != "walk"
+                 for row in harness.run_verify_suite(name, 0)] + walk
         assert [repr(r) for r in together] == [repr(r) for r in alone]
 
-    @pytest.mark.parametrize("failing", ["walk", "kernel"])
-    def test_suite_exception_propagates_from_all(self, monkeypatch, failing):
-        broken = {failing}
+    @staticmethod
+    def _fake_suites(monkeypatch, broken):
+        """Replace every suite and both walk kicks with one-row fakes; names in broken raise."""
 
         def fake(name):
             def run(seed):
@@ -730,31 +738,65 @@ class TestVerifySuites:
 
         for name in harness.VERIFY_SUITES:
             monkeypatch.setitem(harness.VERIFY_SUITES, name, fake(name))
-        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        monkeypatch.setattr(harness, "_walk_rows", lambda kick, seed: fake(kick)(seed))
+
+    @pytest.mark.parametrize(
+        "failing",
+        [{"kernel"}, {"gauss"}, {"rademacher"}, {"gauss", "rademacher"}],
+        ids=["kernel", "walk", "rademacher", "both_kicks"],
+    )
+    def test_suite_exception_propagates_from_all(self, monkeypatch, failing):
+        broken = set(failing)
+        self._fake_suites(monkeypatch, broken)
+        # The Gaussian kick runs first in a serial walk suite, so its error wins.
+        first = min(failing, key=["kernel", "gauss", "rademacher"].index)
+        with pytest.raises(RuntimeError, match=f"{first} failed") as raised:
             harness.run_verify_suite("all", seed=0)
+        if first == "gauss":
+            assert "in the Gaussian walk worker" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
         broken.clear()
         rows = harness.run_verify_suite("all", seed=3)
-        assert [r.quantity for r in rows] == list(harness.VERIFY_SUITES)
+        assert [r.quantity for r in rows] == ["kernel", "glass", "naq", "step", "gauss",
+                                              "rademacher"]
+        assert [r.empirical for r in rows] == [3.0] * 6
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_reported_and_reaped(self, monkeypatch):
+        self._fake_suites(monkeypatch, set())
+        monkeypatch.setattr(harness, "_walk_rows",
+                            lambda kick, seed: os._exit(3) if kick == "gauss" else [])
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            harness.run_verify_suite("all", seed=0)
+        assert multiprocessing.active_children() == []
 
     def test_walk_runs_beside_the_other_suites(self, monkeypatch):
-        # The kernel suite waits for the walk suite to start: a serial "all"
-        # would block here until the timeout.
-        walk_started = threading.Event()
-        threads = {}
+        # The kernel suite waits for the Gaussian walk to start, through an
+        # Event the forked worker inherits: a serial "all" would block here
+        # until the timeout.
+        gauss_started = multiprocessing.get_context("fork").Event()
 
-        def walk(seed):
-            threads["walk"] = threading.get_ident()
-            walk_started.set()
-            return [harness.CheckRow("walk", 0.0, 0.0, 0.0, 1, True)]
+        def walk_rows(kick, seed):
+            if kick == "gauss":
+                gauss_started.set()
+            return [harness.CheckRow(kick, float(os.getpid()), 0.0, 0.0, 1, True)]
 
         def kernel(seed):
-            threads["kernel"] = threading.get_ident()
-            return [harness.CheckRow("kernel", float(walk_started.wait(10.0)), 1.0, 0.0, 1, True)]
+            waited = gauss_started.wait(10.0)
+            return [harness.CheckRow("kernel", float(waited), 1.0, 0.0, 1, True)]
 
-        monkeypatch.setitem(harness.VERIFY_SUITES, "walk", walk)
+        monkeypatch.setattr(harness, "_walk_rows", walk_rows)
         monkeypatch.setitem(harness.VERIFY_SUITES, "kernel", kernel)
         for name in ("glass", "naq", "step"):
             monkeypatch.setitem(harness.VERIFY_SUITES, name, lambda seed: [])
         rows = harness.run_verify_suite("all", seed=0)
-        assert [(r.quantity, r.empirical) for r in rows] == [("kernel", 1.0), ("walk", 0.0)]
-        assert threads["kernel"] == threading.get_ident() != threads["walk"]
+        assert [(r.quantity, r.empirical) for r in rows[:1]] == [("kernel", 1.0)]
+        assert [r.quantity for r in rows[1:]] == ["gauss", "rademacher"]
+        assert rows[2].empirical == os.getpid() != rows[1].empirical
+
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch):
+        self._fake_suites(monkeypatch, set(harness.VERIFY_SUITES) | {"gauss", "rademacher"})
+        for suite in ("all", "naq", "walk"):
+            with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+                harness.run_verify_suite(suite, -1)
+        assert multiprocessing.active_children() == []

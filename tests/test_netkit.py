@@ -296,6 +296,38 @@ class TestWorkspaceGradient:
         assert peak < n * classes * 8
 
 
+class TestWorkspaceLoss:
+    """netkit.loss runs its forward pass through the same per-thread workspace."""
+
+    @pytest.mark.parametrize("n", [1, 128, 2000])
+    @pytest.mark.parametrize("loss_kind", ["mse", "xent"])
+    def test_bitwise_equal_to_the_allocating_forward(self, loss_kind, n):
+        spec, params, batch = random_model_and_batch(n, (6, 17, 11, 4), loss_kind, n)
+        _, acts = netkit.forward(spec, params, batch.inputs)
+        expected = netkit._loss_and_dout(spec, acts[-1], batch.targets)[0]
+        assert netkit.loss(spec, params, batch) == expected
+        netkit.gradient(spec, params, batch)  # the workspace is shared with gradient
+        assert netkit.loss(spec, params, batch) == expected
+
+    @pytest.mark.parametrize("loss_kind", ["mse", "xent"])
+    def test_warm_loss_allocates_no_batch_by_width_array(self, loss_kind):
+        # The narrowest hidden layer is 176 kB at n = 2000. A warm call
+        # allocates the mse square of the 4-wide output (64 kB) or the xent
+        # head's length-n vectors, and no hidden (n, width) array.
+        n = 2000
+        spec, params, batch = random_model_and_batch(11, (6, 17, 11, 4), loss_kind, n)
+        netkit.loss(spec, params, batch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            netkit.loss(spec, params, batch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < n * min(spec.layer_widths[1:-1]) * 8
+
+
 class TestReluIntrospect:
     def test_infinite_threshold_returns_all_units(self):
         spec, params, batch = random_model_and_batch(0, widths=(3, 5, 4, 2), n=4)

@@ -357,3 +357,34 @@ class TestSyntheticFields:
         m2 = glass.measure_variations(field.grad, np.zeros(4096), 0.04, 32, seed=10)
         report = glass.power_law(m1, m2, {"all": np.arange(4096)})
         assert report.exponent("all") == pytest.approx(1.0, abs=0.15)
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda seed: oracles.SyntheticGlass1D(rho=1.0, lam=1.0, seed=seed),
+            lambda seed: oracles.TestMatrix.random_diag_dominant(5, seed),
+            lambda seed: oracles.mc_estimator(
+                oracles.TestMatrix(np.eye(3)), "normal", glass.make_kernel("normal", 0.0), 1000,
+                seed),
+            lambda seed: oracles.mc_aggregate_bias(
+                oracles.TestMatrix(np.eye(3)), "normal", glass.make_kernel("normal", 0.0), 1000,
+                seed),
+            lambda seed: oracles.build_uniform_preactivation_net(seed=seed),
+            lambda seed: oracles.mc_variation(oracles.build_uniform_preactivation_net(), 1e-3,
+                                              2, seed),
+            lambda seed: oracles.underdetermined_ls(seed),
+            lambda seed: oracles.StaircaseGradientField.random(3, 4, 1.0, 1.0, seed),
+        ],
+    )
+    def test_every_seeded_oracle_rejects_a_negative_seed(self, entry):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            entry(-1)
+        with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+            entry(1.5)
+        entry(np.int64(2))
+
+    def test_check_seed_returns_a_python_int(self):
+        assert type(oracles.check_seed(np.uint8(7))) is int
+        assert oracles.check_seed(0) == 0
