@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .glass import rademacher_signs
-from .netkit import ConfigError, NumericsError, all_finite
+from .netkit import ConfigError, NumericsError, all_finite, check_seed
 
 LIMIT_METHODS = ("fixed", "sgdm", "adam")
 CURVATURE_TERMS = ("rho", "h_abs", "h_rms")
@@ -427,6 +427,7 @@ class Alice:
     """
 
     def __init__(self, params: np.ndarray, cfg: AliceConfig, seed: int = 0):
+        seed = check_seed(seed)
         self.cfg = cfg
         self.state = TopographyState.fresh(params)
         self.rng = np.random.default_rng(seed)

@@ -20,7 +20,7 @@ import sys
 
 from . import __version__, harness, oracles
 from .harness import CheckRow, write_report
-from .netkit import ConfigError
+from .netkit import ConfigError, check_seed
 
 
 def _print_rows(rows) -> bool:
@@ -119,7 +119,7 @@ def cmd_simulate(args) -> int:
 def seed(raw: str) -> int:
     """A --seed value: a nonnegative int, as numpy's generators and config seeds take."""
     try:
-        return oracles.check_seed(int(raw))
+        return check_seed(int(raw))
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -19,7 +19,6 @@ Conventions:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -27,10 +26,9 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .netkit import ConfigError, NumericsError, ReluUnitRecord
+from .netkit import ConfigError, NumericsError, ReluUnitRecord, check_seed
 
 DENSITIES = ("rademacher", "normal")
-_DENSITY_ALIASES = {"standard-normal": "normal", "gaussian": "normal"}
 
 # Integration window for the normal density, [restrict, restrict + 8]: the
 # Gaussian mass beyond it is below 1e-14 of the mass beyond restrict.
@@ -45,11 +43,9 @@ _GL_BLOCK = 64
 _SIGN_BLOCK = 1 << 16
 
 
-def _canonical_density(density: str) -> str:
-    density = _DENSITY_ALIASES.get(density, density)
+def _check_density(density: str) -> None:
     if density not in DENSITIES:
         raise ConfigError(f"unknown sample density {density!r}, expected one of {DENSITIES}")
-    return density
 
 
 def rademacher_signs(
@@ -104,7 +100,6 @@ class GlassDensityMatrix:
     weights: np.ndarray
     reach: np.ndarray
     layers: np.ndarray
-    psi: float
 
     @property
     def dim(self) -> int:
@@ -168,7 +163,7 @@ def density_matrix(
         if dim is None:
             raise ConfigError("dim is required to build a density matrix from no records")
         empty = np.zeros((0, dim))
-        return GlassDensityMatrix(empty, empty, np.zeros(0, dtype=np.intp), float(psi))
+        return GlassDensityMatrix(empty, empty, np.zeros(0, dtype=np.intp))
     width = len(records[0].grad_y)
     if dim is not None and dim != width:
         raise ConfigError(f"dim {dim} differs from the records' grad_y length {width}")
@@ -189,7 +184,7 @@ def density_matrix(
             "grad_y or dloss_dz"
         )
     layers = np.array([r.layer for r in records], dtype=np.intp)
-    return GlassDensityMatrix(weights, np.abs(gy, out=gy), layers, float(psi))
+    return GlassDensityMatrix(weights, np.abs(gy, out=gy), layers)
 
 
 def density_diag(matrix: GlassDensityMatrix) -> GlassDensityDiag:
@@ -261,7 +256,7 @@ class KernelSpec:
 
 def update_probability(density: str, restrict: float) -> float:
     """Probability that a sample coordinate survives the restriction."""
-    density = _canonical_density(density)
+    _check_density(density)
     if restrict <= 0:
         return 1.0
     if density == "rademacher":
@@ -313,7 +308,7 @@ def kernel_constant(density: str, omega2, restrict: float = 0.0):
     gives the same values as scalar calls, in its own shape. omega2 = 0
     gives exactly 1.
     """
-    density = _canonical_density(density)
+    _check_density(density)
     if restrict < 0:
         raise ConfigError("restriction threshold must be >= 0")
     omega2_arr = np.asarray(omega2, dtype=np.float64)
@@ -339,7 +334,7 @@ def kernel_constant(density: str, omega2, restrict: float = 0.0):
 
 def make_kernel(density: str, omega2, restrict: float = 0.0) -> KernelSpec:
     """Build a KernelSpec with its normalization constant precomputed."""
-    density = _canonical_density(density)
+    _check_density(density)
     return KernelSpec(
         density=density,
         omega2=np.asarray(omega2, dtype=np.float64) if np.ndim(omega2) else float(omega2),
@@ -410,13 +405,6 @@ class GradientVariationMeasurement:
     v: np.ndarray
     n_samples: int
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "v"])
-            for i, value in enumerate(self.v):
-                writer.writerow([i, repr(float(value))])
-
 
 def measure_variations(
     grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -431,6 +419,7 @@ def measure_variations(
     deterministic given the seed; calling with the same seed at a different
     lam reuses the same sign vectors (shared-seed pairing across scales).
     """
+    check_seed(seed)
     if not lam > 0:
         raise ConfigError("probe distance lam must be positive")
     if n_samples < 1:
@@ -471,15 +460,6 @@ class PowerLawReport:
     @property
     def undefined_partitions(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries if not e.defined)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["partition", "sum_v_lambda", "sum_v_2lambda", "p"])
-            for e in self.entries:
-                writer.writerow(
-                    [e.name, repr(e.sum_v_lambda), repr(e.sum_v_2lambda), repr(e.p)]
-                )
 
 
 def _check_partitions(partitions: Mapping[str, np.ndarray], dim: int) -> None:

@@ -12,7 +12,6 @@ are the only non-reproducible output.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import os
@@ -41,7 +40,7 @@ from .glass import (
     power_law,
     update_probability,
 )
-from .netkit import Batch, ConfigError, ModelSpec, build_model, gradient, loss
+from .netkit import Batch, ConfigError, ModelSpec, build_model, check_seed, gradient, loss
 
 TASKS = ("synthetic-classification", "synthetic-regression", "powerlaw-probe")
 # Oracle checks that used to run as tasks, and the command that now runs each.
@@ -304,6 +303,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         else:
             sections[section][attr] = value
     try:
+        if sections["model"].keys() == {"loss"}:
+            raise ConfigError("model.loss needs model.widths, which is not set")
         model = ModelSpec(**sections["model"]) if sections["model"] else None
         return ExperimentConfig(
             model=model,
@@ -339,7 +340,7 @@ def make_classification_batch(dp: DataParams, input_dim: int, n_classes: int, se
     which keeps gradients (and ReLU boundary traffic) alive after the model
     fits the clean structure.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    rng = np.random.default_rng(np.random.SeedSequence([check_seed(seed), 0xDA7A]))
     centers = dp.center_scale * rng.standard_normal((n_classes, input_dim))
     labels = rng.integers(0, n_classes, size=dp.samples)
     points = centers[labels] + dp.noise * rng.standard_normal((dp.samples, input_dim))
@@ -351,7 +352,7 @@ def make_classification_batch(dp: DataParams, input_dim: int, n_classes: int, se
 
 def make_regression_batch(dp: DataParams, input_dim: int, output_dim: int, seed: int) -> Batch:
     """Inputs from a standard normal, targets from a fixed random teacher net."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7EAC]))
+    rng = np.random.default_rng(np.random.SeedSequence([check_seed(seed), 0x7EAC]))
     x = rng.standard_normal((dp.samples, input_dim))
     teacher = ModelSpec((input_dim, 32, output_dim), "mse")
     teacher_params = build_model(teacher, seed + 1)
@@ -569,8 +570,8 @@ def _run_powerlaw(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
         warmup_lr=cfg.probe.warmup_lr,
         warmup_batch_size=cfg.batch_size,
     )
-    run_dir.mkdir(parents=True, exist_ok=True)
-    report.to_csv(run_dir / "powerlaw.csv")
+    write_csv(run_dir / "powerlaw.csv", ("partition", "sum_v_lambda", "sum_v_2lambda", "p"),
+              [(e.name, e.sum_v_lambda, e.sum_v_2lambda, e.p) for e in report.entries])
     defined = [e.p for e in report.entries if e.defined]
     return median(defined) if defined else math.nan
 
@@ -834,86 +835,47 @@ VERIFY_SUITES = {
 }
 
 
-def _gauss_walk_worker(conn, seed: int) -> None:
-    """Worker-process target: send the Gaussian-kick walk rows, or the exception, then exit.
-
-    An exception is sent with its formatted traceback, which pickling drops.
-    """
-    try:
-        reply = ("rows", _walk_rows("gauss", seed))
-    except Exception as exc:  # noqa: BLE001 - the caller raises it at the walk's position
-        import traceback
-
-        reply = ("error", exc, traceback.format_exc())
-    conn.send(reply)
-    conn.close()
-
-
-@contextlib.contextmanager
-def _gauss_walk_process(seed: int):
-    """Run the Gaussian-kick walk in a worker process; yield a function returning its rows.
-
-    The worker is forked on Linux, so it starts with glassopt already
-    imported (Python 3.14 defaults to forkserver there, which would import it
-    again); elsewhere the platform's default start method runs the
-    module-level target. A fork is safe only while this process runs no other
-    thread, as the CLI does. Only the rows or the exception cross the pipe,
-    and the worker prints nothing. It is terminated if the block raises, and
-    reaped on every exit. multiprocessing is imported here, so that no other
-    command pays for its import.
-    """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    receive, send = ctx.Pipe(duplex=False)
-    # A forked worker would write out a copy of anything still buffered.
-    # multiprocessing's fork start flushes too, but does not document it.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    worker = ctx.Process(target=_gauss_walk_worker, args=(send, seed), daemon=True)
-    worker.start()
-    send.close()
-
-    def rows() -> list[CheckRow]:
-        try:
-            reply = receive.recv()
-        except EOFError:
-            worker.join()
-            raise RuntimeError(
-                f"the Gaussian walk worker exited with code {worker.exitcode} before replying"
-            ) from None
-        if reply[0] == "error":
-            raise reply[1] from RuntimeError(f"in the Gaussian walk worker:\n{reply[2]}")
-        return reply[1]
-
-    try:
-        yield rows
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        worker.join()
-        receive.close()
+def _gauss_walk(seed: int) -> list[CheckRow]:
+    """The walk suite's Gaussian-kick rows: run_verify_suite("all")'s worker-process target."""
+    return _walk_rows("gauss", seed)
 
 
 def run_verify_suite(suite: str, seed: int = 0) -> list[CheckRow]:
     """Run one named verification suite (or all of them) and return its checks.
 
-    "all" runs the walk suite's Gaussian-kick walk, its longest part, in a
-    worker process, while this process runs the kernel, glass, naq and step
-    suites and then the Rademacher-kick walk. A second thread would share
-    this one's interpreter lock, which the other suites hold between their
-    array passes. Each suite, and each kick of the walk, draws from its own
-    seeded Generator and shares no state with the others, so the rows are
+    "all" runs the walk suite's Gaussian-kick walk, its longest part, on a
+    one-worker process pool, while this process runs the kernel, glass, naq
+    and step suites and then the Rademacher-kick walk. A second thread would
+    share this one's interpreter lock, which the other suites hold between
+    their array passes. Each suite, and each kick of the walk, draws from its
+    own seeded Generator and shares no state with the others, so the rows are
     those of the serial runs. They come back in VERIFY_SUITES order, and an
     exception from any suite is raised at that suite's position; if both
-    kicks fail, the Gaussian one's is raised, as in a serial walk suite.
-    A single suite runs serially in this process.
+    kicks fail, the Gaussian one's is raised, as in a serial walk suite. An
+    exception raised here waits for the Gaussian walk to finish; a worker
+    that dies raises BrokenProcessPool, a RuntimeError.
+
+    The worker is forked on Linux, so it starts with glassopt already
+    imported (Python 3.14 defaults to forkserver there, which would import
+    it again); elsewhere the platform's default start method runs the
+    module-level _gauss_walk. A fork is safe only while this process runs no
+    other thread, as the CLI does. multiprocessing is imported here, so that
+    no other command pays for its import. A single suite runs serially in
+    this process.
     """
-    oracles.check_seed(seed)
+    check_seed(seed)
     if suite == "all":
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+        # A forked worker would write out a copy of anything still buffered.
+        # multiprocessing's fork start flushes too, but does not document it.
+        sys.stdout.flush()
+        sys.stderr.flush()
         rows = []
-        with _gauss_walk_process(seed) as gauss_rows:
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as lane:
+            gauss = lane.submit(_gauss_walk, seed)
             for name in VERIFY_SUITES:
                 if name != "walk":
                     rows += run_verify_suite(name, seed)
@@ -921,7 +883,7 @@ def run_verify_suite(suite: str, seed: int = 0) -> list[CheckRow]:
                 try:
                     rademacher = _walk_rows("rademacher", seed)
                 finally:  # a Gaussian error comes first, as in the serial walk suite
-                    rows += gauss_rows()
+                    rows += gauss.result()
                 rows += rademacher
         return rows
     if suite not in VERIFY_SUITES:

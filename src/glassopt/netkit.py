@@ -42,6 +42,18 @@ class ConfigError(ValueError):
     """Invalid model, optimizer, or experiment configuration."""
 
 
+def check_seed(seed: int) -> int:
+    """seed as an int; ConfigError unless it is an integer >= 0, as numpy's generators need.
+
+    Every glassopt function that takes a seed checks it on entry, before any work.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 class NumericsError(ArithmeticError):
     """A forward or backward pass produced non-finite values."""
 
@@ -61,16 +73,21 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
+        # Each message opens with its config key, so parse_config can add its line.
         if len(self.layer_widths) < 3:
             raise ConfigError(
-                f"need input, at least one hidden, and output widths, got {self.layer_widths}"
+                f"model.widths must list input, at least one hidden, and output widths, "
+                f"got {self.layer_widths}"
             )
         if any(w < 1 for w in self.layer_widths):
-            raise ConfigError(f"layer widths must be >= 1, got {self.layer_widths}")
+            raise ConfigError(f"model.widths must all be >= 1, got {self.layer_widths}")
         if self.loss not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}")
+            raise ConfigError(f"model.loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.loss == "xent" and self.layer_widths[-1] < 2:
-            raise ConfigError("softmax cross-entropy needs at least 2 output classes")
+            raise ConfigError(
+                "model.loss = xent (softmax cross-entropy) needs at least 2 output classes, "
+                f"got model.widths[-1] = {self.layer_widths[-1]}"
+            )
         # The flat layout depends only on layer_widths; build it once here
         # rather than on every forward or gradient call.
         slices, offset = [], 0
@@ -203,7 +220,7 @@ def build_model(spec: ModelSpec, seed: int) -> np.ndarray:
     unit-variance inputs (1/fan_in on the input layer, 2/fan_in after ReLUs);
     biases start at zero. Deterministic given the seed.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     params = np.zeros(spec.param_count)
     weights, _ = _views(spec, params)
     for i, w in enumerate(weights):

@@ -17,24 +17,12 @@ import numpy as np
 
 from . import netkit
 from .glass import density_matrix, optimal_kernel_weight, rademacher_signs, variation_bound
-from .netkit import Batch, ConfigError, ModelSpec
+from .netkit import Batch, ConfigError, ModelSpec, check_seed
 
 # Every sample chunk holds at most this many float64 elements (1 MiB), so the
 # few chunk-size arrays an oracle works in take a few MiB, whatever its sample
 # count and sample length.
 _CHUNK_ELEMS = 1 << 17
-
-
-def check_seed(seed: int) -> int:
-    """seed as an int; ConfigError unless it is an integer >= 0, as numpy's generators need.
-
-    Every oracle that takes a seed checks it on entry, before any work.
-    """
-    if not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return int(seed)
 
 
 def _chunk_rows(total: int, cols: int) -> int:

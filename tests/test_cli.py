@@ -147,6 +147,12 @@ class TestTrainCommand:
             logs[label] = [",".join(line.split(",")[:-1]) for line in log.splitlines()]
         assert logs["rho"] != logs["habs"]
 
+    def test_loss_without_widths_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "loss.cfg"
+        path.write_text("model.loss = xent\n")
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert f"{path}:1: model.loss needs model.widths" in capsys.readouterr().err
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
@@ -216,8 +222,9 @@ def test_version_flag():
 
 
 # Runs glassopt commands in a fresh interpreter whose imports of scipy fail,
-# then reports each exit code, any scipy module that got loaded anyway, and
-# whether numpy.ma (which np.median imports on first use) was loaded.
+# then reports each exit code, any scipy module that got loaded anyway,
+# whether numpy.ma (which np.median imports on first use) was loaded, and
+# which of the modules that only verify --suite all needs were loaded.
 _SCIPY_BLOCKED = textwrap.dedent(
     """
     import importlib.abc, json, sys
@@ -233,7 +240,9 @@ _SCIPY_BLOCKED = textwrap.dedent(
 
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": "numpy.ma" in sys.modules}))
+    lanes = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+    print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": "numpy.ma" in sys.modules,
+                      "process lane": lanes}))
     """
 )
 
@@ -262,5 +271,5 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert report == {"codes": [0, 0, 0], "scipy": [], "numpy.ma": False}
+        assert report == {"codes": [0, 0, 0], "scipy": [], "numpy.ma": False, "process lane": []}
         assert (tmp_path / "out" / "p" / "seed_0" / "powerlaw.csv").exists()

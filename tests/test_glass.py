@@ -95,7 +95,7 @@ class TestDensityMatrix:
 def from_dense(r_mat):
     """The exact factor split R = I^T R: one record per row, all in one layer."""
     d = r_mat.shape[0]
-    return GlassDensityMatrix(np.eye(d), r_mat, np.zeros(d, dtype=int), 1.0)
+    return GlassDensityMatrix(np.eye(d), r_mat, np.zeros(d, dtype=int))
 
 
 def reference_density(records, psi):
@@ -535,24 +535,6 @@ class TestPowerLaw:
             glass.power_law(
                 self._meas([1.0], 0.1), self._meas([2.0], 0.3), {"all": np.array([0])}
             )
-
-    def test_csv_round_trip_columns(self, tmp_path):
-        report = glass.power_law(
-            self._meas([1.0, 2.0], 0.1),
-            self._meas([2.0, 8.0], 0.2),
-            {"a": np.array([0]), "b": np.array([1])},
-        )
-        path = tmp_path / "powerlaw.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "partition,sum_v_lambda,sum_v_2lambda,p"
-        assert lines[1].startswith("a,1.0,2.0,")
-
-    def test_measurement_csv(self, tmp_path):
-        meas = self._meas([0.25, 0.5], 0.1)
-        path = tmp_path / "v.csv"
-        meas.to_csv(path)
-        assert path.read_text().splitlines() == ["index,v", "0,0.25", "1,0.5"]
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,20 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=rf":2: {key} must"):
             parse_config(f"model.widths = 3,4,2\n{key} = {raw}\nmodel.loss = xent\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model.loss = xent\n", ":1: model.loss needs model.widths, which is not set"),
+            ("name = x\nmodel.widths = 0,1\n", ":2: model.widths must list input"),
+            ("name = x\nmodel.widths = 3,0,2\n", ":2: model.widths must all be >= 1"),
+            ("model.widths = 3,4,2\nmodel.loss = foo\n", ":2: model.loss must be one of"),
+            ("model.loss = xent\nmodel.widths = 3,4,1\n", ":1: model.loss = xent"),
+        ],
+    )
+    def test_model_error_names_key_and_line(self, text, message):
+        with pytest.raises(ConfigError, match=f"^<config>{message}"):
+            parse_config(text)
+
     @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize(
         "key",
@@ -568,6 +583,23 @@ class TestPowerlawExperiment:
         lines = (tmp_path / "probe" / "seed_0" / "powerlaw.csv").read_text().splitlines()
         assert lines[0] == "partition,sum_v_lambda,sum_v_2lambda,p"
 
+    def test_powerlaw_csv_rows(self, monkeypatch, tmp_path):
+        def meas(v, lam):
+            return glass.GradientVariationMeasurement(lam, np.array(v), 8)
+
+        report = glass.power_law(meas([1.0, 0.0], 0.1), meas([2.0, 0.0], 0.2),
+                                 {"a": np.array([0]), "b": np.array([1])})
+        monkeypatch.setattr(harness, "powerlaw_experiment", lambda *args, **kwargs: report)
+        cfg = ExperimentConfig(name="probe", task="powerlaw-probe", seeds=(0,),
+                               model=ModelSpec((2, 3, 1)), data=DataParams(samples=4))
+        summary = run_experiment(cfg, tmp_path)
+        assert (summary.errors, summary.median) == ((), 1.0)
+        assert (tmp_path / "probe" / "seed_0" / "powerlaw.csv").read_text().splitlines() == [
+            "partition,sum_v_lambda,sum_v_2lambda,p",
+            "a,1.0,2.0,1.0",
+            "b,0.0,0.0,nan",
+        ]
+
     def test_equals_two_serial_measurements(self):
         spec = ModelSpec((4, 8, 8, 3), "xent")
         data = harness.make_classification_batch(
@@ -753,7 +785,7 @@ class TestVerifySuites:
         with pytest.raises(RuntimeError, match=f"{first} failed") as raised:
             harness.run_verify_suite("all", seed=0)
         if first == "gauss":
-            assert "in the Gaussian walk worker" in str(raised.value.__cause__)
+            assert "in _gauss_walk\n" in str(raised.value.__cause__)
         assert multiprocessing.active_children() == []
         broken.clear()
         rows = harness.run_verify_suite("all", seed=3)
@@ -766,7 +798,7 @@ class TestVerifySuites:
         self._fake_suites(monkeypatch, set())
         monkeypatch.setattr(harness, "_walk_rows",
                             lambda kick, seed: os._exit(3) if kick == "gauss" else [])
-        with pytest.raises(RuntimeError, match="exited with code 3"):
+        with pytest.raises(BrokenProcessPool):
             harness.run_verify_suite("all", seed=0)
         assert multiprocessing.active_children() == []
 

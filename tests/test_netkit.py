@@ -15,7 +15,8 @@ from fd_oracles import (
     reference_gradient,
     reference_preactivation_grads,
 )
-from glassopt import harness, netkit
+from glassopt import glass, harness, netkit
+from glassopt.alice import Alice, AliceConfig
 from glassopt.netkit import Batch, ConfigError, ModelSpec, NumericsError
 
 
@@ -62,6 +63,33 @@ class TestBuildModel:
         preacts, _ = netkit.forward(spec, params, x)
         for y in preacts[:-1]:
             assert 0.3 < y.std() < 3.0
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda seed, grad_fn: netkit.build_model(ModelSpec((2, 3, 1)), seed),
+        lambda seed, grad_fn: glass.measure_variations(grad_fn, np.zeros(2), 0.1, 4, seed),
+        lambda seed, grad_fn: Alice(np.zeros(2), AliceConfig(), seed),
+        lambda seed, grad_fn: harness.make_classification_batch(
+            harness.DataParams(samples=4), 2, 2, seed),
+        lambda seed, grad_fn: harness.make_regression_batch(
+            harness.DataParams(samples=4), 2, 2, seed),
+    ],
+    ids=["build_model", "measure_variations", "Alice", "classification_batch",
+         "regression_batch"],
+)
+def test_seeded_entry_point_rejects_a_negative_seed(entry):
+    calls = []
+
+    def grad_fn(theta):
+        calls.append(theta)
+        return np.zeros_like(theta)
+
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        entry(-1, grad_fn)
+    assert calls == []
+    entry(np.int64(2), grad_fn)
 
 
 class TestLoss:
