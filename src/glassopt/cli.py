@@ -15,6 +15,7 @@ error. Every command is deterministic given --seed. The output directory is
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -46,10 +47,22 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _run_config(args, **changes) -> harness.RunSummary:
+    """Run the experiment of --config, with changes applied and validated.
+
+    A config with no model.widths could only fail every seed, so it is a
+    ConfigError before any output is written.
+    """
+    cfg = dataclasses.replace(harness.load_config(args.config), **changes)
+    if cfg.model is None:
+        raise ConfigError(
+            f"{args.config}: task {cfg.task!r} requires model.widths, which is not set"
+        )
+    return harness.run_experiment(cfg, args.out)
+
+
 def cmd_probe(args) -> int:
-    cfg = harness.load_config(args.config)
-    cfg.task = "powerlaw-probe"
-    summary = harness.run_experiment(cfg, args.out)
+    summary = _run_config(args, task="powerlaw-probe")
     for seed, metric in summary.per_seed:
         report = summary.base / f"seed_{seed}" / "powerlaw.csv"
         print(f"seed {seed}: median p = {metric:.4g}  ({report})")
@@ -61,8 +74,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = harness.load_config(args.config)
-    summary = harness.run_experiment(cfg, args.out)
+    summary = _run_config(args)
     for seed, metric in summary.per_seed:
         print(f"seed {seed}: final metric = {metric:.8g}")
     print(f"aggregate (min, median, max) = ({summary.minimum:.8g}, "

@@ -60,13 +60,16 @@ def rademacher_signs(
     an (m, n) draw equals m successive draws of n signs, and chunking the
     rows never changes the numbers. The signs are written block by block
     into out (a C-contiguous float64 array of the shape) when it is given,
-    else into a new array; no second array of the shape is allocated.
+    else into a new array; no second array of the shape is allocated. A
+    shape with no elements gives an empty array and reads nothing from rng.
     """
     shape = tuple(int(k) for k in np.atleast_1d(shape))
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    if out.size == 0:
+        return out
     n = out.shape[-1]
     rows = out.reshape(-1, n)
     row_bytes = 4 * -(-n // 32)
@@ -117,20 +120,49 @@ class GlassDensityMatrix:
         records, written straight into R. Entries beyond every record's reach
         stay zero. Since a pre-activation in layer l depends only on the
         parameters of layers <= l, layer-major records make the bands narrow.
+
+        The products run on two lanes, this thread and one worker thread,
+        dealt largest first (by rows x columns x records) onto the lane with
+        less work so far; numpy releases the GIL in each matmul, so the lanes
+        overlap. Each product is one whole matmul into its own disjoint block
+        of R, so R is bitwise the serial build whichever lane runs it. An
+        error in either lane is raised here once both lanes have stopped.
         """
+        from concurrent.futures import ThreadPoolExecutor
+
         w, r = self.weights, self.reach
         d = self.dim
         r_mat = np.zeros((d, d))
         nonzero = (w != 0) | (r != 0)
         ends = np.where(nonzero.any(axis=1), d - np.argmax(nonzero[:, ::-1], axis=1), 0)
         cuts = np.flatnonzero(self.layers[1:] != self.layers[:-1]) + 1
+        products = []
         h_prev = 0
         for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(ends)]):
             h = max(h_prev, int(ends[s:e].max(initial=0)))
             if h > h_prev:
-                np.matmul(w[s:, :h].T, r[s:, h_prev:h], out=r_mat[:h, h_prev:h])
-                np.matmul(w[s:, h_prev:h].T, r[s:, :h_prev], out=r_mat[h_prev:h, :h_prev])
+                products.append((w[s:, :h].T, r[s:, h_prev:h], r_mat[:h, h_prev:h]))
+                products.append((w[s:, h_prev:h].T, r[s:, :h_prev], r_mat[h_prev:h, :h_prev]))
             h_prev = h
+
+        def cost(product):
+            a, _, out = product
+            return out.size * a.shape[1]  # rows x columns x records
+
+        lanes, loads = ([], []), [0, 0]
+        for product in sorted(products, key=cost, reverse=True):
+            lane = loads.index(min(loads))
+            lanes[lane].append(product)
+            loads[lane] += cost(product)
+
+        def run(lane):
+            for a, b, out in lane:
+                np.matmul(a, b, out=out)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(run, lanes[1])
+            run(lanes[0])
+            other.result()
         return r_mat
 
 
@@ -175,7 +207,8 @@ def density_matrix(
     gy = np.stack([r.grad_y for r in records]).astype(np.float64, copy=False)
     dloss_dz = np.array([r.dloss_dz for r in records], dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = (gy * gy) * (dloss_dz * dloss_dz / (2.0 * psi))[:, None]
+        weights = np.multiply(gy, gy)
+        weights *= (dloss_dz * dloss_dz / (2.0 * psi))[:, None]
     # A non-finite grad_y or dloss_dz, or an overflow, leaves its record's weights non-finite.
     bad = ~np.isfinite(weights).all(axis=1)
     if bad.any():

@@ -132,6 +132,29 @@ def reference_preactivation_grads(spec, params, batch, psi):
     return grads
 
 
+def reference_band_density(matrix):
+    """The dense R of a GlassDensityMatrix by the serial band build, frozen.
+
+    The same L-shaped band products as GlassDensityMatrix.R, each one matmul
+    into its own block of R, run one after another on the calling thread.
+    GlassDensityMatrix.R must agree with it bitwise.
+    """
+    w, r = matrix.weights, matrix.reach
+    d = matrix.dim
+    r_mat = np.zeros((d, d))
+    nonzero = (w != 0) | (r != 0)
+    ends = np.where(nonzero.any(axis=1), d - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    cuts = np.flatnonzero(matrix.layers[1:] != matrix.layers[:-1]) + 1
+    h_prev = 0
+    for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(ends)]):
+        h = max(h_prev, int(ends[s:e].max(initial=0)))
+        if h > h_prev:
+            np.matmul(w[s:, :h].T, r[s:, h_prev:h], out=r_mat[:h, h_prev:h])
+            np.matmul(w[s:, h_prev:h].T, r[s:, :h_prev], out=r_mat[h_prev:h, :h_prev])
+        h_prev = h
+    return r_mat
+
+
 def fine_grid_kernel_constant(omega2, restrict, intervals=400_000):
     """E[x^2 / (x^2 + omega2) | |x| >= restrict] for a standard normal x, by composite Simpson.
 

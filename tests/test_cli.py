@@ -215,6 +215,17 @@ class TestOutputDir:
         assert not (tmp_path / "env").exists()
 
 
+@pytest.mark.parametrize(
+    "command, task", [("train", "synthetic-classification"), ("probe", "powerlaw-probe")]
+)
+def test_config_without_widths_exits_two_before_writing(tmp_path, capsys, command, task):
+    path = tmp_path / "no_widths.cfg"
+    path.write_text("name = nw\nsteps = 2\n")
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: task {task!r} requires model.widths" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--version"])
@@ -223,8 +234,10 @@ def test_version_flag():
 
 # Runs glassopt commands in a fresh interpreter whose imports of scipy fail,
 # then reports each exit code, any scipy module that got loaded anyway,
-# whether numpy.ma (which np.median imports on first use) was loaded, and
-# which of the modules that only verify --suite all needs were loaded.
+# whether numpy.ma (which np.median imports on first use) was loaded, which
+# of the modules that only verify --suite all needs were loaded, and whether
+# concurrent.futures (which only the lanes import, inside the function that
+# runs them) was loaded after the import of glassopt.cli and after each command.
 _SCIPY_BLOCKED = textwrap.dedent(
     """
     import importlib.abc, json, sys
@@ -238,11 +251,15 @@ _SCIPY_BLOCKED = textwrap.dedent(
     sys.meta_path.insert(0, BlockScipy())
     from glassopt import cli
 
-    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    futures = ["concurrent.futures" in sys.modules]
+    codes = []
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+        futures.append("concurrent.futures" in sys.modules)
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     lanes = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
     print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": "numpy.ma" in sys.modules,
-                      "process lane": lanes}))
+                      "process lane": lanes, "concurrent.futures": futures}))
     """
 )
 
@@ -271,5 +288,7 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert report == {"codes": [0, 0, 0], "scipy": [], "numpy.ma": False, "process lane": []}
+        # The probe's thread lane is the first to load concurrent.futures.
+        assert report == {"codes": [0, 0, 0], "scipy": [], "numpy.ma": False, "process lane": [],
+                          "concurrent.futures": [False, False, False, True]}
         assert (tmp_path / "out" / "p" / "seed_0" / "powerlaw.csv").exists()

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fd_oracles import (
     fine_grid_kernel_constant,
     random_model_and_batch,
+    reference_band_density,
     reference_rademacher_signs,
 )
 from glassopt import glass, netkit, oracles
@@ -117,15 +119,23 @@ def assert_matches_reference(records, psi, seed=0):
     assert np.array_equal(matrix.R != 0, want != 0)
 
 
+def layer_zero_records():
+    # Breaks the layer-prefix layout: the first band must cover all of R.
+    return [
+        make_record(0, 0, 0, 0.0, 1.5, [0.0, 0.0, 0.0, 0.0, 2.0]),
+        make_record(1, 0, 0, 0.0, -0.5, [1.0, 3.0, 0.0, 0.0, 0.0]),
+        make_record(1, 1, 0, 0.0, 0.7, [0.0, 0.0, 4.0, 0.0, 0.0]),
+    ]
+
+
+def three_layer_records():
+    spec, params, batch = random_model_and_batch(4, widths=(4, 6, 6, 6, 3), n=10)
+    return netkit.relu_introspect(spec, params, batch, 0.8)
+
+
 class TestDensityFactors:
     def test_layer_zero_record_reaching_last_column(self):
-        # Breaks the layer-prefix layout: the first band must cover all of R.
-        records = [
-            make_record(0, 0, 0, 0.0, 1.5, [0.0, 0.0, 0.0, 0.0, 2.0]),
-            make_record(1, 0, 0, 0.0, -0.5, [1.0, 3.0, 0.0, 0.0, 0.0]),
-            make_record(1, 1, 0, 0.0, 0.7, [0.0, 0.0, 4.0, 0.0, 0.0]),
-        ]
-        assert_matches_reference(records, 0.2)
+        assert_matches_reference(layer_zero_records(), 0.2)
 
     def test_zero_weight_record_still_reaches(self):
         # dloss_dz = 0 zeroes the weights but not the reach of a record.
@@ -142,8 +152,7 @@ class TestDensityFactors:
         assert np.array_equal(from_dense(r_mat).R, r_mat)
 
     def test_real_records_from_three_hidden_layers(self):
-        spec, params, batch = random_model_and_batch(4, widths=(4, 6, 6, 6, 3), n=10)
-        records = netkit.relu_introspect(spec, params, batch, 0.8)
+        records = three_layer_records()
         assert {r.layer for r in records} == {0, 1, 2}
         assert_matches_reference(records, 0.8)
 
@@ -153,6 +162,46 @@ class TestDensityFactors:
         glass.variation_bound(matrix, np.ones(matrix.dim))
         assert "R" not in vars(matrix)
         assert matrix.R is matrix.R
+
+
+# Three hidden layers give six band products, so both lanes of the build get work.
+TWO_LANE_CASES = {
+    "three_hidden_layers": lambda: glass.density_matrix(three_layer_records(), 0.8),
+    "layer_zero_record_reaching_last_column": lambda: glass.density_matrix(
+        layer_zero_records(), 0.2
+    ),
+    "from_dense": lambda: from_dense(np.random.default_rng(7).random((6, 6))),
+}
+
+
+class TestTwoLaneBuild:
+    @pytest.mark.parametrize("case", TWO_LANE_CASES)
+    def test_equals_the_serial_build_bitwise(self, case):
+        matrix = TWO_LANE_CASES[case]()
+        threads = threading.active_count()
+        built = matrix.R
+        assert threading.active_count() == threads
+        assert built.tobytes() == reference_band_density(matrix).tobytes()
+        assert matrix.R is built
+
+    @pytest.mark.parametrize("failing", ["worker", "calling"])
+    def test_a_lane_error_is_raised_and_leaves_no_thread(self, monkeypatch, failing):
+        matrix = TWO_LANE_CASES["three_hidden_layers"]()
+        matmul, calling = np.matmul, threading.current_thread()
+
+        def failing_matmul(a, b, out=None):
+            if (threading.current_thread() is calling) == (failing == "calling"):
+                raise FloatingPointError(f"{failing} lane")
+            return matmul(a, b, out=out)
+
+        threads = threading.active_count()
+        monkeypatch.setattr(np, "matmul", failing_matmul)
+        with pytest.raises(FloatingPointError, match=f"{failing} lane"):
+            matrix.R
+        monkeypatch.undo()
+        assert threading.active_count() == threads
+        assert "R" not in vars(matrix)
+        assert matrix.R.tobytes() == reference_band_density(matrix).tobytes()
 
 
 @st.composite
@@ -411,6 +460,16 @@ def test_rademacher_signs_equal_a_fresh_draw_and_cast(shape):
     signs = glass.rademacher_signs(shared, shape)
     assert signs.dtype == np.float64 and signs.tobytes() == expected.tobytes()
     assert shared.random() == fresh.random()  # the draw consumed the same stream
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
+def test_rademacher_signs_of_no_elements_read_nothing(shape):
+    rng, untouched = np.random.default_rng(2), np.random.default_rng(2)
+    signs = glass.rademacher_signs(rng, shape)
+    assert signs.shape == shape and signs.dtype == np.float64
+    out = np.empty(shape)
+    assert glass.rademacher_signs(rng, shape, out=out) is out
+    assert rng.random() == untouched.random()
 
 
 @settings(max_examples=60, deadline=None)
