@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -445,9 +444,12 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
     # only read the gradient, so its norm can be taken once per step.
     last = {"loss": math.nan, "grad": None}
 
-    def make_grad_fn(batch):
+    def make_grad_fn(batch, step):
         def grad_fn(theta):
-            last["loss"], last["grad"] = gradient(cfg.model, theta, batch)
+            try:
+                last["loss"], last["grad"] = gradient(cfg.model, theta, batch)
+            except netkit.NumericsError as exc:
+                raise netkit.NumericsError(f"{cfg.optimizer} step {step}: {exc}") from exc
             return last["grad"]
 
         return grad_fn
@@ -461,7 +463,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
         opt = Alice(params, cfg.alice, seed=seed)
         for step in range(1, cfg.steps + 1):
             tic = time.perf_counter()
-            record = opt.step(make_grad_fn(next(stream)))
+            record = opt.step(make_grad_fn(next(stream), step))
             wall_ms = (time.perf_counter() - tic) * 1e3
             # sum / d is the mean bitwise: np.mean divides the same sum by d.
             rows.append(
@@ -481,9 +483,9 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
         clock = {"tic": time.perf_counter()}
 
         def grad_fn(theta):
-            g = make_grad_fn(next(stream))(theta)
-            wall_ms = (time.perf_counter() - clock["tic"]) * 1e3
             step = len(rows) + 1
+            g = make_grad_fn(next(stream), step)(theta)
+            wall_ms = (time.perf_counter() - clock["tic"]) * 1e3
             rows.append(logged(step, 0.0, 0.0, 0.0, 0.0, step, wall_ms))
             clock["tic"] = time.perf_counter()
             return g
@@ -835,56 +837,18 @@ VERIFY_SUITES = {
 }
 
 
-def _gauss_walk(seed: int) -> list[CheckRow]:
-    """The walk suite's Gaussian-kick rows: run_verify_suite("all")'s worker-process target."""
-    return _walk_rows("gauss", seed)
-
-
 def run_verify_suite(suite: str, seed: int = 0) -> list[CheckRow]:
     """Run one named verification suite (or all of them) and return its checks.
 
-    "all" runs the walk suite's Gaussian-kick walk, its longest part, on a
-    one-worker process pool, while this process runs the kernel, glass, naq
-    and step suites and then the Rademacher-kick walk. A second thread would
-    share this one's interpreter lock, which the other suites hold between
-    their array passes. Each suite, and each kick of the walk, draws from its
-    own seeded Generator and shares no state with the others, so the rows are
-    those of the serial runs. They come back in VERIFY_SUITES order, and an
-    exception from any suite is raised at that suite's position; if both
-    kicks fail, the Gaussian one's is raised, as in a serial walk suite. An
-    exception raised here waits for the Gaussian walk to finish; a worker
-    that dies raises BrokenProcessPool, a RuntimeError.
-
-    The worker is forked on Linux, so it starts with glassopt already
-    imported (Python 3.14 defaults to forkserver there, which would import
-    it again); elsewhere the platform's default start method runs the
-    module-level _gauss_walk. A fork is safe only while this process runs no
-    other thread, as the CLI does. multiprocessing is imported here, so that
-    no other command pays for its import. A single suite runs serially in
-    this process.
+    "all" runs every suite in VERIFY_SUITES order, each through a call of
+    the module-level run_verify_suite, so a wrapper installed there sees
+    every suite.
     """
     check_seed(seed)
     if suite == "all":
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-        # A forked worker would write out a copy of anything still buffered.
-        # multiprocessing's fork start flushes too, but does not document it.
-        sys.stdout.flush()
-        sys.stderr.flush()
         rows = []
-        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as lane:
-            gauss = lane.submit(_gauss_walk, seed)
-            for name in VERIFY_SUITES:
-                if name != "walk":
-                    rows += run_verify_suite(name, seed)
-                    continue
-                try:
-                    rademacher = _walk_rows("rademacher", seed)
-                finally:  # a Gaussian error comes first, as in the serial walk suite
-                    rows += gauss.result()
-                rows += rademacher
+        for name in VERIFY_SUITES:
+            rows += run_verify_suite(name, seed)
         return rows
     if suite not in VERIFY_SUITES:
         raise ConfigError(f"unknown suite {suite!r}, expected one of {(*VERIFY_SUITES, 'all')}")

@@ -1,10 +1,11 @@
 """Independent brute-force and Monte-Carlo oracles.
 
 Every oracle here is built directly from the underlying construction it
-validates — reflected random walks for the loss-increase bound, raw sampling
-for the diagonal estimators, a literal network probe for the density-matrix
-bound, an explicit underdetermined least-squares instance for quasi-Newton
-overshoot — and never calls the code path it is checking. All oracles are
+validates — reflected random walks (or their exact law, for Gaussian kicks)
+for the loss-increase bound, raw sampling for the diagonal estimators, a
+literal network probe for the density-matrix bound, an explicit
+underdetermined least-squares instance for quasi-Newton overshoot — and
+never calls the code path it is checking. All oracles are
 deterministic given their seed: trials are accumulated in a fixed order.
 """
 
@@ -64,8 +65,9 @@ class SyntheticGlass1D:
     """A 1D walk of n equally spaced gradient kicks with density rho.
 
     Kicks are zero-mean with second moment rho*lam/n, either Gaussian (the
-    limit distribution) or Rademacher-valued (robustness variant; both agree
-    in the large-n limit).
+    limit distribution, whose walk is sampled from its exact normal law) or
+    Rademacher-valued (robustness variant, walked kick by kick; both agree in
+    the large-n limit).
     """
 
     rho: float
@@ -101,25 +103,35 @@ class GlassWalkResult:
 def glass_walk_expectation(sim: SyntheticGlass1D) -> GlassWalkResult:
     """Simulate the loss change of a 1D glass walk against its closed forms.
 
-    Each trial integrates n kicks activating at equally spaced points along a
-    move of length lam, giving Delta = lam * sum_j ((n-j)/n) * kick_j. The
-    reflected trajectory |Delta| models a local loss floor; its mean is
-    predicted to be sqrt(2 rho lam^3 / (3 pi)) and the unreflected variance
-    rho lam^3 / 3. Trials are drawn in 1 MiB chunks (see _sample_chunks),
-    about 131 trials of 1000 kinks each, and the four moment sums are
-    accumulated chunk by chunk, so only their round-off depends on the chunk
-    size.
+    Each trial integrates n kicks of scale s = sqrt(rho lam / n) activating at
+    equally spaced points along a move of length lam, giving
+    Delta = lam * s * sum_j w_j kick_j with w_j = (n-j)/n. The reflected
+    trajectory |Delta| models a local loss floor; its mean is predicted to be
+    sqrt(2 rho lam^3 / (3 pi)) and the unreflected variance rho lam^3 / 3.
+
+    A sum of Gaussian kicks is exactly N(0, (lam s)^2 sum_j w_j^2), so a
+    Gaussian trial is one normal draw, scaled in place. Rademacher trials are
+    walked kick by kick, since their sum is not Gaussian: they are drawn in
+    1 MiB chunks (see _sample_chunks), about 131 trials of 1000 kinks each.
+    The four moment sums are accumulated chunk by chunk, so only their
+    round-off depends on the chunk size.
     """
     rng = np.random.default_rng(sim.seed)
     n = sim.n_kinks
     weights = (n - np.arange(1, n + 1)) / n
-    kick_scale = math.sqrt(sim.rho * sim.lam / n)
-    density = "normal" if sim.kick == "gauss" else "rademacher"
+    scale = sim.lam * math.sqrt(sim.rho * sim.lam / n)
+    gauss = sim.kick == "gauss"
+    if gauss:
+        scale *= math.sqrt(float(np.dot(weights, weights)))
+    density, cols = ("normal", 1) if gauss else ("rademacher", n)
     delta_buf = np.empty(_chunk_rows(sim.trials, n))
     s_abs = s_sq = s_delta = s_quad = 0.0
-    for kicks in _sample_chunks(rng, density, sim.trials, n):
-        delta = np.matmul(kicks, weights, out=delta_buf[: kicks.shape[0]])
-        delta *= sim.lam * kick_scale
+    for chunk in _sample_chunks(rng, density, sim.trials, cols):
+        if gauss:
+            delta = chunk[:, 0]
+        else:
+            delta = np.matmul(chunk, weights, out=delta_buf[: chunk.shape[0]])
+        delta *= scale
         s_abs += float(np.sum(np.abs(delta)))
         s_sq += float(np.sum(delta * delta))
         s_delta += float(np.sum(delta))

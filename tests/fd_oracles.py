@@ -190,14 +190,15 @@ def reference_rademacher_signs(rng, shape):
 
     A shape is a sequence of rows along its last axis. Each row of n signs
     takes rng.bytes(4 * ceil(n / 32)) afresh and reads its first n bits, most
-    significant bit of each byte first; bit b gives the sign 2 b - 1.
-    glass.rademacher_signs must agree with it bitwise.
+    significant bit of each byte first; bit b gives the sign 2 b - 1. A draw
+    of no signs reads nothing. glass.rademacher_signs must agree with it
+    bitwise.
     """
     shape = tuple(int(k) for k in np.atleast_1d(shape))
     n = shape[-1]
     k = np.arange(n)
     rows = []
-    for _ in range(math.prod(shape[:-1])):
+    for _ in range(math.prod(shape[:-1]) if n else 0):
         raw = np.frombuffer(rng.bytes(4 * math.ceil(n / 32)), dtype=np.uint8)
         bits = (raw[k // 8] >> (7 - k % 8)) & 1
         rows.append(2.0 * bits - 1.0)

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -44,25 +43,7 @@ class TestVerifyCommand:
         for name in ("kernel", "glass", "naq", "step"):
             monkeypatch.setitem(harness.VERIFY_SUITES, name, lambda seed: [])
         assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path)]) == code
-        assert multiprocessing.active_children() == []
         assert ("config error: no walk" in capsys.readouterr().err) == (outcome == "config error")
-
-    def test_all_flushes_before_it_forks(self):
-        # Piped stdout is block-buffered, so "started" is still in the buffer
-        # when the walk worker is forked; unflushed, the worker would print it
-        # again as it exits.
-        script = textwrap.dedent("""
-            from glassopt import harness
-            harness._walk_rows = lambda kick, seed: [harness.CheckRow(kick, 0, 0, 0, 1, True)]
-            for name in ("kernel", "glass", "naq", "step"):
-                harness.VERIFY_SUITES[name] = lambda seed: []
-            print("started")
-            print(len(harness.run_verify_suite("all")))
-        """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "started\n2\n", "")
 
 
 @pytest.mark.parametrize(
@@ -235,9 +216,10 @@ def test_version_flag():
 # Runs glassopt commands in a fresh interpreter whose imports of scipy fail,
 # then reports each exit code, any scipy module that got loaded anyway,
 # whether numpy.ma (which np.median imports on first use) was loaded, which
-# of the modules that only verify --suite all needs were loaded, and whether
-# concurrent.futures (which only the lanes import, inside the function that
-# runs them) was loaded after the import of glassopt.cli and after each command.
+# process-pool modules were loaded (no command runs a process lane), and
+# whether concurrent.futures (which only the thread lanes import, inside the
+# function that runs them) was loaded after the import of glassopt.cli and
+# after each command.
 _SCIPY_BLOCKED = textwrap.dedent(
     """
     import importlib.abc, json, sys
@@ -277,6 +259,7 @@ class TestImportGuard:
         out = str(tmp_path / "out")
         argvs = [
             ["verify", "--suite", "kernel", "--out", out],
+            ["verify", "--suite", "all", "--out", out],
             ["train", "--config", str(write_config(tmp_path, train, "train.cfg")), "--out", out],
             ["probe", "--config", str(write_config(tmp_path, probe, "probe.cfg")), "--out", out],
         ]
@@ -289,6 +272,7 @@ class TestImportGuard:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
         # The probe's thread lane is the first to load concurrent.futures.
-        assert report == {"codes": [0, 0, 0], "scipy": [], "numpy.ma": False, "process lane": [],
-                          "concurrent.futures": [False, False, False, True]}
+        assert report == {"codes": [0, 0, 0, 0], "scipy": [], "numpy.ma": False,
+                          "process lane": [],
+                          "concurrent.futures": [False, False, False, False, True]}
         assert (tmp_path / "out" / "p" / "seed_0" / "powerlaw.csv").exists()

@@ -464,12 +464,13 @@ def test_rademacher_signs_equal_a_fresh_draw_and_cast(shape):
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
 def test_rademacher_signs_of_no_elements_read_nothing(shape):
-    rng, untouched = np.random.default_rng(2), np.random.default_rng(2)
-    signs = glass.rademacher_signs(rng, shape)
-    assert signs.shape == shape and signs.dtype == np.float64
+    # The frozen reference too: neither draw may read from its generator.
+    rng, ref, untouched = (np.random.default_rng(2) for _ in range(3))
+    signs, expected = glass.rademacher_signs(rng, shape), reference_rademacher_signs(ref, shape)
+    assert signs.shape == expected.shape == shape and signs.dtype == np.float64
     out = np.empty(shape)
     assert glass.rademacher_signs(rng, shape, out=out) is out
-    assert rng.random() == untouched.random()
+    assert rng.random() == ref.random() == untouched.random()
 
 
 @settings(max_examples=60, deadline=None)
