@@ -345,6 +345,9 @@ def apply_step(
     np.sqrt(tmp, out=tmp)
     h_bar += tmp
     h_bar += eps
+    # An infinite h_bar, like an infinite s, would make its step silently zero.
+    if not all_finite(h_bar, mask):
+        raise NumericsError(f"step denominator h_bar overflowed at update {state.step_count}")
 
     np.divide(abs_g, h_bar, out=scale)
     method = cfg.limit_method
@@ -467,6 +470,9 @@ def adam_iterates(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps
     Operation order inside the update mirrors the optimizer's in-place
     running averages so that pinned-limit replication is exact to the ulp.
     Each yielded iterate is a fresh array that later steps do not modify.
+
+    An overflowing running average raises NumericsError: an infinite v (g*g
+    of a gradient beyond ~1.3e154) would make every later step zero.
     """
     theta = np.array(params, dtype=np.float64)
     m = np.zeros_like(theta)
@@ -476,6 +482,9 @@ def adam_iterates(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps
         g = np.asarray(grad_fn(theta), dtype=np.float64)
         m = beta1 * m + (1.0 - beta1) * g
         v = beta2 * v + (1.0 - beta2) * (g * g)
+        bad = [name for name, avg in (("m", m), ("v", v)) if not all_finite(avg)]
+        if bad:
+            raise NumericsError(f"adam step {t}: running averages overflowed: {', '.join(bad)}")
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         theta = theta - lr * (m_hat / (np.sqrt(v_hat) + eps))

@@ -15,7 +15,6 @@ error. Every command is deterministic given --seed. The output directory is
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -47,44 +46,34 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _run_config(args, **changes) -> harness.RunSummary:
-    """Run the experiment of --config, with changes applied and validated.
+def _run_config(args, runner) -> harness.RunSummary:
+    """Run runner on every seed of the --config experiment; a bad config writes nothing."""
+    return harness.run_experiment(harness.load_config(args.config), runner, args.out)
 
-    A config with no model.widths could only fail every seed, so it is a
-    ConfigError before any output is written.
-    """
-    cfg = dataclasses.replace(harness.load_config(args.config), **changes)
-    if cfg.model is None:
-        raise ConfigError(
-            f"{args.config}: task {cfg.task!r} requires model.widths, which is not set"
-        )
-    return harness.run_experiment(cfg, args.out)
+
+def _exit_code(summary: harness.RunSummary) -> int:
+    """1 after printing each failed seed's error, else 0."""
+    for message in summary.errors:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if summary.errors else 0
 
 
 def cmd_probe(args) -> int:
-    summary = _run_config(args, task="powerlaw-probe")
+    summary = _run_config(args, harness._run_powerlaw)
     for seed, metric in summary.per_seed:
         report = summary.base / f"seed_{seed}" / "powerlaw.csv"
         print(f"seed {seed}: median p = {metric:.4g}  ({report})")
-    if summary.errors:
-        for message in summary.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_code(summary)
 
 
 def cmd_train(args) -> int:
-    summary = _run_config(args)
+    summary = _run_config(args, harness._train_one)
     for seed, metric in summary.per_seed:
         print(f"seed {seed}: final metric = {metric:.8g}")
     print(f"aggregate (min, median, max) = ({summary.minimum:.8g}, "
           f"{summary.median:.8g}, {summary.maximum:.8g})")
     print(f"artifacts in {summary.base}")
-    if summary.errors:
-        for message in summary.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_code(summary)
 
 
 def cmd_simulate(args) -> int:

@@ -465,7 +465,11 @@ def measure_variations(
         signs = rademacher_signs(rng, mu.shape[0])
         gamma = np.asarray(grad_fn(mu + lam * signs), dtype=np.float64) - g0
         acc += gamma * gamma
-    return GradientVariationMeasurement(float(lam), acc / n_samples, int(n_samples))
+    v = acc / n_samples
+    # Finite gradients can still overflow their squared change, or its sum.
+    if not math.isfinite(float(v.sum())):
+        raise NumericsError(f"gradient variations overflowed at lam = {lam!r}")
+    return GradientVariationMeasurement(float(lam), v, int(n_samples))
 
 
 @dataclass(frozen=True)

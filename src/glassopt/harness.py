@@ -1,4 +1,4 @@
-"""Experiment definitions, synthetic training tasks, and run persistence.
+"""Experiment definitions, synthetic data, and run persistence.
 
 A run is described by a small key = value config file (see parse_config),
 executed once per seed, and reduced to (min, median, max) of a per-seed
@@ -16,7 +16,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +41,6 @@ from .glass import (
 )
 from .netkit import Batch, ConfigError, ModelSpec, build_model, check_seed, gradient, loss
 
-TASKS = ("synthetic-classification", "synthetic-regression", "powerlaw-probe")
-# Oracle checks that used to run as tasks, and the command that now runs each.
-_REMOVED_TASKS = {
-    "least-squares": "glassopt simulate underdetermined-ls",
-    "naq-exactness": "glassopt verify --suite naq",
-    "estimator-suite": "glassopt verify --suite kernel",
-    "glass-walk-suite": "glassopt verify --suite walk",
-}
 OPTIMIZERS = ("alice", "adam", "sgdm")
 OUTPUT_ENV = "GLASSOPT_OUT"
 
@@ -68,14 +60,12 @@ REPORT_HEADER = ("quantity", "empirical", "predicted", "std_error", "n")
 
 @dataclass
 class DataParams:
-    """Synthetic-task data settings (Gaussian blob mixture / teacher regression).
+    """Synthetic data settings: Gaussian blobs for xent, a teacher regression for mse.
 
-    classes is an alias of the output width model.widths[-1], which sets the
-    class count: None follows it, and ExperimentConfig rejects another value.
+    The class count is the output width model.widths[-1].
     """
 
     samples: int = 2000
-    classes: int | None = None
     noise: float = 2.0
     center_scale: float = 2.0
     label_flip: float = 0.15
@@ -83,8 +73,6 @@ class DataParams:
     def __post_init__(self):
         if self.samples < 1:
             raise ConfigError(f"data.samples must be >= 1, got {self.samples}")
-        if self.classes is not None and self.classes < 1:
-            raise ConfigError(f"data.classes must be >= 1, got {self.classes}")
         if not self.noise >= 0.0:
             raise ConfigError(f"data.noise must be >= 0, got {self.noise}")
         if not 0.0 <= self.label_flip <= 1.0:
@@ -114,7 +102,6 @@ class ProbeParams:
 @dataclass
 class ExperimentConfig:
     name: str = "experiment"
-    task: str = "synthetic-classification"
     seeds: tuple[int, ...] = (0,)
     steps: int = 100
     batch_size: int = 128
@@ -164,26 +151,10 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be >= 0 (0 = full batch), got {self.batch_size}")
         if not self.baseline_lr > 0.0:
             raise ConfigError(f"baseline_lr must be > 0, got {self.baseline_lr}")
-        if self.task in _REMOVED_TASKS:
-            raise ConfigError(
-                f"task {self.task!r} was removed; run `{_REMOVED_TASKS[self.task]}` instead"
-            )
-        if self.task not in TASKS:
-            raise ConfigError(f"task {self.task!r} is unknown, expected one of {TASKS}")
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.task == "synthetic-regression" and self.model and self.model.loss == "xent":
-            raise ConfigError(
-                "task must not be synthetic-regression with model.loss = xent: "
-                "its targets are real vectors, not class indices"
-            )
-        classes = self.data.classes
-        if classes is not None and (self.model is None or classes != self.model.layer_widths[-1]):
-            width = "no model.widths" if self.model is None else self.model.layer_widths[-1]
-            raise ConfigError(
-                f"data.classes = {classes} must equal the output width model.widths[-1], "
-                f"got {width}"
-            )
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        if self.model is None:
+            raise ConfigError("model.widths is required")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +190,6 @@ def _parse_str_tuple(raw: str) -> tuple[str, ...]:
 # key -> (section, attribute, parser)
 _SCHEMA = {
     "name": (None, "name", str),
-    "task": (None, "task", str),
     "seeds": (None, "seeds", _parse_int_tuple),
     "steps": (None, "steps", int),
     "batch_size": (None, "batch_size", int),
@@ -241,7 +211,6 @@ _SCHEMA = {
     "alice.terms": ("alice", "terms", _parse_str_tuple),
     "alice.naq": ("alice", "naq", _parse_bool),
     "data.samples": ("data", "samples", int),
-    "data.classes": ("data", "classes", int),
     "data.noise": ("data", "noise", float),
     "data.center_scale": ("data", "center_scale", float),
     "data.label_flip": ("data", "label_flip", float),
@@ -256,13 +225,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config as the key = value text format (parse_config inverts this)."""
     lines = []
     for key, (section, attr, _) in _SCHEMA.items():
-        if section is None:
-            value = getattr(cfg, key)
-        else:
-            holder = getattr(cfg, section)
-            if holder is None:
-                continue
-            value = getattr(holder, attr)
+        value = getattr(cfg if section is None else getattr(cfg, section), attr)
         if value is None:
             continue
         lines.append(f"{key} = {_fmt_value(value)}")
@@ -302,9 +265,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         else:
             sections[section][attr] = value
     try:
-        if sections["model"].keys() == {"loss"}:
-            raise ConfigError("model.loss needs model.widths, which is not set")
-        model = ModelSpec(**sections["model"]) if sections["model"] else None
+        model = ModelSpec(**sections["model"]) if "layer_widths" in sections["model"] else None
         return ExperimentConfig(
             model=model,
             alice=AliceConfig(**sections["alice"]),
@@ -329,7 +290,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic tasks
+# Synthetic data
 
 
 def make_classification_batch(dp: DataParams, input_dim: int, n_classes: int, seed: int) -> Batch:
@@ -343,6 +304,8 @@ def make_classification_batch(dp: DataParams, input_dim: int, n_classes: int, se
     centers = dp.center_scale * rng.standard_normal((n_classes, input_dim))
     labels = rng.integers(0, n_classes, size=dp.samples)
     points = centers[labels] + dp.noise * rng.standard_normal((dp.samples, input_dim))
+    if not netkit.all_finite(points):
+        raise netkit.NumericsError("blob inputs overflowed: data.center_scale or data.noise")
     if dp.label_flip > 0:
         flip = rng.random(dp.samples) < dp.label_flip
         labels = np.where(flip, rng.integers(0, n_classes, size=dp.samples), labels)
@@ -360,15 +323,9 @@ def make_regression_batch(dp: DataParams, input_dim: int, output_dim: int, seed:
 
 
 def task_batch(cfg: ExperimentConfig, seed: int) -> Batch:
-    if cfg.model is None:
-        raise ConfigError(f"task {cfg.task!r} requires model.widths")
-    if cfg.task in ("synthetic-classification", "powerlaw-probe") and cfg.model.loss == "xent":
-        return make_classification_batch(
-            cfg.data, cfg.model.layer_widths[0], cfg.model.layer_widths[-1], seed
-        )
-    return make_regression_batch(
-        cfg.data, cfg.model.layer_widths[0], cfg.model.layer_widths[-1], seed
-    )
+    """The data of a run: Gaussian blobs for model.loss = xent, else a teacher regression."""
+    make = make_classification_batch if cfg.model.loss == "xent" else make_regression_batch
+    return make(cfg.data, cfg.model.layer_widths[0], cfg.model.layer_widths[-1], seed)
 
 
 def _minibatch_stream(batch: Batch, batch_size: int, seed: int):
@@ -422,6 +379,15 @@ def write_report(path, rows: list[CheckRow]) -> None:
 # Training runs
 
 
+def _logged_stat(stat, x: np.ndarray) -> float:
+    """stat(x), or peak * stat(x / peak) where finite entries overflow it (a sum past 1.8e308)."""
+    value = float(stat(x))
+    if math.isinf(value):
+        peak = float(np.max(np.abs(x)))
+        value = peak * float(stat(x / peak))
+    return value
+
+
 def _last(iterates):
     """The final iterate of an optimizer, holding one iterate at a time."""
     for theta in iterates:
@@ -432,13 +398,14 @@ def _last(iterates):
 def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
     """Train one seed; each train_log.csv row logs the step's last gradient call.
 
+    A seed that raises still writes the rows of the steps before the error.
+
     grad_evals is cumulative: Alice's own count (criterion C11), or the step
     number for adam and sgdm, which spend one gradient per step.
     """
     data = task_batch(cfg, seed)
     params = build_model(cfg.model, seed)
     stream = _minibatch_stream(data, cfg.batch_size, seed)
-    d = params.shape[0]
     rows = []
     # The loss and gradient of the most recent gradient call. The optimizers
     # only read the gradient, so its norm can be taken once per step.
@@ -455,45 +422,48 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
         return grad_fn
 
     def logged(step, mean_rho, mean_hbar, clamp_lo, clamp_hi, grad_evals, wall_ms):
-        grad_norm = float(np.linalg.norm(last["grad"]))
+        grad_norm = _logged_stat(np.linalg.norm, last["grad"])
         return (step, last["loss"], grad_norm, mean_rho, mean_hbar, clamp_lo, clamp_hi,
                 grad_evals, wall_ms)
 
-    if cfg.optimizer == "alice":
-        opt = Alice(params, cfg.alice, seed=seed)
-        for step in range(1, cfg.steps + 1):
-            tic = time.perf_counter()
-            record = opt.step(make_grad_fn(next(stream), step))
-            wall_ms = (time.perf_counter() - tic) * 1e3
-            # sum / d is the mean bitwise: np.mean divides the same sum by d.
-            rows.append(
-                logged(
-                    step,
-                    float(opt.state.rho.sum()) / d,
-                    float(record.h_bar.sum()) / d,
-                    record.clamped_low_fraction,
-                    record.clamped_high_fraction,
-                    opt.n_grad_evals,
-                    wall_ms,
+    try:
+        if cfg.optimizer == "alice":
+            opt = Alice(params, cfg.alice, seed=seed)
+            for step in range(1, cfg.steps + 1):
+                tic = time.perf_counter()
+                record = opt.step(make_grad_fn(next(stream), step))
+                wall_ms = (time.perf_counter() - tic) * 1e3
+                rows.append(
+                    logged(
+                        step,
+                        _logged_stat(np.mean, opt.state.rho),
+                        _logged_stat(np.mean, record.h_bar),
+                        record.clamped_low_fraction,
+                        record.clamped_high_fraction,
+                        opt.n_grad_evals,
+                        wall_ms,
+                    )
                 )
-            )
-        final_params = opt.params
-    else:
-        iterates = adam_iterates if cfg.optimizer == "adam" else sgdm_iterates
-        clock = {"tic": time.perf_counter()}
+            final_params = opt.params
+        else:
+            iterates = adam_iterates if cfg.optimizer == "adam" else sgdm_iterates
+            clock = {"tic": time.perf_counter()}
 
-        def grad_fn(theta):
-            step = len(rows) + 1
-            g = make_grad_fn(next(stream), step)(theta)
-            wall_ms = (time.perf_counter() - clock["tic"]) * 1e3
-            rows.append(logged(step, 0.0, 0.0, 0.0, 0.0, step, wall_ms))
-            clock["tic"] = time.perf_counter()
-            return g
+            def grad_fn(theta):
+                step = len(rows) + 1
+                g = make_grad_fn(next(stream), step)(theta)
+                wall_ms = (time.perf_counter() - clock["tic"]) * 1e3
+                rows.append(logged(step, 0.0, 0.0, 0.0, 0.0, step, wall_ms))
+                clock["tic"] = time.perf_counter()
+                return g
 
-        final_params = _last(iterates(params, grad_fn, lr=cfg.baseline_lr, n_steps=cfg.steps))
-
-    write_csv(run_dir / "train_log.csv", TRAIN_LOG_HEADER, rows)
-    return loss(cfg.model, final_params, data)
+            final_params = _last(iterates(params, grad_fn, lr=cfg.baseline_lr, n_steps=cfg.steps))
+    finally:
+        write_csv(run_dir / "train_log.csv", TRAIN_LOG_HEADER, rows)
+    try:
+        return loss(cfg.model, final_params, data)
+    except netkit.NumericsError as exc:
+        raise netkit.NumericsError(f"{cfg.optimizer} final loss: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +476,12 @@ def default_partitions(spec: ModelSpec) -> dict[str, np.ndarray]:
 
 
 def powerlaw_experiment(
-    spec: ModelSpec,
-    data: Batch,
-    lam: float,
-    n_samples: int,
-    seed: int = 0,
-    warmup_steps: int = 200,
-    warmup_lr: float = 2e-3,
-    warmup_batch_size: int = 128,
+    spec: ModelSpec, data: Batch, probe: ProbeParams, batch_size: int, seed: int = 0
 ) -> PowerLawReport:
     """Train briefly, then fit per-layer variation exponents at lam and 2 lam.
 
-    The two probe scales share one Rademacher seed, so their sample pairing
+    The warm-up takes minibatches of batch_size (0 = full batch). The two
+    probe scales share one Rademacher seed, so their sample pairing
     cancels most of the Monte-Carlo noise in the exponent. Gradients are
     evaluated on the full dataset.
 
@@ -527,7 +491,7 @@ def powerlaw_experiment(
     Generator in its own order, so the report is that of the serial runs.
     An error at lam is raised before one at 2 lam.
     """
-    params = _warm_up(spec, data, seed, warmup_steps, warmup_lr, warmup_batch_size)
+    params = _warm_up(spec, data, seed, probe.warmup_steps, probe.warmup_lr, batch_size)
 
     def grad_fn(theta):
         return gradient(spec, theta, data)[1]
@@ -535,13 +499,13 @@ def powerlaw_experiment(
     probe_seed = int(np.random.SeedSequence([seed, 0x9B0E]).generate_state(1)[0])
 
     def measure(scale):
-        return measure_variations(grad_fn, params, scale, n_samples, probe_seed)
+        return measure_variations(grad_fn, params, scale, probe.samples, probe_seed)
 
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as lane:
-        at_2lam = lane.submit(measure, 2.0 * lam)
-        meas_1 = measure(lam)
+        at_2lam = lane.submit(measure, 2.0 * probe.lam)
+        meas_1 = measure(probe.lam)
         meas_2 = at_2lam.result()
     return power_law(meas_1, meas_2, default_partitions(spec))
 
@@ -556,33 +520,13 @@ def _warm_up(spec, data, seed, steps, lr, batch_size) -> np.ndarray:
     return _last(adam_iterates(build_model(spec, seed), warm_grad, lr, n_steps=steps))
 
 
-# ---------------------------------------------------------------------------
-# Task runners
-
-
 def _run_powerlaw(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
     data = task_batch(cfg, seed)
-    report = powerlaw_experiment(
-        cfg.model,
-        data,
-        cfg.probe.lam,
-        cfg.probe.samples,
-        seed=seed,
-        warmup_steps=cfg.probe.warmup_steps,
-        warmup_lr=cfg.probe.warmup_lr,
-        warmup_batch_size=cfg.batch_size,
-    )
+    report = powerlaw_experiment(cfg.model, data, cfg.probe, cfg.batch_size, seed)
     write_csv(run_dir / "powerlaw.csv", ("partition", "sum_v_lambda", "sum_v_2lambda", "p"),
               [(e.name, e.sum_v_lambda, e.sum_v_2lambda, e.p) for e in report.entries])
     defined = [e.p for e in report.entries if e.defined]
     return median(defined) if defined else math.nan
-
-
-_TASK_RUNNERS = {
-    "synthetic-classification": _train_one,
-    "synthetic-regression": _train_one,
-    "powerlaw-probe": _run_powerlaw,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +581,8 @@ def resolve_output_dir(cfg: ExperimentConfig | None, out_root=None) -> Path:
     return Path(os.environ.get(OUTPUT_ENV, "runs"))
 
 
-def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunSummary:
-    """Execute every seed of an experiment and persist all artifacts.
+def run_experiment(cfg: ExperimentConfig, runner, out_root=None) -> RunSummary:
+    """Run runner(cfg, seed, run_dir) for every seed and persist all artifacts.
 
     Per-seed failures are recorded (metric NaN, error text in the run
     directory) and the remaining seeds still run. Rerunning a (config, seed)
@@ -646,7 +590,6 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunSummary:
     """
     base = resolve_output_dir(cfg, out_root) / cfg.name
     base.mkdir(parents=True, exist_ok=True)
-    runner = _TASK_RUNNERS[cfg.task]
     per_seed = []
     errors = []
     for seed in cfg.seeds:

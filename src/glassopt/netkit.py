@@ -276,6 +276,12 @@ def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, *, workspac
     return preacts, acts
 
 
+def _check_loss(value: float) -> None:
+    """A finite output can still overflow the loss, as a squared error beyond ~1.3e154."""
+    if not math.isfinite(value):
+        raise NumericsError(f"non-finite loss {value}")
+
+
 def _loss_and_dout(spec: ModelSpec, out: np.ndarray, targets: np.ndarray):
     """Batch-mean loss and its derivative w.r.t. the network output, written over out.
 
@@ -286,6 +292,7 @@ def _loss_and_dout(spec: ModelSpec, out: np.ndarray, targets: np.ndarray):
     if spec.loss == "mse":
         r = np.subtract(out, targets, out=out)
         value = float((r * r).sum()) / r.size  # np.mean's sum and division
+        _check_loss(value)
         r *= 2.0 / r.size
         return value, r
     rows, t = np.arange(n), np.asarray(targets)
@@ -294,6 +301,7 @@ def _loss_and_dout(spec: ModelSpec, out: np.ndarray, targets: np.ndarray):
     p = np.exp(shifted, out=out)
     sums = p.sum(axis=1)
     value = float((np.log(sums) - target_logits).sum()) / n
+    _check_loss(value)
     p /= sums[:, None]
     p[rows, t] -= 1.0
     p /= n

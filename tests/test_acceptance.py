@@ -21,7 +21,7 @@ from glassopt.alice import (
     reference_adam,
     reference_sgdm,
 )
-from glassopt.harness import DataParams, ExperimentConfig, make_classification_batch
+from glassopt.harness import DataParams, ExperimentConfig, ProbeParams, make_classification_batch
 from glassopt.netkit import Batch, ModelSpec
 
 
@@ -80,7 +80,7 @@ def test_c02_power_law_probe():
     assert 5_000 < spec.param_count < 20_000
     data = make_classification_batch(DataParams(), 20, 10, seed=0)
     mlp_report = harness.powerlaw_experiment(
-        spec, data, lam=0.002, n_samples=128, seed=0, warmup_steps=200
+        spec, data, ProbeParams(lam=0.002, samples=128, warmup_steps=200), 128, seed=0
     )
     exponents = {e.name: e.p for e in mlp_report.entries}
     hidden = [exponents[f"layer_{i}"] for i in range(1, 5)]
@@ -332,12 +332,11 @@ def test_c12_determinism(tmp_path):
     for run in ("first", "second"):
         cfg = ExperimentConfig(
             name="det",
-            task="synthetic-classification",
             seeds=(0, 1),
             steps=6,
             batch_size=16,
             model=ModelSpec((5, 8, 8, 3), "xent"),
-            data=DataParams(samples=60, classes=3),
+            data=DataParams(samples=60),
             alice=AliceConfig(lam=1e-3, lam_max=0.01, quick_steps=1),
         )
         if cfg_text is None:
@@ -345,7 +344,7 @@ def test_c12_determinism(tmp_path):
         else:
             assert harness.serialize_config(cfg) == cfg_text
         root = tmp_path / run
-        harness.run_experiment(cfg, root)
+        harness.run_experiment(cfg, harness._train_one, root)
         base = root / "det"
         outputs.append(
             {
@@ -364,16 +363,15 @@ def test_c12_determinism(tmp_path):
     for run in ("p1", "p2"):
         cfg = ExperimentConfig(
             name="detprobe",
-            task="powerlaw-probe",
             seeds=(3,),
             batch_size=32,
             model=ModelSpec((4, 8, 8, 3), "xent"),
-            data=DataParams(samples=80, classes=3),
+            data=DataParams(samples=80),
         )
         cfg.probe.samples = 8
         cfg.probe.warmup_steps = 5
         root = tmp_path / run
-        harness.run_experiment(cfg, root)
+        harness.run_experiment(cfg, harness._run_powerlaw, root)
         probe_csvs.append((root / "detprobe" / "seed_3" / "powerlaw.csv").read_bytes())
     report("C12 determinism", byte_identical=1.0)
     assert probe_csvs[0] == probe_csvs[1]

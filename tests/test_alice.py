@@ -255,6 +255,13 @@ class TestStepPieces:
         assert np.all(record.h_glass > 0.0)
         assert np.array_equal(record.h_bar, 2.0 * record.h_glass + 1e-8)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_denominator_raises(self):
+        # rho / eps at a zero gradient is finite; h_glass squared is not.
+        state = filled_state(np.zeros(2), rho=[2.0, 0.0])
+        with pytest.raises(NumericsError, match="^step denominator h_bar overflowed at update 1$"):
+            apply_step(state, AliceConfig(eps=1e-300))
+
     def test_modified_hessian_rejects_negative(self):
         with pytest.raises(ConfigError, match="glass density must be nonnegative"):
             apply_step(filled_state(np.ones(1), rho=-0.1), AliceConfig())
@@ -607,6 +614,15 @@ class TestReferenceOptimizers:
             reference_sgdm(params, lambda _: np.zeros(2), 0.1, n_steps=5),
         ):
             assert np.array_equal(traj[-1], params)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_adam_overflowing_average_raises_at_its_step(self):
+        # A finite 1e200 gradient overflows g*g; left in v it would zero every step.
+        grads = iter([np.ones(2), np.array([1e200, 1.0])])
+        iterates = adam_iterates(np.zeros(2), lambda _: next(grads), 0.01, n_steps=3)
+        assert len([next(iterates), next(iterates)]) == 2
+        with pytest.raises(NumericsError, match="^adam step 2: running averages overflowed: v$"):
+            next(iterates)
 
     def test_adam_first_step_is_signed_learning_rate(self):
         grad = np.array([3.0, -0.25])

@@ -98,7 +98,6 @@ class TestTrainCommand:
     def test_tiny_training_run(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             name="cli_train",
-            task="synthetic-regression",
             seeds=(0, 1),
             steps=3,
             model=ModelSpec((3, 6, 2)),
@@ -114,7 +113,6 @@ class TestTrainCommand:
         for label, terms in (("rho", ("rho",)), ("habs", ("h_abs",))):
             cfg = ExperimentConfig(
                 name=f"terms_{label}",
-                task="synthetic-regression",
                 seeds=(0,),
                 steps=4,
                 batch_size=0,
@@ -132,7 +130,14 @@ class TestTrainCommand:
         path = tmp_path / "loss.cfg"
         path.write_text("model.loss = xent\n")
         assert cli.main(["train", "--config", str(path)]) == 2
-        assert f"{path}:1: model.loss needs model.widths" in capsys.readouterr().err
+        assert f"config error: {path}: model.widths is required\n" == capsys.readouterr().err
+
+    def test_task_key_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "task.cfg"
+        path.write_text("model.widths = 3,4,2\ntask = powerlaw-probe\n")
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}:2: unknown key 'task'\n" == capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "missing.cfg")])
@@ -144,13 +149,11 @@ class TestProbeCommand:
     def test_probe_writes_powerlaw_csv(self, tmp_path):
         cfg = ExperimentConfig(
             name="cli_probe",
-            task="powerlaw-probe",
             seeds=(0,),
             batch_size=32,
             model=ModelSpec((4, 8, 8, 3), "xent"),
         )
         cfg.data.samples = 100
-        cfg.data.classes = 3
         cfg.probe.samples = 8
         cfg.probe.warmup_steps = 5
         path = write_config(tmp_path, cfg)
@@ -184,7 +187,7 @@ class TestOutputDir:
         assert (tmp_path / "flag" / "verify_step.csv").exists()
 
     def test_config_output_dir_between_out_and_env(self, tmp_path, monkeypatch, capsys):
-        cfg = ExperimentConfig(name="o", task="synthetic-regression", steps=1, batch_size=0,
+        cfg = ExperimentConfig(name="o", steps=1, batch_size=0,
                                output_dir=str(tmp_path / "cfg"), model=ModelSpec((3, 6, 2)))
         cfg.data.samples = 16
         path = write_config(tmp_path, cfg)
@@ -196,14 +199,12 @@ class TestOutputDir:
         assert not (tmp_path / "env").exists()
 
 
-@pytest.mark.parametrize(
-    "command, task", [("train", "synthetic-classification"), ("probe", "powerlaw-probe")]
-)
-def test_config_without_widths_exits_two_before_writing(tmp_path, capsys, command, task):
+@pytest.mark.parametrize("command", ["train", "probe"])
+def test_config_without_widths_exits_two_before_writing(tmp_path, capsys, command):
     path = tmp_path / "no_widths.cfg"
     path.write_text("name = nw\nsteps = 2\n")
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"{path}: task {task!r} requires model.widths" in capsys.readouterr().err
+    assert f"{path}: model.widths is required" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -251,7 +252,7 @@ class TestImportGuard:
         train = ExperimentConfig(name="t", seeds=(0,), steps=3, batch_size=16,
                                  model=ModelSpec((4, 8, 3), "xent"))
         train.data.samples = 60
-        probe = ExperimentConfig(name="p", task="powerlaw-probe", seeds=(0,), batch_size=16,
+        probe = ExperimentConfig(name="p", seeds=(0,), batch_size=16,
                                  model=ModelSpec((4, 8, 8, 3), "xent"))
         probe.data.samples = 60
         probe.probe.samples = 4

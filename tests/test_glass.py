@@ -539,6 +539,12 @@ class TestMeasureVariations:
         b = glass.measure_variations(grad_fn, mu, 0.1, 8, 7)
         assert np.array_equal(a.v, b.v)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_variations_raise(self):
+        # A finite gradient change of 1e200 overflows its square.
+        with pytest.raises(NumericsError, match=r"^gradient variations overflowed at lam = 0.5$"):
+            glass.measure_variations(lambda th: 1e200 * th, np.zeros(3), 0.5, 2, 0)
+
     def test_invalid_args(self):
         with pytest.raises(ConfigError):
             glass.measure_variations(lambda t: t, np.zeros(2), 0.0, 4, 0)

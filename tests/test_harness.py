@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import itertools
 import math
+import re
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -15,6 +18,7 @@ from glassopt.alice import CURVATURE_TERMS, LIMIT_METHODS, Alice, AliceConfig, r
 from glassopt.harness import (
     DataParams,
     ExperimentConfig,
+    ProbeParams,
     aggregate,
     default_partitions,
     load_config,
@@ -26,12 +30,13 @@ from glassopt.harness import (
 from glassopt.netkit import Batch, ConfigError, ModelSpec, NumericsError
 
 DOCS_CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _tiny_regression(name, seeds=(0,)):
     """Two full-batch steps on 16 samples: a run that is cheap and needs no oracle."""
     return ExperimentConfig(
-        name=name, task="synthetic-regression", seeds=seeds, steps=2, batch_size=0,
+        name=name, seeds=seeds, steps=2, batch_size=0,
         model=ModelSpec((3, 6, 2)), data=DataParams(samples=16),
     )
 
@@ -42,15 +47,10 @@ def _positive():
 
 @st.composite
 def config_fields(draw):
-    """ExperimentConfig fields the constructors accept, with or without a model or naq."""
-    model = None
-    if draw(st.booleans()):
-        widths = tuple(draw(st.lists(st.integers(1, 64), min_size=3, max_size=6)))
-        losses = ("mse", "xent") if widths[-1] > 1 else ("mse",)
-        model = ModelSpec(widths, draw(st.sampled_from(losses)))
-    tasks = harness.TASKS
-    if model is not None and model.loss == "xent":
-        tasks = tuple(t for t in tasks if t != "synthetic-regression")
+    """ExperimentConfig fields the constructors accept, with or without naq."""
+    widths = tuple(draw(st.lists(st.integers(1, 64), min_size=3, max_size=6)))
+    losses = ("mse", "xent") if widths[-1] > 1 else ("mse",)
+    model = ModelSpec(widths, draw(st.sampled_from(losses)))
     beta1 = draw(st.floats(0.0, 1.0, exclude_max=True))
     naq = draw(st.booleans())
     if naq:
@@ -69,7 +69,6 @@ def config_fields(draw):
     )
     data = DataParams(
         samples=draw(st.integers(1, 10**6)),
-        classes=None if model is None else draw(st.sampled_from((None, model.layer_widths[-1]))),
         noise=draw(st.floats(0.0, 1e3)), center_scale=draw(st.floats(-1e3, 1e3)),
         label_flip=draw(st.floats(0.0, 1.0)),
     )
@@ -80,7 +79,6 @@ def config_fields(draw):
     return dict(
         name=draw(st.text("abxyz019_-.", min_size=1, max_size=10).filter(
             lambda n: n not in (".", ".."))),
-        task=draw(st.sampled_from(tasks)),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4,
                                   unique=True))),
         steps=draw(st.integers(1, 10**6)), batch_size=draw(st.integers(0, 4096)),
@@ -174,22 +172,17 @@ class TestConfigFormat:
     def _full_config(self):
         return ExperimentConfig(
             name="demo",
-            task="synthetic-classification",
             seeds=(3, 1, 4),
             steps=17,
             batch_size=32,
             optimizer="alice",
             model=ModelSpec((5, 8, 8, 3), "xent"),
             alice=AliceConfig(lam=0.004, beta1=0.85, lam_max=0.02, terms=("rho",), naq=True),
-            data=DataParams(samples=300, classes=3, noise=1.5),
+            data=DataParams(samples=300, noise=1.5),
         )
 
     def test_round_trip(self):
         cfg = self._full_config()
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_round_trip_without_model(self):
-        cfg = ExperimentConfig(name="walk", task="synthetic-regression", seeds=(1,), steps=5)
         assert parse_config(serialize_config(cfg)) == cfg
 
     @settings(max_examples=200, deadline=None)
@@ -234,13 +227,21 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=f"^{message}"):
             ExperimentConfig(**fields)
 
-    @pytest.mark.parametrize("name", ["train_blobs.cfg", "probe_mlp.cfg"])
+    @pytest.mark.parametrize("name", sorted(path.name for path in DOCS_CONFIGS.glob("*.cfg")))
     def test_docs_config_round_trips(self, name):
         cfg = load_config(DOCS_CONFIGS / name)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_readme_config_table_lists_the_schema(self):
+        # The first column of the table under "| key | meaning |" names the keys.
+        lines = README.read_text().splitlines()
+        start = lines.index("| key | meaning |") + 2
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert sorted(keys) == sorted(harness._SCHEMA)
+
     def test_unknown_key_reports_line(self):
-        text = "name = x\ntask = synthetic-regression\nbogus_key = 1\n"
+        text = "name = x\nmodel.widths = 3,4,2\nbogus_key = 1\n"
         with pytest.raises(ConfigError, match=r":3: unknown key 'bogus_key'"):
             parse_config(text)
 
@@ -278,7 +279,6 @@ class TestConfigFormat:
             ("name", ".."),
             ("baseline_lr", "0"),
             ("baseline_lr", "-1"),
-            ("data.classes", "0"),
             ("data.noise", "-2"),
             ("data.noise", "nan"),
             ("probe.lam", "0"),
@@ -299,7 +299,6 @@ class TestConfigFormat:
             ("alice.limit_method", "newton"),
             ("alice.quick_steps", "-1"),
             ("alice.terms", "rho,spectral"),
-            ("task", "synthetic-regression"),
         ],
     )
     def test_out_of_range_value_names_key_and_line(self, key, raw):
@@ -309,7 +308,6 @@ class TestConfigFormat:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("model.loss = xent\n", ":1: model.loss needs model.widths, which is not set"),
             ("name = x\nmodel.widths = 0,1\n", ":2: model.widths must list input"),
             ("name = x\nmodel.widths = 3,0,2\n", ":2: model.widths must all be >= 1"),
             ("model.widths = 3,4,2\nmodel.loss = foo\n", ":2: model.loss must be one of"),
@@ -350,43 +348,27 @@ class TestConfigFormat:
         assert AliceConfig(lam_min=0.0, lam_max=math.inf).lam_max == math.inf
 
     @pytest.mark.parametrize(
-        "task, command",
-        [
-            pytest.param(task, command, id=task)
-            for task, command in (
-                ("least-squares", "glassopt simulate underdetermined-ls"),
-                ("naq-exactness", "glassopt verify --suite naq"),
-                ("estimator-suite", "glassopt verify --suite kernel"),
-                ("glass-walk-suite", "glassopt verify --suite walk"),
-            )
-        ],
+        "text", ["name = x\n", "model.loss = xent\n", "name = x\nseeds = 1,2\n"]
     )
-    def test_removed_task_names_its_replacement(self, task, command):
-        with pytest.raises(ConfigError, match=rf":2: task '{task}' was removed; run `{command}`"):
-            parse_config(f"name = x\ntask = {task}\n")
-
-    @pytest.mark.parametrize(
-        "text, got",
-        [
-            ("model.widths = 4,8,10\nmodel.loss = xent\ndata.classes = 3\n", "10"),
-            ("task = synthetic-regression\nname = x\ndata.classes = 3\n", "no model.widths"),
-        ],
-    )
-    def test_classes_other_than_output_width_rejected(self, text, got):
-        with pytest.raises(
-            ConfigError,
-            match=rf":3: data.classes = 3 must equal the output width model.widths\[-1\], got {got}",
-        ):
+    def test_config_without_widths_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"^<config>: model.widths is required$"):
             parse_config(text)
 
     def test_classes_follows_output_width(self):
-        implicit = parse_config("model.widths = 4,8,3\nmodel.loss = xent\n")
-        assert implicit.data.classes is None
-        assert "data.classes" not in serialize_config(implicit)
-        assert parse_config(serialize_config(implicit)) == implicit
-        assert harness.task_batch(implicit, 0).targets.max() == 2
-        explicit = parse_config("model.widths = 4,8,3\nmodel.loss = xent\ndata.classes = 3\n")
-        assert parse_config(serialize_config(explicit)) == explicit
+        cfg = parse_config("model.widths = 4,8,3\nmodel.loss = xent\ndata.samples = 200\n")
+        assert np.array_equal(np.unique(harness.task_batch(cfg, 0).targets), [0, 1, 2])
+        with pytest.raises(ConfigError, match=r"^<config>:3: unknown key 'data.classes'$"):
+            parse_config("model.widths = 4,8,3\nmodel.loss = xent\ndata.classes = 3\n")
+
+    @pytest.mark.parametrize("loss, targets", [("xent", (60,)), ("mse", (60, 3))])
+    def test_model_loss_picks_the_data(self, loss, targets):
+        cfg = parse_config(f"model.widths = 4,8,3\nmodel.loss = {loss}\ndata.samples = 60\n")
+        batch = harness.task_batch(cfg, 0)
+        make = {"xent": harness.make_classification_batch, "mse": harness.make_regression_batch}
+        want = make[loss](cfg.data, 4, 3, 0)
+        assert batch.targets.shape == targets
+        assert np.array_equal(batch.inputs, want.inputs)
+        assert np.array_equal(batch.targets, want.targets)
 
     @pytest.mark.parametrize("key, raw", [("alice.phi", "0.5"), ("alice.omega", "0.9")])
     def test_naq_rejects_explicit_fraction(self, key, raw):
@@ -398,15 +380,16 @@ class TestConfigFormat:
             parse_config("alice.naq = true\nalice.beta1 = 1.5\n")
 
     def test_zero_batch_size_still_means_full_batch(self):
-        assert parse_config("batch_size = 0\n").batch_size == 0
+        assert parse_config("batch_size = 0\nmodel.widths = 3,4,2\n").batch_size == 0
 
     def test_comments_and_blank_lines_ignored(self):
-        cfg = parse_config("# a comment\n\nname = ok\ntask = synthetic-regression\n")
+        cfg = parse_config("# a comment\n\nname = ok\nmodel.widths = 3,4,2\n")
         assert cfg.name == "ok"
 
     def test_invalid_task_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config("task = minesweeper\n")
+        # The command picks the runner and model.loss the data: task is no key.
+        with pytest.raises(ConfigError, match=r"^<config>:2: unknown key 'task'$"):
+            parse_config("model.widths = 3,4,2\ntask = minesweeper\n")
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -414,7 +397,7 @@ class TestConfigFormat:
 
     def test_manifest_is_parseable(self, tmp_path):
         cfg = _tiny_regression("m")
-        run_experiment(cfg, tmp_path)
+        run_experiment(cfg, harness._train_one, tmp_path)
         manifest = (tmp_path / "m" / "manifest.txt").read_text()
         assert parse_config(manifest) == cfg
 
@@ -443,52 +426,85 @@ class TestTasks:
 class TestRunExperiment:
     def test_single_seed_min_equals_max(self, tmp_path):
         cfg = _tiny_regression("one", seeds=(5,))
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg, harness._train_one, tmp_path)
         assert summary.minimum == summary.median == summary.maximum
 
     def test_failures_recorded_not_raised(self, tmp_path):
-        cfg = ExperimentConfig(
-            name="broken",
-            task="synthetic-regression",
-            seeds=(0,),
-            steps=2,
-            model=None,  # training without a model spec fails per-seed
-        )
-        summary = run_experiment(cfg, tmp_path)
+        def runner(cfg, seed, run_dir):
+            if seed == 1:
+                raise RuntimeError("seed 1 broke")
+            return float(seed)
+
+        summary = run_experiment(_tiny_regression("broken", seeds=(0, 1, 2)), runner, tmp_path)
         assert math.isnan(summary.minimum)
-        assert summary.errors
-        assert (tmp_path / "broken" / "seed_0" / "error.txt").exists()
+        assert summary.errors == ("seed 1: RuntimeError: seed 1 broke",)
+        assert summary.per_seed[::2] == ((0, 0.0), (2, 2.0))
+        assert (tmp_path / "broken" / "seed_1" / "error.txt").exists()
 
     @pytest.mark.parametrize("optimizer, step", [("adam", 2), ("sgdm", 2), ("alice", 1)])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerics_error_names_the_optimizer_and_step(self, tmp_path, optimizer, step):
         cfg = ExperimentConfig(
-            name="blowup", task="synthetic-classification", seeds=(0,), steps=3, batch_size=16,
+            name="blowup", seeds=(0,), steps=3, batch_size=16,
             optimizer=optimizer, baseline_lr=1e300, model=ModelSpec((3, 4, 3), "xent"),
             alice=AliceConfig(lam=1e300, lam_max=1e300), data=DataParams(samples=16),
         )
         message = f"{optimizer} step {step}: non-finite pre-activations at layer 1"
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg, harness._train_one, tmp_path)
         assert summary.errors == (f"seed 0: NumericsError: {message}",)
         error_txt = tmp_path / "blowup" / "seed_0" / "error.txt"
         assert error_txt.read_text() == summary.errors[0] + "\n"
+        # The log keeps the rows of the steps before the failing one.
+        log = (tmp_path / "blowup" / "seed_0" / "train_log.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in log[1:]] == [str(s) for s in range(1, step)]
         with pytest.raises(NumericsError, match=f"^{message}$") as raised:
             harness._train_one(cfg, 0, tmp_path)
         cause = raised.value.__cause__
         assert isinstance(cause, NumericsError)
         assert str(cause) == "non-finite pre-activations at layer 1"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_adam_overflow_is_an_error_not_a_stall(self, tmp_path):
+        # g*g overflows at |g| ~ 1e154, so v turns inf and every later Adam
+        # step would be zero; the seed fails at the step that overflowed.
+        cfg = parse_config(
+            "name = stall\noptimizer = adam\nsteps = 3\nbatch_size = 16\n"
+            "model.widths = 3,4,3\nmodel.loss = xent\ndata.samples = 16\ndata.noise = 1e300\n"
+        )
+        summary = run_experiment(cfg, harness._train_one, tmp_path)
+        message = "seed 0: NumericsError: adam step 1: running averages overflowed: v"
+        assert summary.errors == (message,)
+        run_dir = tmp_path / "stall" / "seed_0"
+        assert (run_dir / "error.txt").read_text() == message + "\n"
+        log = list(csv.DictReader((run_dir / "train_log.csv").open()))
+        assert [row["step"] for row in log] == ["1"]
+        # The log gives the gradient's norm, though its square overflows.
+        assert 1e154 < float(log[0]["grad_norm"]) < math.inf
+
+    @pytest.mark.parametrize("stat", [np.mean, np.linalg.norm])
+    def test_log_statistics_survive_an_overflowing_sum(self, stat):
+        x = np.random.default_rng(3).uniform(0.0, 10.0, size=1001)
+        assert repr(harness._logged_stat(stat, x)) == repr(float(stat(x)))
+        assert repr(harness._logged_stat(np.mean, x)) == repr(float(x.sum()) / x.size)
+        with np.errstate(over="ignore"):
+            assert math.isinf(stat(1e307 * x))
+            assert harness._logged_stat(stat, 1e307 * x) == pytest.approx(
+                1e307 * float(stat(x)), rel=1e-12)
+
+    def test_blob_overflow_is_a_numerics_error(self):
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="^blob inputs"):
+            harness.make_classification_batch(DataParams(samples=64, noise=1.7e308), 3, 2, seed=0)
+
     def test_training_artifacts_written(self, tmp_path):
         cfg = ExperimentConfig(
             name="train",
-            task="synthetic-regression",
             seeds=(1, 2),
             steps=4,
             batch_size=0,
             model=ModelSpec((3, 6, 2)),
             alice=AliceConfig(lam=1e-3, lam_max=0.01),
         )
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg, harness._train_one, tmp_path)
         base = tmp_path / "train"
         log = (base / "seed_1" / "train_log.csv").read_text().splitlines()
         assert log[0] == ",".join(harness.TRAIN_LOG_HEADER) == (
@@ -510,11 +526,11 @@ class TestRunExperiment:
         # The last row is criterion C11's count: steps + 2 * ceil(steps / (q + 1))
         # for Alice, one gradient per step for the baselines.
         cfg = ExperimentConfig(
-            name="evals", task="synthetic-regression", seeds=(0,), steps=steps, batch_size=8,
+            name="evals", seeds=(0,), steps=steps, batch_size=8,
             model=ModelSpec((3, 6, 2)), data=DataParams(samples=16), optimizer=optimizer,
             alice=AliceConfig(lam=1e-3, lam_max=0.01, quick_steps=quick_steps),
         )
-        run_experiment(cfg, tmp_path)
+        run_experiment(cfg, harness._train_one, tmp_path)
         lines = (tmp_path / "evals" / "seed_0" / "train_log.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert header[-2:] == ["grad_evals", "wall_ms"]
@@ -530,7 +546,6 @@ class TestRunExperiment:
         lr = 2e-3
         cfg = ExperimentConfig(
             name="pinned",
-            task="synthetic-regression",
             seeds=(0, 1, 2),
             steps=40,
             batch_size=16,
@@ -540,7 +555,7 @@ class TestRunExperiment:
                 lam_min=lr, lam_max=lr, limit_method="adam", quick_steps=0,
             ),
         )
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg, harness._train_one, tmp_path)
         for seed, metric in summary.per_seed:
             data = harness.task_batch(cfg, seed)
             params = netkit.build_model(cfg.model, seed)
@@ -554,19 +569,18 @@ class TestRunExperiment:
         for name in ("adam", "sgdm"):
             cfg = ExperimentConfig(
                 name=f"base_{name}",
-                task="synthetic-regression",
                 seeds=(0,),
                 steps=3,
                 optimizer=name,
                 model=ModelSpec((3, 6, 2)),
             )
-            summary = run_experiment(cfg, tmp_path)
+            summary = run_experiment(cfg, harness._train_one, tmp_path)
             assert not summary.errors
 
     def test_output_dir_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "envout"))
         cfg = _tiny_regression("env")
-        run_experiment(cfg)
+        run_experiment(cfg, harness._train_one)
         assert (tmp_path / "envout" / "env" / "summary.csv").exists()
 
 
@@ -574,10 +588,10 @@ class TestPowerlawExperiment:
     def test_probe_on_small_network(self):
         spec = ModelSpec((4, 8, 8, 3), "xent")
         data = harness.make_classification_batch(
-            DataParams(samples=120, classes=3, noise=1.0), 4, 3, seed=0
+            DataParams(samples=120, noise=1.0), 4, 3, seed=0
         )
         report = powerlaw_experiment(
-            spec, data, lam=0.002, n_samples=8, seed=0, warmup_steps=10
+            spec, data, ProbeParams(lam=0.002, samples=8, warmup_steps=10), 128, seed=0
         )
         names = [e.name for e in report.entries]
         assert names == ["layer_1", "layer_2", "layer_3"]
@@ -586,15 +600,14 @@ class TestPowerlawExperiment:
     def test_probe_task_via_run_experiment(self, tmp_path):
         cfg = ExperimentConfig(
             name="probe",
-            task="powerlaw-probe",
             seeds=(0,),
             batch_size=32,
             model=ModelSpec((4, 8, 8, 3), "xent"),
-            data=DataParams(samples=100, classes=3),
+            data=DataParams(samples=100),
         )
         cfg.probe.samples = 8
         cfg.probe.warmup_steps = 5
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg, harness._run_powerlaw, tmp_path)
         assert not summary.errors
         lines = (tmp_path / "probe" / "seed_0" / "powerlaw.csv").read_text().splitlines()
         assert lines[0] == "partition,sum_v_lambda,sum_v_2lambda,p"
@@ -606,9 +619,9 @@ class TestPowerlawExperiment:
         report = glass.power_law(meas([1.0, 0.0], 0.1), meas([2.0, 0.0], 0.2),
                                  {"a": np.array([0]), "b": np.array([1])})
         monkeypatch.setattr(harness, "powerlaw_experiment", lambda *args, **kwargs: report)
-        cfg = ExperimentConfig(name="probe", task="powerlaw-probe", seeds=(0,),
+        cfg = ExperimentConfig(name="probe", seeds=(0,),
                                model=ModelSpec((2, 3, 1)), data=DataParams(samples=4))
-        summary = run_experiment(cfg, tmp_path)
+        summary = run_experiment(cfg, harness._run_powerlaw, tmp_path)
         assert (summary.errors, summary.median) == ((), 1.0)
         assert (tmp_path / "probe" / "seed_0" / "powerlaw.csv").read_text().splitlines() == [
             "partition,sum_v_lambda,sum_v_2lambda,p",
@@ -619,10 +632,10 @@ class TestPowerlawExperiment:
     def test_equals_two_serial_measurements(self):
         spec = ModelSpec((4, 8, 8, 3), "xent")
         data = harness.make_classification_batch(
-            DataParams(samples=120, classes=3, noise=1.0), 4, 3, seed=0
+            DataParams(samples=120, noise=1.0), 4, 3, seed=0
         )
         report = powerlaw_experiment(
-            spec, data, lam=0.002, n_samples=8, seed=5, warmup_steps=10, warmup_batch_size=32
+            spec, data, ProbeParams(lam=0.002, samples=8, warmup_steps=10), 32, seed=5
         )
         stream = harness._minibatch_stream(data, 32, 5)
         warm = lambda th: netkit.gradient(spec, th, next(stream))[1]  # noqa: E731
@@ -653,13 +666,13 @@ class TestPowerlawExperiment:
     def test_error_at_double_scale_is_raised_and_recorded(self, monkeypatch, tmp_path):
         self._failing_at(monkeypatch, {0.004})
         cfg = ExperimentConfig(
-            name="probe", task="powerlaw-probe", seeds=(0,), batch_size=32,
-            model=ModelSpec((4, 8, 8, 3), "xent"), data=DataParams(samples=100, classes=3),
+            name="probe", seeds=(0,), batch_size=32,
+            model=ModelSpec((4, 8, 8, 3), "xent"), data=DataParams(samples=100),
         )
         cfg.probe.lam, cfg.probe.samples, cfg.probe.warmup_steps = 0.002, 4, 2
         with pytest.raises(NumericsError, match="lam = 0.004"):
-            powerlaw_experiment(cfg.model, harness.task_batch(cfg, 0), 0.002, 4, warmup_steps=2)
-        summary = run_experiment(cfg, tmp_path)
+            powerlaw_experiment(cfg.model, harness.task_batch(cfg, 0), cfg.probe, cfg.batch_size)
+        summary = run_experiment(cfg, harness._run_powerlaw, tmp_path)
         expected = "seed 0: NumericsError: non-finite gradient at lam = 0.004"
         assert summary.errors == (expected,)
         assert (tmp_path / "probe" / "seed_0" / "error.txt").read_text() == expected + "\n"
@@ -669,7 +682,7 @@ class TestPowerlawExperiment:
         spec = ModelSpec((3, 4, 2))
         data = harness.make_regression_batch(DataParams(samples=20), 3, 2, seed=0)
         with pytest.raises(NumericsError, match="lam = 0.002"):
-            powerlaw_experiment(spec, data, 0.002, 4, warmup_steps=0)
+            powerlaw_experiment(spec, data, ProbeParams(lam=0.002, samples=4, warmup_steps=0), 128)
 
     def test_scales_run_on_two_threads_at_once(self, monkeypatch):
         # The lam measurement waits for the 2 lam one to start: a serial probe
@@ -689,7 +702,7 @@ class TestPowerlawExperiment:
         monkeypatch.setattr(harness, "measure_variations", watched)
         spec = ModelSpec((3, 4, 2))
         data = harness.make_regression_batch(DataParams(samples=20), 3, 2, seed=0)
-        powerlaw_experiment(spec, data, 0.002, 4, warmup_steps=0)
+        powerlaw_experiment(spec, data, ProbeParams(lam=0.002, samples=4, warmup_steps=0), 128)
         assert started[0.002] == threading.get_ident() != started[0.004]
 
     def test_warm_up_keeps_no_trajectory(self):
@@ -807,3 +820,119 @@ class TestVerifySuites:
         for suite in ("all", "naq", "walk"):
             with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
                 harness.run_verify_suite(suite, -1)
+
+
+# Each float key's legal range: (low, high, low excluded, high excluded).
+_POSITIVE = (0.0, 1.7e308, True, False)
+_UNIT = (0.0, 1.0, False, True)
+_FLOAT_RANGES = {
+    "baseline_lr": _POSITIVE, "alice.lam": _POSITIVE, "alice.eps": _POSITIVE,
+    "alice.lam_max": _POSITIVE, "probe.lam": _POSITIVE, "probe.warmup_lr": _POSITIVE,
+    "alice.beta1": _UNIT, "alice.beta2": _UNIT, "alice.phi": (0.0, 1.0, True, False),
+    "alice.omega": (0.0, 1.0, True, False), "alice.lam_min": (0.0, 1.7e308, False, False),
+    "data.noise": (0.0, 1.7e308, False, False), "data.center_scale": (-1.7e308, 1.7e308, False,
+                                                                      False),
+    "data.label_flip": (0.0, 1.0, False, False),
+}
+_EXTREMES = (0.0, 1e-300, 1e-3, 0.5, 0.9, 1.0, 2.0, 1e150, 1e300, -1e300)
+
+
+def _toy_value(key, legal):
+    """A strategy for the text of one config value: a legal one, or else anything."""
+    ints = {
+        "steps": (1, 3), "batch_size": (0, 17), "data.samples": (1, 16),
+        "probe.samples": (1, 2), "probe.warmup_steps": (0, 3), "alice.quick_steps": (0, 3),
+    }
+    choices = {
+        "name": ("toy",),
+        "output_dir": ("", "elsewhere"),
+        "optimizer": harness.OPTIMIZERS,
+        "model.loss": netkit.LOSS_KINDS,
+        "alice.limit_method": LIMIT_METHODS,
+        "alice.naq": ("true", "false"),
+    }
+    if key in ints:
+        lo, hi = ints[key]
+        return st.integers(lo, hi).map(str) if legal else st.integers(lo - 2, hi + 2).map(str)
+    if key in choices:
+        bad = {"name": ("", ".", "a/b"), "alice.naq": ("maybe",)}.get(key, ("bogus",))
+        return st.sampled_from(choices[key] if legal else choices[key] + bad)
+    if key in ("seeds", "model.widths", "alice.terms"):
+        item, low, high = {
+            "seeds": (st.integers(0, 2**32 - 1) | st.integers(0, 3), 1, 2),
+            "model.widths": (st.integers(1, 4), 3, 5),
+            "alice.terms": (st.sampled_from(CURVATURE_TERMS), 0, 3),
+        }[key]
+        if not legal:
+            item = item | st.sampled_from({"alice.terms": ("spectral",)}.get(key, (-1, 0)))
+            low = 0
+        unique = key == "seeds" and legal
+        return st.lists(item, min_size=low, max_size=high, unique=unique).map(
+            lambda v: ",".join(map(str, v)))
+    if not legal:
+        return (st.sampled_from(_EXTREMES) | st.floats()).map(repr)
+    lo, hi, open_lo, open_hi = _FLOAT_RANGES[key]
+    extremes = [v for v in _EXTREMES if (lo < v if open_lo else lo <= v)
+                and (v < hi if open_hi else v <= hi)]
+    floats = st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi)
+    return (st.sampled_from(extremes) | floats).map(repr)
+
+
+# Always set, so that no toy run falls back to a full-size default.
+_TOY_SIZES = ("steps", "model.widths", "data.samples", "probe.samples", "probe.warmup_steps")
+
+
+@st.composite
+def toy_configs(draw):
+    """(command, config text): the _TOY_SIZES keys and any subset of the other _SCHEMA keys.
+
+    Every value is legal on its own, but one drawn key may get any value;
+    together the legal values can still conflict (alice.naq with alice.phi).
+    """
+    keys = [k for k in harness._SCHEMA if k in _TOY_SIZES or draw(st.booleans())]
+    spoilt = draw(st.none() | st.sampled_from(keys))
+    lines = [f"{key} = {draw(_toy_value(key, legal=key != spoilt))}" for key in keys]
+    return draw(st.sampled_from(("train", "probe"))), "\n".join(lines) + "\n"
+
+
+def _finite_cells(path, columns):
+    rows = list(csv.DictReader(path.open()))
+    return [math.isfinite(float(row[c])) for row in rows for c in columns]
+
+
+class TestToyConfigs:
+    @settings(max_examples=150, deadline=None)
+    @given(toy_configs())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_config_that_parses_runs_or_fails_by_name(self, case):
+        """A toy config is refused with its line, or each seed ends finite or in NumericsError.
+
+        The probe's exponent p is NaN exactly where a partition's variation
+        sum is zero at a scale (an undefined exponent); the seed's metric,
+        the median of the defined ones, is NaN only when none is defined.
+        """
+        command, text = case
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            assert re.match(r"<config>:\d+: ", str(exc)), str(exc)
+            return
+        runner = harness._train_one if command == "train" else harness._run_powerlaw
+        with tempfile.TemporaryDirectory() as out:
+            summary = run_experiment(cfg, runner, out)
+            for seed, metric in summary.per_seed:
+                run_dir = summary.base / f"seed_{seed}"
+                if (run_dir / "error.txt").exists():
+                    error = (run_dir / "error.txt").read_text()
+                    assert error.startswith(f"seed {seed}: NumericsError: "), error
+                    continue
+                if command == "train":
+                    assert math.isfinite(metric)
+                    assert all(_finite_cells(run_dir / "train_log.csv", harness.TRAIN_LOG_HEADER))
+                    continue
+                report = list(csv.DictReader((run_dir / "powerlaw.csv").open()))
+                sums = [(float(r["sum_v_lambda"]), float(r["sum_v_2lambda"])) for r in report]
+                assert all(math.isfinite(v) and v >= 0.0 for pair in sums for v in pair)
+                defined = [min(pair) > 0.0 for pair in sums]
+                assert [math.isfinite(float(r["p"])) for r in report] == defined
+                assert math.isfinite(metric) == any(defined)

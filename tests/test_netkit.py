@@ -93,6 +93,15 @@ def test_seeded_entry_point_rejects_a_negative_seed(entry):
 
 
 class TestLoss:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_loss_raises(self):
+        # Finite outputs of 1e200 square past the float range.
+        spec = ModelSpec((2, 3, 1))
+        batch = Batch(np.ones((4, 2)), np.full((4, 1), 1e200))
+        for fn in (netkit.loss, netkit.gradient):
+            with pytest.raises(NumericsError, match="^non-finite loss inf$"):
+                fn(spec, np.zeros(spec.param_count), batch)
+
     def test_zero_net_zero_targets(self):
         spec = ModelSpec((2, 3, 1))
         batch = Batch(np.ones((4, 2)), np.zeros((4, 1)))
