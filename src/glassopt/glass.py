@@ -48,20 +48,32 @@ def _check_density(density: str) -> None:
         raise ConfigError(f"unknown sample density {density!r}, expected one of {DENSITIES}")
 
 
+def rademacher_bits(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """The packed bits of rows successive rows of n Rademacher signs, as uint8.
+
+    The result has shape (rows, 4 ceil(n / 32)). Row r is
+    rng.bytes(4 * ceil(n / 32)) read afresh after rows 0..r-1, so
+    every row starts on a fresh 32-bit word of the stream. Its first n bits,
+    most significant bit of each byte first, are the row's sign bits; the
+    rest pad the last word. This is the one definition of the sign stream:
+    rademacher_signs turns bit b into the sign 2 b - 1.
+    """
+    row_bytes = 4 * -(-n // 32)
+    return np.frombuffer(rng.bytes(rows * row_bytes), dtype=np.uint8).reshape(rows, row_bytes)
+
+
 def rademacher_signs(
     rng: np.random.Generator, shape, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Independent +-1.0 signs of the given shape, one random bit per sign.
 
     The draw is a sequence of rows along the last axis (a 1-D shape is one
-    row). A row of n signs reads the first n bits, most significant bit of
-    each byte first, of rng.bytes(4 * ceil(n / 32)), and each bit b gives the
-    sign 2 b - 1. Every row starts on a fresh 32-bit word of the stream, so
-    an (m, n) draw equals m successive draws of n signs, and chunking the
-    rows never changes the numbers. The signs are written block by block
-    into out (a C-contiguous float64 array of the shape) when it is given,
-    else into a new array; no second array of the shape is allocated. A
-    shape with no elements gives an empty array and reads nothing from rng.
+    row), each of them a row of rademacher_bits, so an (m, n) draw equals m
+    successive draws of n signs, and chunking the rows never changes the
+    numbers. The signs are written block by block into out (a C-contiguous
+    float64 array of the shape) when it is given, else into a new array; no
+    second array of the shape is allocated. A shape with no elements gives an
+    empty array and reads nothing from rng.
     """
     shape = tuple(int(k) for k in np.atleast_1d(shape))
     if out is None:
@@ -72,12 +84,10 @@ def rademacher_signs(
         return out
     n = out.shape[-1]
     rows = out.reshape(-1, n)
-    row_bytes = 4 * -(-n // 32)
     step = max(1, _SIGN_BLOCK // n)
     for lo in range(0, rows.shape[0], step):
         blk = rows[lo : lo + step]
-        packed = np.frombuffer(rng.bytes(blk.shape[0] * row_bytes), dtype=np.uint8)
-        bits = np.unpackbits(packed.reshape(blk.shape[0], row_bytes), axis=1, count=n)
+        bits = np.unpackbits(rademacher_bits(rng, blk.shape[0], n), axis=1, count=n)
         np.multiply(bits, 2.0, out=blk)
         blk -= 1.0
     return out

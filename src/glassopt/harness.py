@@ -13,6 +13,7 @@ are the only non-reproducible output.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import time
@@ -411,15 +412,19 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
     # only read the gradient, so its norm can be taken once per step.
     last = {"loss": math.nan, "grad": None}
 
-    def make_grad_fn(batch, step):
+    def make_grad_fn(batch):
         def grad_fn(theta):
-            try:
-                last["loss"], last["grad"] = gradient(cfg.model, theta, batch)
-            except netkit.NumericsError as exc:
-                raise netkit.NumericsError(f"{cfg.optimizer} step {step}: {exc}") from exc
+            last["loss"], last["grad"] = gradient(cfg.model, theta, batch)
             return last["grad"]
 
         return grad_fn
+
+    def at_step(step, fn, *args):
+        """fn(*args), naming the optimizer and step in any NumericsError it raises."""
+        try:
+            return fn(*args)
+        except netkit.NumericsError as exc:
+            raise netkit.NumericsError(f"{cfg.optimizer} step {step}: {exc}") from exc
 
     def logged(step, mean_rho, mean_hbar, clamp_lo, clamp_hi, grad_evals, wall_ms):
         grad_norm = _logged_stat(np.linalg.norm, last["grad"])
@@ -431,7 +436,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
             opt = Alice(params, cfg.alice, seed=seed)
             for step in range(1, cfg.steps + 1):
                 tic = time.perf_counter()
-                record = opt.step(make_grad_fn(next(stream), step))
+                record = at_step(step, opt.step, make_grad_fn(next(stream)))
                 wall_ms = (time.perf_counter() - tic) * 1e3
                 rows.append(
                     logged(
@@ -451,7 +456,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
 
             def grad_fn(theta):
                 step = len(rows) + 1
-                g = make_grad_fn(next(stream), step)(theta)
+                g = at_step(step, make_grad_fn(next(stream)), theta)
                 wall_ms = (time.perf_counter() - clock["tic"]) * 1e3
                 rows.append(logged(step, 0.0, 0.0, 0.0, 0.0, step, wall_ms))
                 clock["tic"] = time.perf_counter()
@@ -489,7 +494,10 @@ def powerlaw_experiment(
     one; netkit's gradient keeps a workspace per thread and releases the GIL
     in its matmuls, so the two overlap. Each scale draws from its own
     Generator in its own order, so the report is that of the serial runs.
-    An error at lam is raised before one at 2 lam.
+    An error at lam is raised before one at 2 lam. Each scale counts its own
+    gradient calls, so a gradient's NumericsError names its scale and sample,
+    as in "probe lam = 0.002 sample 17: ...", where sample 0 is the
+    unperturbed gradient.
     """
     params = _warm_up(spec, data, seed, probe.warmup_steps, probe.warmup_lr, batch_size)
 
@@ -499,7 +507,16 @@ def powerlaw_experiment(
     probe_seed = int(np.random.SeedSequence([seed, 0x9B0E]).generate_state(1)[0])
 
     def measure(scale):
-        return measure_variations(grad_fn, params, scale, probe.samples, probe_seed)
+        samples = itertools.count()
+
+        def named_grad(theta):
+            sample = next(samples)
+            try:
+                return grad_fn(theta)
+            except netkit.NumericsError as exc:
+                raise netkit.NumericsError(f"probe lam = {scale!r} sample {sample}: {exc}") from exc
+
+        return measure_variations(named_grad, params, scale, probe.samples, probe_seed)
 
     from concurrent.futures import ThreadPoolExecutor
 
@@ -511,13 +528,23 @@ def powerlaw_experiment(
 
 
 def _warm_up(spec, data, seed, steps, lr, batch_size) -> np.ndarray:
-    """The model at `seed` after `steps` minibatch Adam steps, keeping no trajectory."""
+    """The model at `seed` after `steps` minibatch Adam steps, keeping no trajectory.
+
+    A NumericsError names the warm-up step: Adam's step t raises only after
+    its t-th gradient call.
+    """
     stream = _minibatch_stream(data, batch_size, seed)
+    calls = 0
 
     def warm_grad(theta):
+        nonlocal calls
+        calls += 1
         return gradient(spec, theta, next(stream))[1]
 
-    return _last(adam_iterates(build_model(spec, seed), warm_grad, lr, n_steps=steps))
+    try:
+        return _last(adam_iterates(build_model(spec, seed), warm_grad, lr, n_steps=steps))
+    except netkit.NumericsError as exc:
+        raise netkit.NumericsError(f"probe warm-up step {calls}: {exc}") from exc
 
 
 def _run_powerlaw(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:

@@ -12,12 +12,19 @@ deterministic given their seed: trials are accumulated in a fixed order.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import netkit
-from .glass import density_matrix, optimal_kernel_weight, rademacher_signs, variation_bound
+from .glass import (
+    density_matrix,
+    optimal_kernel_weight,
+    rademacher_bits,
+    rademacher_signs,
+    variation_bound,
+)
 from .netkit import Batch, ConfigError, ModelSpec, check_seed
 
 # Every sample chunk holds at most this many float64 elements (1 MiB), so the
@@ -45,15 +52,38 @@ def _draw(rng: np.random.Generator, density: str, out: np.ndarray) -> np.ndarray
 def _sample_chunks(rng: np.random.Generator, density: str, total: int, cols: int):
     """Yield total samples of length cols as (m, cols) chunks of _chunk_rows(total, cols) rows.
 
-    The last chunk may be shorter. Every chunk is drawn into one reused
-    buffer of at most _CHUNK_ELEMS elements (one row when cols exceeds it),
-    so a chunk is only valid until the next one is drawn; callers may
-    overwrite it. The samples are those of one draw of shape (total, cols).
+    The last chunk may be shorter. The samples are those of one draw of shape
+    (total, cols): rng is read by one thread at a time, in chunk order. A
+    chunk is only valid until the next one is asked for; callers may
+    overwrite it.
+
+    Sign chunks, and a draw that fits one chunk, are drawn inline into one
+    buffer of at most _CHUNK_ELEMS elements (one row when cols exceeds it).
+    Normal draws of more than one chunk alternate between two such buffers:
+    a one-worker thread fills the next chunk while the caller works on this
+    one, since standard_normal releases the GIL. An error in that draw is
+    raised here, in the caller. The worker is joined when the generator is
+    exhausted or closed, so a caller that may stop early (or raise) closes
+    it, for example with contextlib.closing.
     """
     rows = _chunk_rows(total, cols)
+    sizes = [min(rows, total - lo) for lo in range(0, total, rows)]
     buf = np.empty((rows, cols))
-    for lo in range(0, total, rows):
-        yield _draw(rng, density, buf[: min(rows, total - lo)])
+    if density == "rademacher" or len(sizes) == 1:
+        for m in sizes:
+            yield _draw(rng, density, buf[:m])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    spare = np.empty_like(buf)
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        ahead = lane.submit(_draw, rng, density, buf[: sizes[0]])
+        for m_next in sizes[1:] + [0]:
+            chunk = ahead.result()
+            buf, spare = spare, buf
+            if m_next:
+                ahead = lane.submit(_draw, rng, density, buf[:m_next])
+            yield chunk
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +130,44 @@ class GlassWalkResult:
     trials: int
 
 
+def _kick_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks and weights that sum a row of n packed sign bits b_j against 2 (n - j), exactly.
+
+    Sign j is bit i of 32-bit word w of its rademacher_bits row, in stream
+    order, where j - 1 = 32 w + i, so n - j = (n - 1 - 32 w) - sum_k 2^k i_k.
+    Mask 0 holds the row's n sign bits of each word (not the padding), and
+    mask 1 + k those of them whose i has bit k set. Hence
+    2 sum_j (n - j) b_j = sum over masks and words of
+    popcount(word & mask) * weight, where the weight of mask 0 at word w is
+    2 (n - 1 - 32 w) and that of mask 1 + k is -2^(k + 1). Returns the
+    (6, words) uint32 masks and the flat float64 weights.
+    """
+    words = -(-n // 32)
+    p = np.arange(32 * words)
+    index_bits = ((p % 32) >> np.arange(5)[:, None]) & 1  # row k: bit k of i
+    bits = (p < n) * np.vstack([np.ones_like(p), index_bits])
+    masks = np.packbits(bits.astype(np.uint8), axis=1).view(np.uint32)
+    weights = np.empty((6, words))
+    weights[0] = 2 * (n - 1 - 32 * np.arange(words))
+    weights[1:] = -(2.0 ** np.arange(1, 6))[:, None]
+    return masks, weights.ravel()
+
+
+def _rademacher_kick_sums(bits: np.ndarray, masks, weights, n: int, out: np.ndarray):
+    """sum_j w_j (2 b_j - 1), w_j = (n - j)/n, for each row of rademacher_bits, into out.
+
+    With S = sum_j (n - j) b_j, an integer of at most n^2/2, the sum is
+    (2 S - n (n - 1)/2) / n. 2 S is formed from one popcount per word and
+    mask of _kick_weights; every product and partial sum is an integer far
+    below 2^53, so it is exact in any summation order, and the division by n
+    is the only rounding.
+    """
+    counts = np.bitwise_count(bits.view(np.uint32)[:, None, :] & masks)
+    two_s = np.matmul(counts.reshape(bits.shape[0], -1), weights, out=out)
+    two_s -= n * (n - 1) // 2
+    return np.divide(two_s, n, out=out)
+
+
 def glass_walk_expectation(sim: SyntheticGlass1D) -> GlassWalkResult:
     """Simulate the loss change of a 1D glass walk against its closed forms.
 
@@ -111,31 +179,41 @@ def glass_walk_expectation(sim: SyntheticGlass1D) -> GlassWalkResult:
 
     A sum of Gaussian kicks is exactly N(0, (lam s)^2 sum_j w_j^2), so a
     Gaussian trial is one normal draw, scaled in place. Rademacher trials are
-    walked kick by kick, since their sum is not Gaussian: they are drawn in
-    1 MiB chunks (see _sample_chunks), about 131 trials of 1000 kinks each.
-    The four moment sums are accumulated chunk by chunk, so only their
-    round-off depends on the chunk size.
+    walked kick by kick, since their sum is not Gaussian: each trial's kicks
+    are one row of rademacher_bits, and its sum_j w_j kick_j is computed
+    exactly from the packed bits (see _rademacher_kick_sums) and rounded
+    once. Trials are taken in the rows of 1 MiB float64 chunks (see
+    _chunk_rows), about 131 trials of 1000 kinks each, and the four moment
+    sums are accumulated chunk by chunk, so only their round-off depends on
+    the chunk size.
     """
     rng = np.random.default_rng(sim.seed)
     n = sim.n_kinks
-    weights = (n - np.arange(1, n + 1)) / n
     scale = sim.lam * math.sqrt(sim.rho * sim.lam / n)
-    gauss = sim.kick == "gauss"
-    if gauss:
-        scale *= math.sqrt(float(np.dot(weights, weights)))
-    density, cols = ("normal", 1) if gauss else ("rademacher", n)
-    delta_buf = np.empty(_chunk_rows(sim.trials, n))
     s_abs = s_sq = s_delta = s_quad = 0.0
-    for chunk in _sample_chunks(rng, density, sim.trials, cols):
-        if gauss:
-            delta = chunk[:, 0]
-        else:
-            delta = np.matmul(chunk, weights, out=delta_buf[: chunk.shape[0]])
+
+    def accumulate(delta):
+        nonlocal s_abs, s_sq, s_delta, s_quad
         delta *= scale
         s_abs += float(np.sum(np.abs(delta)))
         s_sq += float(np.sum(delta * delta))
         s_delta += float(np.sum(delta))
         s_quad += float(np.sum(delta**4))
+
+    if sim.kick == "gauss":
+        weights = (n - np.arange(1, n + 1)) / n
+        scale *= math.sqrt(float(np.dot(weights, weights)))
+        with closing(_sample_chunks(rng, "normal", sim.trials, 1)) as chunks:
+            for chunk in chunks:
+                accumulate(chunk[:, 0])
+    else:
+        rows = _chunk_rows(sim.trials, n)
+        masks, weights = _kick_weights(n)
+        delta_buf = np.empty(rows)
+        for lo in range(0, sim.trials, rows):
+            m = min(rows, sim.trials - lo)
+            bits = rademacher_bits(rng, m, n)
+            accumulate(_rademacher_kick_sums(bits, masks, weights, n, delta_buf[:m]))
     t = sim.trials
     mean_abs = s_abs / t
     m2 = s_sq / t  # second moment; the mean is 0 by construction
@@ -209,15 +287,25 @@ class McEstimatorResult:
     n_samples: int
 
 
-def _kernel_estimates(delta: np.ndarray, mt: np.ndarray, kspec, work: np.ndarray) -> np.ndarray:
-    """est = kappa(delta) * (delta M^T) for a chunk of samples (rows).
+# Rows per pass of the kernel weight in _kernel_estimates: its buffer is
+# a small (rows, d) block, not a chunk-size array.
+_WEIGHT_ROWS = 32
 
-    work is a (2, rows, d) buffer: est is written into work[0], and the
-    kernel weight is computed in work[1].
+
+def _kernel_estimates(
+    delta: np.ndarray, mt: np.ndarray, kspec, est: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """est = kappa(delta) * (delta M^T) for a chunk of samples (rows), written into est.
+
+    The kernel weight is elementwise, so it is formed and applied
+    _WEIGHT_ROWS rows at a time in weight, a (_WEIGHT_ROWS, d) buffer: the
+    result is bitwise that of one pass over the chunk.
     """
     m = delta.shape[0]
-    est = np.matmul(delta, mt, out=work[0, :m])
-    est *= optimal_kernel_weight(delta, kspec, out=work[1, :m])
+    est = np.matmul(delta, mt, out=est[:m])
+    for lo in range(0, m, _WEIGHT_ROWS):
+        block = delta[lo : lo + _WEIGHT_ROWS]
+        est[lo : lo + len(block)] *= optimal_kernel_weight(block, kspec, out=weight[: len(block)])
     return est
 
 
@@ -247,12 +335,14 @@ def mc_estimator(
     """Sample kappa(delta_i) * (M delta)_i and report bias and variance per index.
 
     Samples are drawn in 1 MiB chunks (see _sample_chunks), 655 samples at
-    d = 200, into one reused buffer. Unrestricted Rademacher runs, whose
-    kernel is the identity, sum only the sign Gram matrix G = U^T U of each
-    chunk and read both per-index sums off G (see _gram_sums): no M product
-    and no kernel pass per sample. Normal and restricted runs form every
-    estimate directly, in buffers of the chunk's shape, and sum them chunk by
-    chunk.
+    d = 200: sign chunks into one reused buffer, normal chunks into two, the
+    next drawn on a worker thread while this one is used. Unrestricted
+    Rademacher runs, whose kernel is the identity, sum only the sign Gram
+    matrix G = U^T U of each chunk and read both per-index sums off G (see
+    _gram_sums): no M product and no kernel pass per sample. Normal and
+    restricted runs form every estimate directly, in a buffer of the chunk's
+    shape with the kernel weight in small row blocks (see
+    _kernel_estimates), and sum them chunk by chunk.
     """
     if n_samples < 1000:
         raise ConfigError("estimator sampling needs at least 1e3 samples")
@@ -260,33 +350,34 @@ def mc_estimator(
     diag = tm.diagonal
     rng = np.random.default_rng(check_seed(seed))
     rows = _chunk_rows(n_samples, d)
-    chunks = _sample_chunks(rng, density, n_samples, d)
     restricted = kspec.restrict > 0
-    if density == "rademacher" and kspec.density == "rademacher" and not restricted:
-        sums, sums_sq = _gram_sums(tm.M, chunks)
-        n_acc = np.full(d, n_samples, dtype=np.int64)
-    else:
-        sums = np.zeros(d)
-        sums_sq = np.zeros(d)
-        n_acc = np.zeros(d, dtype=np.int64)
-        mt = np.ascontiguousarray(tm.M.T)
-        # One chunk's working set: the draw, est, the kernel weight and the
-        # acceptance mask. Once est is formed the draw is dead, and its memory
-        # holds |delta| and est^2 in turn.
-        work = np.empty((2, rows, d))
-        mask_buf = np.empty((rows, d), dtype=bool) if restricted else None
-        for delta in chunks:
-            est = _kernel_estimates(delta, mt, kspec, work)
-            if restricted:
-                mask = mask_buf[: delta.shape[0]]
-                np.greater_equal(np.abs(delta, out=delta), kspec.restrict, out=mask)
-                sums += np.sum(est, axis=0, where=mask)
-                sums_sq += np.sum(np.multiply(est, est, out=delta), axis=0, where=mask)
-                n_acc += mask.sum(axis=0)
-            else:
-                sums += est.sum(axis=0)
-                sums_sq += np.sum(np.multiply(est, est, out=delta), axis=0)
-                n_acc += delta.shape[0]
+    with closing(_sample_chunks(rng, density, n_samples, d)) as chunks:
+        if density == "rademacher" and kspec.density == "rademacher" and not restricted:
+            sums, sums_sq = _gram_sums(tm.M, chunks)
+            n_acc = np.full(d, n_samples, dtype=np.int64)
+        else:
+            sums = np.zeros(d)
+            sums_sq = np.zeros(d)
+            n_acc = np.zeros(d, dtype=np.int64)
+            mt = np.ascontiguousarray(tm.M.T)
+            # One chunk's working set: the draw, est, a block of the kernel
+            # weight and the acceptance mask. Once est is formed the draw is
+            # dead, and its memory holds |delta| and est^2 in turn.
+            est_buf = np.empty((rows, d))
+            weight_buf = np.empty((min(rows, _WEIGHT_ROWS), d))
+            mask_buf = np.empty((rows, d), dtype=bool) if restricted else None
+            for delta in chunks:
+                est = _kernel_estimates(delta, mt, kspec, est_buf, weight_buf)
+                if restricted:
+                    mask = mask_buf[: delta.shape[0]]
+                    np.greater_equal(np.abs(delta, out=delta), kspec.restrict, out=mask)
+                    sums += np.sum(est, axis=0, where=mask)
+                    sums_sq += np.sum(np.multiply(est, est, out=delta), axis=0, where=mask)
+                    n_acc += mask.sum(axis=0)
+                else:
+                    sums += est.sum(axis=0)
+                    sums_sq += np.sum(np.multiply(est, est, out=delta), axis=0)
+                    n_acc += delta.shape[0]
     safe = np.maximum(n_acc, 1)
     mean = sums / safe
     var = (sums_sq - safe * mean * mean) / np.maximum(safe - 1, 1)
@@ -337,13 +428,16 @@ def mc_aggregate_bias(
     diag = tm.diagonal
     rng = np.random.default_rng(check_seed(seed))
     mt = np.ascontiguousarray(tm.M.T)
-    work = np.empty((2, _chunk_rows(n_samples, d), d))
+    rows = _chunk_rows(n_samples, d)
+    est_buf = np.empty((rows, d))
+    weight_buf = np.empty((min(rows, _WEIGHT_ROWS), d))
     agg_sum = agg_sum_sq = 0.0
-    for delta in _sample_chunks(rng, density, n_samples, d):
-        est = _kernel_estimates(delta, mt, kspec, work)
-        row_mean = np.subtract(est, diag, out=delta).mean(axis=1)
-        agg_sum += float(row_mean.sum())
-        agg_sum_sq += float(np.sum(row_mean * row_mean))
+    with closing(_sample_chunks(rng, density, n_samples, d)) as chunks:
+        for delta in chunks:
+            est = _kernel_estimates(delta, mt, kspec, est_buf, weight_buf)
+            row_mean = np.subtract(est, diag, out=delta).mean(axis=1)
+            agg_sum += float(row_mean.sum())
+            agg_sum_sq += float(np.sum(row_mean * row_mean))
     agg_bias = agg_sum / n_samples
     agg_var = (agg_sum_sq - n_samples * agg_bias * agg_bias) / (n_samples - 1)
     return AggregateBiasResult(agg_bias, math.sqrt(agg_var / n_samples), int(n_samples))

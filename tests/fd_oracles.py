@@ -229,14 +229,16 @@ def _reference_draw(rng, density, shape):
 def reference_glass_walk_expectation(sim):
     rng = np.random.default_rng(sim.seed)
     n = sim.n_kinks
-    weights = (n - np.arange(1, n + 1)) / n
+    # n - j as integer-valued floats: the ±1 kicks' dot product with them is an
+    # exact integer in any summation order, so the walk is rounded once, by / n.
+    steps_left = (n - np.arange(1, n + 1)).astype(np.float64)
     kick_scale = math.sqrt(sim.rho * sim.lam / n)
     s_abs = s_sq = s_delta = s_quad = 0.0
     done = 0
     while done < sim.trials:
         m = min(_reference_chunk_rows(sim.trials, n), sim.trials - done)
         kicks = _reference_draw(rng, "normal" if sim.kick == "gauss" else "rademacher", (m, n))
-        delta = sim.lam * kick_scale * (kicks @ weights)
+        delta = sim.lam * kick_scale * ((kicks @ steps_left) / n)
         s_abs += float(np.sum(np.abs(delta)))
         s_sq += float(np.sum(delta * delta))
         s_delta += float(np.sum(delta))

@@ -272,8 +272,9 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
-        # The probe's thread lane is the first to load concurrent.futures.
+        # The kernel suite's normal-draw thread lane is the first to load
+        # concurrent.futures; no command loads a process lane.
         assert report == {"codes": [0, 0, 0, 0], "scipy": [], "numpy.ma": False,
                           "process lane": [],
-                          "concurrent.futures": [False, False, False, False, True]}
+                          "concurrent.futures": [False, True, True, True, True]}
         assert (tmp_path / "out" / "p" / "seed_0" / "powerlaw.csv").exists()

@@ -463,6 +463,31 @@ class TestRunExperiment:
         assert isinstance(cause, NumericsError)
         assert str(cause) == "non-finite pre-activations at layer 1"
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ("data.noise = 1e300\n",
+             "running statistics overflowed at update 1: s, rho, h_rms2"),
+            ("alice.eps = 1e-300\ndata.center_scale = 0\ndata.noise = 0\n",
+             "step denominator h_bar overflowed at update 1"),
+        ],
+        ids=["statistics", "denominator"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_alice_own_errors_name_the_step(self, tmp_path, keys, message):
+        # Alice's own overflow checks, not a gradient error, raise these.
+        cfg = parse_config(
+            "name = own\noptimizer = alice\nsteps = 3\nbatch_size = 16\n"
+            "model.widths = 3,4,3\nmodel.loss = xent\ndata.samples = 16\n" + keys
+        )
+        summary = run_experiment(cfg, harness._train_one, tmp_path)
+        assert summary.errors == (f"seed 0: NumericsError: alice step 1: {message}",)
+        error_txt = tmp_path / "own" / "seed_0" / "error.txt"
+        assert error_txt.read_text() == summary.errors[0] + "\n"
+        with pytest.raises(NumericsError) as raised:
+            harness._train_one(cfg, 0, tmp_path)
+        assert str(raised.value.__cause__) == message
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_adam_overflow_is_an_error_not_a_stall(self, tmp_path):
         # g*g overflows at |g| ~ 1e154, so v turns inf and every later Adam
@@ -611,6 +636,35 @@ class TestPowerlawExperiment:
         assert not summary.errors
         lines = (tmp_path / "probe" / "seed_0" / "powerlaw.csv").read_text().splitlines()
         assert lines[0] == "partition,sum_v_lambda,sum_v_2lambda,p"
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            # The warm-up's second Adam step diverges.
+            ("probe.warmup_lr = 1e300\n",
+             "probe warm-up step 2: non-finite pre-activations at layer 1"),
+            # Adam's own overflow check, after the warm-up's first gradient.
+            ("data.noise = 1e300\n",
+             "probe warm-up step 1: adam step 1: running averages overflowed: v"),
+            # The first sign vector, not the unperturbed gradient, overflows.
+            ("probe.lam = 1e200\n",
+             "probe lam = 1e+200 sample 1: non-finite pre-activations at layer 1"),
+            # Only the 2 lam scale, on its own thread and call count, overflows.
+            ("probe.lam = 1e153\n", "probe lam = 2e+153 sample 1: non-finite loss inf"),
+        ],
+        ids=["warm-up", "warm-up-adam", "lam", "2lam"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_numerics_error_names_the_phase_and_step(self, tmp_path, keys, message):
+        cfg = parse_config(
+            "name = probe\nsteps = 3\nbatch_size = 16\nmodel.widths = 3,4,3\n"
+            "model.loss = xent\ndata.samples = 16\nprobe.samples = 2\n"
+            "probe.warmup_steps = 2\n" + keys
+        )
+        summary = run_experiment(cfg, harness._run_powerlaw, tmp_path)
+        assert summary.errors == (f"seed 0: NumericsError: {message}",)
+        error_txt = tmp_path / "probe" / "seed_0" / "error.txt"
+        assert error_txt.read_text() == summary.errors[0] + "\n"
 
     def test_powerlaw_csv_rows(self, monkeypatch, tmp_path):
         def meas(v, lam):

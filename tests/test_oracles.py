@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -71,6 +74,18 @@ class TestGlassWalk:
         assert result.trials == 2 and math.isfinite(result.mean_abs) and result.mean_abs > 0
         assert_bitwise_equal(result, reference_glass_walk_expectation(sim))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 31, 32, 33, 100, 1000])
+    def test_rademacher_kick_sums_are_exact(self, n):
+        # Against Python ints: sum_j (n - j)(2 b_j - 1), divided by n with one
+        # rounding (int / int is correctly rounded).
+        bits = glass.rademacher_bits(np.random.default_rng(n), 9, n)
+        masks, weights = oracles._kick_weights(n)
+        got = oracles._rademacher_kick_sums(bits, masks, weights, n, np.empty(9))
+        for row, delta in zip(bits.tolist(), got.tolist()):
+            b = [(row[p // 8] >> (7 - p % 8)) & 1 for p in range(n)]
+            total = sum((n - j) * (2 * b[j - 1] - 1) for j in range(1, n + 1))
+            assert delta == total / n
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gaussian_law_agrees_with_the_full_walk(self, seed):
         # The exact-law draw against the frozen 1000-kick Gaussian walk.
@@ -89,6 +104,88 @@ class TestGlassWalk:
                 oracles.SyntheticGlass1D(rho=1.0, lam=bad)
         with pytest.raises(ConfigError):
             oracles.SyntheticGlass1D(rho=1.0, lam=1.0, kick="cauchy")
+
+
+def new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+class FailingDraw:
+    """A Generator whose standard_normal raises on its call number fail_at."""
+
+    def __init__(self, seed, fail_at):
+        self.rng, self.fail_at, self.calls = np.random.default_rng(seed), fail_at, 0
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError(f"draw {self.calls} failed")
+        return self.rng.standard_normal(out=out)
+
+
+class TestSampleChunks:
+    # A chunk holds _CHUNK_ELEMS // 1024 = 128 rows of 1024 columns.
+    @pytest.mark.parametrize("total", [100, 128, 512, 500, 129])
+    def test_normal_chunks_are_one_draw(self, total):
+        # One chunk (100, 128), whole chunks (512), and a short last chunk
+        # (500 is three of 128 and one of 116; 129 is 128 and 1).
+        # Each chunk is read only after the next one has had time to be drawn
+        # ahead, so a lane that drew into the chunk in use would show here.
+        rng, whole = np.random.default_rng(6), np.random.default_rng(6)
+        chunks = []
+        for chunk in oracles._sample_chunks(rng, "normal", total, 1024):
+            time.sleep(0.01)
+            chunks.append(chunk.copy())
+        assert [c.shape[0] for c in chunks[:-1]] == [128] * (len(chunks) - 1)
+        assert np.concatenate(chunks).tobytes() == whole.standard_normal((total, 1024)).tobytes()
+        assert rng.random() == whole.random()
+
+    @pytest.mark.parametrize("density, total, lane", [
+        ("normal", 500, True), ("normal", 128, False), ("rademacher", 500, False),
+    ])
+    def test_only_a_normal_draw_of_many_chunks_starts_the_lane(self, density, total, lane):
+        before = threading.enumerate()
+        chunks = oracles._sample_chunks(np.random.default_rng(0), density, total, 1024)
+        next(chunks)
+        assert len(new_threads(before)) == int(lane)
+        chunks.close()
+        assert new_threads(before) == []
+
+    def test_no_thread_outlives_an_exhausted_draw(self):
+        before = threading.enumerate()
+        for _ in oracles._sample_chunks(np.random.default_rng(0), "normal", 500, 1024):
+            pass
+        assert new_threads(before) == []
+
+    def test_no_thread_outlives_an_oracle_that_raises(self, monkeypatch):
+        tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
+        kspec = glass.make_kernel("normal", tm.dominance)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("estimate failed")
+            return real(*args)
+
+        real = oracles._kernel_estimates
+        monkeypatch.setattr(oracles, "_kernel_estimates", failing)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="estimate failed"):
+            oracles.mc_aggregate_bias(tm, "normal", kspec, 10_000, seed=1)
+        assert new_threads(before) == []
+
+    @pytest.mark.parametrize("fail_at", [1, 3, 4])
+    def test_a_draw_error_is_raised_in_the_caller(self, fail_at):
+        # Four chunks: the first draw, one drawn ahead, and the last.
+        before = threading.enumerate()
+        got = []
+        with pytest.raises(RuntimeError, match=f"^draw {fail_at} failed$"):
+            chunks = oracles._sample_chunks(FailingDraw(0, fail_at), "normal", 500, 1024)
+            with closing(chunks):
+                got.extend(chunk.shape[0] for chunk in chunks)
+        assert got == [128] * (fail_at - 1)
+        assert new_threads(before) == []
 
 
 class TestBoundedWorkspaces:
@@ -155,8 +252,9 @@ class TestBoundedWorkspaces:
     @pytest.mark.parametrize("density", ["rademacher", "normal"])
     def test_estimator_peak_memory(self, density):
         # A 1 MiB chunk is 655 x 200 samples. The Gram path (rademacher) peaks
-        # at 2.0 MB, the direct path (normal) at 3.5 MB: the draw, est and the
-        # kernel weight. One more chunk-size array would pass either bound.
+        # at 2.0 MB, the direct path (normal) at 3.6 MB: two draw buffers (one
+        # filled ahead), est and a 32-row block of the kernel weight. One more
+        # chunk-size array would pass either bound.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance)
         peak = warm_peak_mb(
@@ -179,8 +277,9 @@ class TestBoundedWorkspaces:
 
     @pytest.mark.parametrize("density, restrict", [("rademacher", 0.5), ("normal", 1.0)])
     def test_restricted_estimator_peak_memory(self, density, restrict):
-        # 4.8 MB: the direct path's arrays, the acceptance mask, and the
-        # masked kernel weight with its |delta|.
+        # 2.8 MB (rademacher, one draw buffer) and 3.7 MB (normal, two): the
+        # direct path's arrays and the acceptance mask; the masked kernel
+        # weight and its |delta| are 32-row blocks.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance, restrict=restrict)
         peak = warm_peak_mb(
@@ -191,8 +290,8 @@ class TestBoundedWorkspaces:
 
     @pytest.mark.parametrize("density", ["rademacher", "normal"])
     def test_aggregate_bias_peak_memory(self, density):
-        # 3.6 MB (rademacher) and 3.5 MB (normal): the draw, est and the
-        # kernel weight.
+        # 2.6 MB (rademacher) and 3.6 MB (normal): the draw (two buffers for
+        # normal, one filled ahead), est and a 32-row kernel weight block.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance)
         peak = warm_peak_mb(
@@ -205,8 +304,8 @@ class TestBoundedWorkspaces:
     def test_walk_peak_memory(self, kick):
         # The Gaussian walk peaks at 1.6 MB: its 100_000 draws (0.8 MB), scaled
         # in place, and one temporary of their size; a separate Delta would
-        # pass 2 MB. One 131 x 1000 Rademacher chunk is 1 MiB, and that walk
-        # peaks at 1.3 MB, since its signs are unpacked in blocks.
+        # pass 2 MB. The Rademacher walk sums 131 trials' packed sign bits at a
+        # time and peaks at 0.3 MB.
         def walk(trials):
             sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, trials=trials, seed=0, kick=kick)
             return oracles.glass_walk_expectation(sim)
