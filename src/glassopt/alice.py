@@ -57,7 +57,8 @@ class AliceConfig:
     bound the step according to limit_method. phi is the fraction of the step
     applied to the actual position, omega the fraction used for the next
     gradient-evaluation center. terms selects which curvature statistics
-    enter the step (when both h_abs and h_rms are listed, h_abs is used).
+    enter the step: rho, and at most one of the Hessian surrogates h_abs and
+    h_rms.
     phi and omega default to 1; naq=True sets phi = 1 - beta1 and omega = 1,
     and rejects an explicit phi or omega with a different value.
     """
@@ -120,6 +121,8 @@ class AliceConfig:
             raise ConfigError(
                 f"alice.terms must be drawn from {CURVATURE_TERMS}, got unknown {sorted(unknown)}"
             )
+        if {"h_abs", "h_rms"} <= set(self.terms):
+            raise ConfigError("alice.terms must name at most one of h_abs and h_rms, got both")
 
 
 @dataclass

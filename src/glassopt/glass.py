@@ -245,34 +245,17 @@ def variation_bound(matrix: GlassDensityMatrix, delta: np.ndarray) -> np.ndarray
     return (matrix.reach @ np.abs(delta)) @ matrix.weights
 
 
-def _rho_and_delta(rho, delta) -> tuple[np.ndarray, np.ndarray]:
+def loss_increase_bound(rho: np.ndarray | GlassDensityDiag, delta: np.ndarray) -> float:
+    """Aggregate bound sqrt(2/(3 pi) * sum_i rho_i |delta_i|^3) on expected loss increase.
+
+    This is the scalar form that enters the modified quasi-Newton objective.
+    """
     rho = rho.rho if isinstance(rho, GlassDensityDiag) else np.asarray(rho, dtype=np.float64)
     if not (np.isfinite(rho).all() and (rho >= 0).all()):
         raise ConfigError("glass density must be finite and elementwise nonnegative")
     delta = np.asarray(delta, dtype=np.float64)
     if rho.shape != delta.shape:
         raise ConfigError(f"shape mismatch: rho {rho.shape} vs delta {delta.shape}")
-    return rho, delta
-
-
-def loss_increase_bound_terms(rho: np.ndarray | GlassDensityDiag, delta: np.ndarray) -> np.ndarray:
-    """Per-coordinate bound sqrt(2/(3 pi) * rho_i |delta_i|^3) on expected loss increase.
-
-    The sum of these terms is the bound used by the per-coordinate step
-    optimization; see loss_increase_bound for the aggregate scalar form.
-    """
-    rho, delta = _rho_and_delta(rho, delta)
-    return np.sqrt((2.0 / (3.0 * math.pi)) * rho * np.abs(delta) ** 3)
-
-
-def loss_increase_bound(rho: np.ndarray | GlassDensityDiag, delta: np.ndarray) -> float:
-    """Aggregate bound sqrt(2/(3 pi) * sum_i rho_i |delta_i|^3) on expected loss increase.
-
-    This is the scalar form that enters the modified quasi-Newton objective;
-    loss_increase_bound_terms gives the per-coordinate decomposition (whose
-    sum is a valid, looser-structured alternative aggregate).
-    """
-    rho, delta = _rho_and_delta(rho, delta)
     return float(np.sqrt((2.0 / (3.0 * math.pi)) * np.sum(rho * np.abs(delta) ** 3)))
 
 

@@ -651,15 +651,14 @@ def _suite_kernel(seed: int) -> list[CheckRow]:
     rows.append(CheckRow("kernel_constant_any_density_w2_0", c_zero, 1.0, 0.0, 1, c_zero == 1.0))
 
     tm = oracles.TestMatrix.random_diag_dominant(200, seed)
-    for density in ("rademacher", "normal"):
-        kspec = make_kernel(density, tm.dominance)
+    kernels = {density: make_kernel(density, tm.dominance) for density in ("rademacher", "normal")}
+    for density, kspec in kernels.items():
         res = oracles.mc_aggregate_bias(tm, density, kspec, 10_000, seed + 1)
         rows.append(
             CheckRow(f"zero_bias_z_{density}", res.aggregate_bias_z, 0.0, 1.0,
                      res.n_samples, abs(res.aggregate_bias_z) < 3.0)
         )
-    k_rad = make_kernel("rademacher", tm.dominance)
-    k_nrm = make_kernel("normal", tm.dominance)
+    k_rad, k_nrm = kernels["rademacher"], kernels["normal"]
     res_rad = oracles.mc_estimator(tm, "rademacher", k_rad, 100_000, seed + 2)
     res_nrm = oracles.mc_estimator(tm, "normal", k_nrm, 100_000, seed + 2)
     mean_rad = float(np.mean(res_rad.variance))

@@ -57,19 +57,19 @@ def _sample_chunks(rng: np.random.Generator, density: str, total: int, cols: int
     chunk is only valid until the next one is asked for; callers may
     overwrite it.
 
-    Sign chunks, and a draw that fits one chunk, are drawn inline into one
-    buffer of at most _CHUNK_ELEMS elements (one row when cols exceeds it).
-    Normal draws of more than one chunk alternate between two such buffers:
-    a one-worker thread fills the next chunk while the caller works on this
-    one, since standard_normal releases the GIL. An error in that draw is
-    raised here, in the caller. The worker is joined when the generator is
-    exhausted or closed, so a caller that may stop early (or raise) closes
-    it, for example with contextlib.closing.
+    A draw that fits one chunk is drawn inline into one buffer of at most
+    _CHUNK_ELEMS elements (one row when cols exceeds it). A draw of more than
+    one chunk, of either density, alternates between two such buffers: a
+    one-worker thread fills the next chunk while the caller works on this
+    one, since numpy releases the GIL while it draws. An error in that draw
+    is raised here, in the caller. The worker is joined when the generator
+    is exhausted or closed, so a caller that may stop early (or raise)
+    closes it, for example with contextlib.closing.
     """
     rows = _chunk_rows(total, cols)
     sizes = [min(rows, total - lo) for lo in range(0, total, rows)]
     buf = np.empty((rows, cols))
-    if density == "rademacher" or len(sizes) == 1:
+    if len(sizes) < 2:
         for m in sizes:
             yield _draw(rng, density, buf[:m])
         return
@@ -182,10 +182,11 @@ def glass_walk_expectation(sim: SyntheticGlass1D) -> GlassWalkResult:
     walked kick by kick, since their sum is not Gaussian: each trial's kicks
     are one row of rademacher_bits, and its sum_j w_j kick_j is computed
     exactly from the packed bits (see _rademacher_kick_sums) and rounded
-    once. Trials are taken in the rows of 1 MiB float64 chunks (see
-    _chunk_rows), about 131 trials of 1000 kinks each, and the four moment
-    sums are accumulated chunk by chunk, so only their round-off depends on
-    the chunk size.
+    once, in row groups whose popcount temporaries (13 bytes per count: the
+    masked words, their counts and the matmul's float64 copy) fit in 1 MiB.
+    For either kick the four moment sums are accumulated once per 1 MiB
+    group of Delta values, 131_072 trials, so only their round-off depends
+    on the group size.
     """
     rng = np.random.default_rng(sim.seed)
     n = sim.n_kinks
@@ -207,13 +208,16 @@ def glass_walk_expectation(sim: SyntheticGlass1D) -> GlassWalkResult:
             for chunk in chunks:
                 accumulate(chunk[:, 0])
     else:
-        rows = _chunk_rows(sim.trials, n)
+        group = _chunk_rows(sim.trials, 1)
         masks, weights = _kick_weights(n)
-        delta_buf = np.empty(rows)
-        for lo in range(0, sim.trials, rows):
-            m = min(rows, sim.trials - lo)
-            bits = rademacher_bits(rng, m, n)
-            accumulate(_rademacher_kick_sums(bits, masks, weights, n, delta_buf[:m]))
+        rows = _chunk_rows(group, 13 * masks.size // 8)
+        delta_buf = np.empty(group)
+        for lo in range(0, sim.trials, group):
+            delta = delta_buf[: min(group, sim.trials - lo)]
+            for r in range(0, delta.shape[0], rows):
+                out = delta[r : r + rows]
+                _rademacher_kick_sums(rademacher_bits(rng, out.shape[0], n), masks, weights, n, out)
+            accumulate(delta)
     t = sim.trials
     mean_abs = s_abs / t
     m2 = s_sq / t  # second moment; the mean is 0 by construction
@@ -261,11 +265,11 @@ class TestMatrix:
         return off / np.diag(self.M) ** 2
 
     @staticmethod
-    def random_diag_dominant(d: int, seed: int, omega_max: float = 1.0) -> "TestMatrix":
-        """Random matrix with |diagonal| in [0.5, 1.5] and omega_i^2 <= omega_max."""
+    def random_diag_dominant(d: int, seed: int) -> "TestMatrix":
+        """Random matrix with |diagonal| in [0.5, 1.5] and omega_i^2 in [0.2, 1]."""
         rng = np.random.default_rng(check_seed(seed))
         diag = rng.uniform(0.5, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
-        omega2 = rng.uniform(0.2, omega_max, size=d)
+        omega2 = rng.uniform(0.2, 1.0, size=d)
         off = rng.standard_normal((d, d))
         np.fill_diagonal(off, 0.0)
         row_norm = np.linalg.norm(off, axis=1)
@@ -315,7 +319,8 @@ def _gram_sums(m_mat: np.ndarray, chunks) -> tuple[np.ndarray, np.ndarray]:
     With the identity kernel est_si = u_si (M u_s)_i, and u_si^2 = 1, so
     sum_s est_si = sum_j M_ij G_ij and sum_s est_si^2 = (M G M^T)_ii. G's
     entries are integers far below 2^53, so G is exact whatever the chunking
-    and the BLAS summation order.
+    and the BLAS summation order. The loop exhausts chunks, which joins its
+    lane, before the two final products are formed.
     """
     d = m_mat.shape[0]
     gram = np.zeros((d, d))
@@ -335,13 +340,12 @@ def mc_estimator(
     """Sample kappa(delta_i) * (M delta)_i and report bias and variance per index.
 
     Samples are drawn in 1 MiB chunks (see _sample_chunks), 655 samples at
-    d = 200: sign chunks into one reused buffer, normal chunks into two, the
-    next drawn on a worker thread while this one is used. Unrestricted
-    Rademacher runs, whose kernel is the identity, sum only the sign Gram
-    matrix G = U^T U of each chunk and read both per-index sums off G (see
-    _gram_sums): no M product and no kernel pass per sample. Normal and
-    restricted runs form every estimate directly, in a buffer of the chunk's
-    shape with the kernel weight in small row blocks (see
+    d = 200, the next drawn on a worker thread while this one is used.
+    Unrestricted Rademacher runs, whose kernel is the identity, sum only the
+    sign Gram matrix G = U^T U of each chunk and read both per-index sums off
+    G (see _gram_sums): no M product and no kernel pass per sample. Normal
+    and restricted runs form every estimate directly, in a buffer of the
+    chunk's shape with the kernel weight in small row blocks (see
     _kernel_estimates), and sum them chunk by chunk.
     """
     if n_samples < 1000:
@@ -502,9 +506,10 @@ def mc_variation(
     R is factored with density_matrix from the scenario's near-threshold
     records, and its bound is taken through variation_bound without building
     the dense matrix. Perturbations are Rademacher sign vectors of magnitude
-    delta_scale. Samples whose projection onto a unit's pre-activation
-    gradient reaches psi violate the small-step precondition; their fraction
-    is reported.
+    delta_scale, the rows of one chunked sign draw (see _sample_chunks).
+    Samples whose projection onto a unit's pre-activation gradient reaches
+    psi violate the small-step precondition; they are counted with one
+    product per chunk, and their fraction is reported.
     """
     if delta_scale < 0:
         raise ConfigError("delta_scale must be >= 0")
@@ -518,13 +523,14 @@ def mc_variation(
     _, g0 = netkit.gradient(spec, params, batch)
     acc = np.zeros(d)
     violations = 0
-    for _ in range(n_samples):
-        delta = delta_scale * rademacher_signs(rng, d)
-        _, g1 = netkit.gradient(spec, params + delta, batch)
-        gamma = g1 - g0
-        acc += gamma * gamma
-        if gy.shape[0]:
-            violations += int(np.count_nonzero(np.abs(gy @ delta) >= scenario.psi))
+    with closing(_sample_chunks(rng, "rademacher", n_samples, d)) as chunks:
+        for deltas in chunks:
+            deltas *= delta_scale
+            violations += int(np.count_nonzero(np.abs(deltas @ gy.T) >= scenario.psi))
+            for delta in deltas:
+                _, g1 = netkit.gradient(spec, params + delta, batch)
+                gamma = g1 - g0
+                acc += gamma * gamma
     v = acc / n_samples
     checks = max(n_samples * gy.shape[0], 1)
     return VariationCoverage(
@@ -547,42 +553,38 @@ class LeastSquaresReport:
     loss_damped_step: float
     full_step_norm: float
     min_norm_solution_norm: float
-    damping: float
 
 
-def underdetermined_ls(
-    seed: int,
-    n_rows: int = 10,
-    n_cols: int = 100,
-    damping: float = 0.1,
-    zero_rhs: bool = False,
-) -> LeastSquaresReport:
+_LS_ROWS = 10
+_LS_COLS = 100
+_LS_DAMPING = 0.1
+
+
+def underdetermined_ls(seed: int) -> LeastSquaresReport:
     """Full vs damped diagonal quasi-Newton step on 0.5 ||A x - b||^2 from x = 0.
 
-    A is n_rows x n_cols Gaussian with n_rows << n_cols; the diagonal of
+    A is 10 x 100 Gaussian, far fewer rows than columns; the diagonal of
     A^T A badly underestimates curvature along A^T b, so the full step
-    overshoots while a small damped fraction of it reduces the loss.
-    zero_rhs forces b = 0 (the trivial fixed point at the origin).
+    overshoots while a damped step of 0.1 times it reduces the loss.
     """
     rng = np.random.default_rng(check_seed(seed))
-    a = rng.standard_normal((n_rows, n_cols))
-    b = np.zeros(n_rows) if zero_rhs else rng.standard_normal(n_rows)
+    a = rng.standard_normal((_LS_ROWS, _LS_COLS))
+    b = rng.standard_normal(_LS_ROWS)
 
     def value(x):
         r = a @ x - b
         return 0.5 * float(r @ r)
 
-    g0 = a.T @ (a @ np.zeros(n_cols) - b)
+    g0 = a.T @ (a @ np.zeros(_LS_COLS) - b)
     h = (a * a).sum(axis=0)
     full_step = -g0 / h
     x_min = a.T @ np.linalg.solve(a @ a.T, b)
     return LeastSquaresReport(
-        loss_initial=value(np.zeros(n_cols)),
+        loss_initial=value(np.zeros(_LS_COLS)),
         loss_full_step=value(full_step),
-        loss_damped_step=value(damping * full_step),
+        loss_damped_step=value(_LS_DAMPING * full_step),
         full_step_norm=float(np.linalg.norm(full_step)),
         min_norm_solution_norm=float(np.linalg.norm(x_min)),
-        damping=float(damping),
     )
 
 
@@ -590,14 +592,14 @@ def underdetermined_ls(
 # Golden-section search for the per-coordinate step objective
 
 
-def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Minimize a unimodal function on [lo, hi] by golden-section search."""
+def golden_section_min(fn, lo: float, hi: float) -> float:
+    """Minimize a unimodal function on [lo, hi] to 1e-12 relative, by golden-section search."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    while b - a > 1e-12 * max(1.0, abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -609,7 +611,7 @@ def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def step_objective_argmin(g_i: float, h_i: float, rho_i: float, tol: float = 1e-12) -> float:
+def step_objective_argmin(g_i: float, h_i: float, rho_i: float) -> float:
     """Brute-force minimizer magnitude of the per-coordinate step objective.
 
     Minimizes F(t) = -|g| t + h t^2 / 2 + sqrt(2 rho / (3 pi)) t^(3/2) over
@@ -636,7 +638,7 @@ def step_objective_argmin(g_i: float, h_i: float, rho_i: float, tol: float = 1e-
         hi *= 2.0
         if hi > 1e18:
             raise ConfigError("step objective has no finite minimizer")
-    return golden_section_min(objective, 0.0, hi, tol)
+    return golden_section_min(objective, 0.0, hi)
 
 
 # ---------------------------------------------------------------------------

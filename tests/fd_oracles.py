@@ -6,7 +6,12 @@ import numpy as np
 
 from glassopt import netkit, oracles
 from glassopt.alice import StepRecord
-from glassopt.glass import optimal_kernel_weight
+from glassopt.glass import (
+    density_matrix,
+    optimal_kernel_weight,
+    rademacher_signs,
+    variation_bound,
+)
 
 
 def fd_loss_gradient(spec, params, batch, h=1e-5):
@@ -227,23 +232,29 @@ def _reference_draw(rng, density, shape):
 
 
 def reference_glass_walk_expectation(sim):
+    """The walk kick by kick, its four moments summed per group of 1 MiB of Delta values."""
     rng = np.random.default_rng(sim.seed)
     n = sim.n_kinks
     # n - j as integer-valued floats: the ±1 kicks' dot product with them is an
     # exact integer in any summation order, so the walk is rounded once, by / n.
     steps_left = (n - np.arange(1, n + 1)).astype(np.float64)
     kick_scale = math.sqrt(sim.rho * sim.lam / n)
-    s_abs = s_sq = s_delta = s_quad = 0.0
+    walks = []
     done = 0
     while done < sim.trials:
         m = min(_reference_chunk_rows(sim.trials, n), sim.trials - done)
         kicks = _reference_draw(rng, "normal" if sim.kick == "gauss" else "rademacher", (m, n))
-        delta = sim.lam * kick_scale * ((kicks @ steps_left) / n)
+        walks.append(sim.lam * kick_scale * ((kicks @ steps_left) / n))
+        done += m
+    walks = np.concatenate(walks)
+    s_abs = s_sq = s_delta = s_quad = 0.0
+    group = _reference_chunk_rows(sim.trials, 1)
+    for lo in range(0, sim.trials, group):
+        delta = walks[lo : lo + group]
         s_abs += float(np.sum(np.abs(delta)))
         s_sq += float(np.sum(delta * delta))
         s_delta += float(np.sum(delta))
         s_quad += float(np.sum(delta**4))
-        done += m
     t = sim.trials
     mean_abs = s_abs / t
     m2 = s_sq / t
@@ -312,6 +323,34 @@ def reference_mc_estimator(tm, density, kspec, n_samples, seed):
     agg_var = (agg_sum_sq - n_samples * agg_bias * agg_bias) / (n_samples - 1)
     return result, oracles.AggregateBiasResult(
         agg_bias, math.sqrt(agg_var / n_samples), int(n_samples)
+    )
+
+
+def reference_mc_variation(scenario, delta_scale, n_samples, seed):
+    """mc_variation's per-sample loop, one rademacher_signs draw and one gy @ delta per sample."""
+    spec, params, batch = scenario.spec, scenario.params, scenario.batch
+    d = spec.param_count
+    records = netkit.relu_introspect(spec, params, batch, scenario.psi)
+    bound = variation_bound(density_matrix(records, scenario.psi, d), np.full(d, delta_scale))
+    gy = np.stack([r.grad_y for r in records]) if records else np.zeros((0, d))
+    rng = np.random.default_rng(seed)
+    _, g0 = netkit.gradient(spec, params, batch)
+    acc = np.zeros(d)
+    violations = 0
+    for _ in range(n_samples):
+        delta = delta_scale * rademacher_signs(rng, d)
+        _, g1 = netkit.gradient(spec, params + delta, batch)
+        gamma = g1 - g0
+        acc += gamma * gamma
+        if gy.shape[0]:
+            violations += int(np.count_nonzero(np.abs(gy @ delta) >= scenario.psi))
+    v = acc / n_samples
+    return oracles.VariationCoverage(
+        v=v,
+        bound=bound,
+        fraction_within=float(np.mean(v <= bound)),
+        precondition_violation_fraction=violations / max(n_samples * gy.shape[0], 1),
+        n_samples=int(n_samples),
     )
 
 

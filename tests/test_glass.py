@@ -278,25 +278,18 @@ class TestLossIncreaseBound:
             2.0**1.5 * glass.loss_increase_bound(rho, delta), rel=1e-12
         )
 
-    def test_terms_sum_vs_aggregate_1d(self):
-        # In one dimension the per-coordinate and aggregate forms coincide.
-        rho, delta = np.array([1.0]), np.array([1.0])
-        terms = glass.loss_increase_bound_terms(rho, delta)
-        assert terms.sum() == pytest.approx(glass.loss_increase_bound(rho, delta), rel=1e-15)
-        assert terms.sum() == pytest.approx(math.sqrt(2 / (3 * math.pi)), rel=1e-15)
+    def test_unit_step_1d(self):
+        bound = glass.loss_increase_bound(np.array([1.0]), np.array([1.0]))
+        assert bound == pytest.approx(math.sqrt(2 / (3 * math.pi)), rel=1e-15)
 
     def test_negative_density_rejected(self):
         with pytest.raises(ConfigError):
             glass.loss_increase_bound(np.array([-1.0]), np.ones(1))
-        with pytest.raises(ConfigError):
-            glass.loss_increase_bound_terms(np.array([-1.0]), np.ones(1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_density_rejected(self, bad):
         with pytest.raises(ConfigError):
             glass.loss_increase_bound(np.array([1.0, bad]), np.ones(2))
-        with pytest.raises(ConfigError):
-            glass.loss_increase_bound_terms(np.array([bad]), np.ones(1))
 
     def test_accepts_diag_wrapper(self):
         assert glass.loss_increase_bound(GlassDensityDiag(np.zeros(2)), np.ones(2)) == 0.0

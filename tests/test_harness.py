@@ -65,7 +65,8 @@ def config_fields(draw):
         eps=draw(_positive()), phi=phi, omega=omega, lam_min=draw(st.floats(0.0, lam_max)),
         lam_max=lam_max, limit_method=draw(st.sampled_from(LIMIT_METHODS)),
         quick_steps=draw(st.integers(0, 10)),
-        terms=tuple(draw(st.lists(st.sampled_from(CURVATURE_TERMS), max_size=3))), naq=naq,
+        terms=tuple(draw(st.lists(st.sampled_from(CURVATURE_TERMS), max_size=3).filter(
+            lambda terms: not {"h_abs", "h_rms"} <= set(terms)))), naq=naq,
     )
     data = DataParams(
         samples=draw(st.integers(1, 10**6)),
@@ -299,6 +300,7 @@ class TestConfigFormat:
             ("alice.limit_method", "newton"),
             ("alice.quick_steps", "-1"),
             ("alice.terms", "rho,spectral"),
+            ("alice.terms", "h_abs,h_rms"),
         ],
     )
     def test_out_of_range_value_names_key_and_line(self, key, raw):

@@ -7,7 +7,11 @@ from contextlib import closing
 
 import numpy as np
 import pytest
-from fd_oracles import reference_glass_walk_expectation, reference_mc_estimator
+from fd_oracles import (
+    reference_glass_walk_expectation,
+    reference_mc_estimator,
+    reference_mc_variation,
+)
 
 from glassopt import glass, netkit, oracles
 from glassopt.netkit import ConfigError
@@ -111,39 +115,57 @@ def new_threads(before):
 
 
 class FailingDraw:
-    """A Generator whose standard_normal raises on its call number fail_at."""
+    """A Generator whose standard_normal, or bytes for signs, raises on its call number fail_at."""
 
     def __init__(self, seed, fail_at):
         self.rng, self.fail_at, self.calls = np.random.default_rng(seed), fail_at, 0
 
-    def standard_normal(self, out):
+    def _count(self):
         self.calls += 1
         if self.calls == self.fail_at:
             raise RuntimeError(f"draw {self.calls} failed")
+
+    def standard_normal(self, out):
+        self._count()
         return self.rng.standard_normal(out=out)
+
+    def bytes(self, length):
+        self._count()
+        return self.rng.bytes(length)
+
+
+def assert_chunks_are_one_draw(density, total, draw):
+    """The chunks of a (total, 1024) draw are bitwise draw(rng, (total, 1024)), in 128-row chunks.
+
+    Each chunk is read only after the next one has had time to be drawn
+    ahead, so a lane that drew into the chunk in use would show here. The
+    stream must end where the whole draw leaves it.
+    """
+    rng, whole = np.random.default_rng(6), np.random.default_rng(6)
+    chunks = []
+    for chunk in oracles._sample_chunks(rng, density, total, 1024):
+        time.sleep(0.01)
+        chunks.append(chunk.copy())
+    assert [c.shape[0] for c in chunks[:-1]] == [128] * (len(chunks) - 1)
+    assert np.concatenate(chunks).tobytes() == draw(whole, (total, 1024)).tobytes()
+    assert rng.random() == whole.random()
 
 
 class TestSampleChunks:
-    # A chunk holds _CHUNK_ELEMS // 1024 = 128 rows of 1024 columns.
+    # A chunk holds _CHUNK_ELEMS // 1024 = 128 rows of 1024 columns. The
+    # totals give one chunk (100, 128), whole chunks (512), and a short last
+    # chunk (500 is three of 128 and one of 116; 129 is 128 and 1).
     @pytest.mark.parametrize("total", [100, 128, 512, 500, 129])
     def test_normal_chunks_are_one_draw(self, total):
-        # One chunk (100, 128), whole chunks (512), and a short last chunk
-        # (500 is three of 128 and one of 116; 129 is 128 and 1).
-        # Each chunk is read only after the next one has had time to be drawn
-        # ahead, so a lane that drew into the chunk in use would show here.
-        rng, whole = np.random.default_rng(6), np.random.default_rng(6)
-        chunks = []
-        for chunk in oracles._sample_chunks(rng, "normal", total, 1024):
-            time.sleep(0.01)
-            chunks.append(chunk.copy())
-        assert [c.shape[0] for c in chunks[:-1]] == [128] * (len(chunks) - 1)
-        assert np.concatenate(chunks).tobytes() == whole.standard_normal((total, 1024)).tobytes()
-        assert rng.random() == whole.random()
+        assert_chunks_are_one_draw("normal", total, np.random.Generator.standard_normal)
 
-    @pytest.mark.parametrize("density, total, lane", [
-        ("normal", 500, True), ("normal", 128, False), ("rademacher", 500, False),
-    ])
-    def test_only_a_normal_draw_of_many_chunks_starts_the_lane(self, density, total, lane):
+    @pytest.mark.parametrize("total", [100, 128, 512, 500, 129])
+    def test_sign_chunks_are_one_draw(self, total):
+        assert_chunks_are_one_draw("rademacher", total, glass.rademacher_signs)
+
+    @pytest.mark.parametrize("density", ["normal", "rademacher"])
+    @pytest.mark.parametrize("total, lane", [(500, True), (129, True), (128, False)])
+    def test_a_draw_of_many_chunks_starts_the_lane(self, density, total, lane):
         before = threading.enumerate()
         chunks = oracles._sample_chunks(np.random.default_rng(0), density, total, 1024)
         next(chunks)
@@ -153,26 +175,47 @@ class TestSampleChunks:
 
     def test_no_thread_outlives_an_exhausted_draw(self):
         before = threading.enumerate()
-        for _ in oracles._sample_chunks(np.random.default_rng(0), "normal", 500, 1024):
-            pass
+        for density in ("normal", "rademacher"):
+            for _ in oracles._sample_chunks(np.random.default_rng(0), density, 500, 1024):
+                pass
         assert new_threads(before) == []
 
     def test_no_thread_outlives_an_oracle_that_raises(self, monkeypatch):
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
-        kspec = glass.make_kernel("normal", tm.dominance)
         calls = []
 
         def failing(*args):
             calls.append(1)
-            if len(calls) == 2:
+            if len(calls) % 2 == 0:
                 raise RuntimeError("estimate failed")
             return real(*args)
 
         real = oracles._kernel_estimates
         monkeypatch.setattr(oracles, "_kernel_estimates", failing)
         before = threading.enumerate()
-        with pytest.raises(RuntimeError, match="estimate failed"):
-            oracles.mc_aggregate_bias(tm, "normal", kspec, 10_000, seed=1)
+        for density in ("normal", "rademacher"):
+            kspec = glass.make_kernel(density, tm.dominance)
+            with pytest.raises(RuntimeError, match="estimate failed"):
+                oracles.mc_aggregate_bias(tm, density, kspec, 10_000, seed=1)
+        assert new_threads(before) == []
+
+    def test_no_thread_outlives_a_variation_check_that_raises(self, monkeypatch):
+        # 100 sign vectors of the 3661 parameters are three chunks of 35 and
+        # one of 30; the gradient of the 40th fails, in the second chunk.
+        scenario = oracles.build_uniform_preactivation_net(seed=0)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 41:
+                raise RuntimeError("gradient failed")
+            return real(*args)
+
+        real = netkit.gradient
+        monkeypatch.setattr(netkit, "gradient", failing)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="gradient failed"):
+            oracles.mc_variation(scenario, 5e-5, 100, seed=1)
         assert new_threads(before) == []
 
     @pytest.mark.parametrize("fail_at", [1, 3, 4])
@@ -187,6 +230,19 @@ class TestSampleChunks:
         assert got == [128] * (fail_at - 1)
         assert new_threads(before) == []
 
+    @pytest.mark.parametrize("fail_at", [1, 5, 8])
+    def test_a_sign_draw_error_is_raised_in_the_caller(self, fail_at):
+        # Four chunks of signs, each of two bytes calls (rademacher_signs
+        # unpacks 64 rows of 1024 at a time): the error is in chunk 1, 3 or 4.
+        before = threading.enumerate()
+        got = []
+        with pytest.raises(RuntimeError, match=f"^draw {fail_at} failed$"):
+            chunks = oracles._sample_chunks(FailingDraw(0, fail_at), "rademacher", 500, 1024)
+            with closing(chunks):
+                got.extend(chunk.shape[0] for chunk in chunks)
+        assert got == [128] * ((fail_at - 1) // 2)
+        assert new_threads(before) == []
+
 
 class TestBoundedWorkspaces:
     """The buffer-reusing oracles against the frozen allocate-per-chunk ones."""
@@ -194,11 +250,14 @@ class TestBoundedWorkspaces:
     # Only the Rademacher walk is walked kick by kick; the Gaussian one is
     # drawn from its law (test_gaussian_law_agrees_with_the_full_walk).
     @pytest.mark.parametrize("kick", ["rademacher"])
-    @pytest.mark.parametrize("n_kinks, trials", [(1000, 15_001), (300, 45_001), (7, 333)])
+    @pytest.mark.parametrize(
+        "n_kinks, trials", [(1000, 15_001), (300, 45_001), (7, 333), (5, 131_073)]
+    )
     def test_walk_bitwise_equal_to_reference(self, kick, n_kinks, trials):
-        # 15_001 trials of 1000 kinks are 115 chunks of 131 rows, the last of 67;
-        # 45_001 of 300 kinks are 104 chunks of 436, the last of 93; 333 of 7
-        # kinks are one chunk, shorter than the 18_724 rows a chunk holds.
+        # Popcount groups of 420 trials at 1000 kinks (15_001 are 36 groups,
+        # the last of 301) and of 1351 at 300 kinks (45_001 are 34, the last of
+        # 418); 333 trials of 7 kinks are one group. Each walk is one group of
+        # moment sums but the 131_073-trial one, which is two, the last of one.
         sim = oracles.SyntheticGlass1D(
             rho=1.3, lam=0.7, n_kinks=n_kinks, trials=trials, seed=3, kick=kick
         )
@@ -251,10 +310,11 @@ class TestBoundedWorkspaces:
 
     @pytest.mark.parametrize("density", ["rademacher", "normal"])
     def test_estimator_peak_memory(self, density):
-        # A 1 MiB chunk is 655 x 200 samples. The Gram path (rademacher) peaks
-        # at 2.0 MB, the direct path (normal) at 3.6 MB: two draw buffers (one
-        # filled ahead), est and a 32-row block of the kernel weight. One more
-        # chunk-size array would pass either bound.
+        # A 1 MiB chunk is 655 x 200 samples. Both paths hold two draw buffers
+        # (one filled ahead). The Gram path (rademacher) adds G and its
+        # per-chunk product and peaks at 2.9 MB; the direct path (normal) adds
+        # est and a 32-row block of the kernel weight and peaks at 3.6 MB. One
+        # more chunk-size array would pass either bound.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance)
         peak = warm_peak_mb(
@@ -264,9 +324,10 @@ class TestBoundedWorkspaces:
         assert peak <= {"rademacher": 3.0, "normal": 4.5}[density]
 
     def test_gram_path_peak_memory(self):
-        # The Gram path holds one 1 MiB sign chunk and the 0.3 MB G, its
-        # per-chunk product and the final products (2.0 MB); a second
-        # chunk-size array (y or est) would pass 3 MB.
+        # The Gram path holds two 1 MiB sign chunks (one filled ahead), the
+        # 0.3 MB G and its per-chunk product (2.9 MB), and forms the final
+        # products once the chunks are freed; a chunk-size y or est would
+        # pass 3 MB.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel("rademacher", tm.dominance)
         peak = warm_peak_mb(
@@ -277,7 +338,7 @@ class TestBoundedWorkspaces:
 
     @pytest.mark.parametrize("density, restrict", [("rademacher", 0.5), ("normal", 1.0)])
     def test_restricted_estimator_peak_memory(self, density, restrict):
-        # 2.8 MB (rademacher, one draw buffer) and 3.7 MB (normal, two): the
+        # 3.8 MB (rademacher) and 3.7 MB (normal): two draw buffers, the
         # direct path's arrays and the acceptance mask; the masked kernel
         # weight and its |delta| are 32-row blocks.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
@@ -290,8 +351,8 @@ class TestBoundedWorkspaces:
 
     @pytest.mark.parametrize("density", ["rademacher", "normal"])
     def test_aggregate_bias_peak_memory(self, density):
-        # 2.6 MB (rademacher) and 3.6 MB (normal): the draw (two buffers for
-        # normal, one filled ahead), est and a 32-row kernel weight block.
+        # 3.7 MB (rademacher) and 3.6 MB (normal): two draw buffers (one
+        # filled ahead), est and a 32-row kernel weight block.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance)
         peak = warm_peak_mb(
@@ -302,10 +363,10 @@ class TestBoundedWorkspaces:
 
     @pytest.mark.parametrize("kick", ["gauss", "rademacher"])
     def test_walk_peak_memory(self, kick):
-        # The Gaussian walk peaks at 1.6 MB: its 100_000 draws (0.8 MB), scaled
-        # in place, and one temporary of their size; a separate Delta would
-        # pass 2 MB. The Rademacher walk sums 131 trials' packed sign bits at a
-        # time and peaks at 0.3 MB.
+        # Each walk peaks at 1.6 MB: its 100_000 Delta values (0.8 MB), drawn
+        # or summed in place, and one temporary of their size; a separate
+        # Delta would pass 2 MB. The Rademacher walk's popcounts take 420
+        # trials at a time, in at most 1 MiB of temporaries.
         def walk(trials):
             sim = oracles.SyntheticGlass1D(rho=1.0, lam=1.0, trials=trials, seed=0, kick=kick)
             return oracles.glass_walk_expectation(sim)
@@ -348,7 +409,7 @@ class TestMcEstimator:
         assert np.mean(res_rad.variance) < np.mean(res_nrm.variance)
 
     def test_restricted_updates_reduce_effective_variance(self):
-        tm = oracles.TestMatrix.random_diag_dominant(60, seed=3, omega_max=1.0)
+        tm = oracles.TestMatrix.random_diag_dominant(60, seed=3)
         n = 200_000
         unres = oracles.mc_estimator(
             tm, "normal", glass.make_kernel("normal", tm.dominance), n, seed=4
@@ -393,6 +454,17 @@ class TestVariationBoundOracle:
         assert np.array_equal(cov.v, np.zeros_like(cov.v))
         assert cov.fraction_within == 1.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("delta_scale, n_samples", [(5e-5, 100), (0.5, 40)])
+    def test_bitwise_equal_to_the_per_sample_loop(self, delta_scale, n_samples, seed):
+        # 100 sign vectors of the 3661 parameters are three chunks of 35 and
+        # one of 30; 40 are one of 35 and one of 5.
+        scenario = oracles.build_uniform_preactivation_net(seed=seed)
+        assert_bitwise_equal(
+            oracles.mc_variation(scenario, delta_scale, n_samples, seed + 1),
+            reference_mc_variation(scenario, delta_scale, n_samples, seed + 1),
+        )
+
     def test_small_step_coverage_and_negative_control(self):
         scenario = oracles.build_uniform_preactivation_net(seed=0)
         small = oracles.mc_variation(scenario, 5e-5, 1500, seed=3)
@@ -404,12 +476,6 @@ class TestVariationBoundOracle:
 
 
 class TestUnderdeterminedLs:
-    def test_zero_rhs_stays_at_zero(self):
-        report = oracles.underdetermined_ls(0, zero_rhs=True)
-        assert report.loss_initial == 0.0
-        assert report.loss_full_step == 0.0
-        assert report.full_step_norm == 0.0
-
     @pytest.mark.parametrize("seed", range(8))
     def test_full_step_overshoots_damped_step_descends(self, seed):
         report = oracles.underdetermined_ls(seed)
