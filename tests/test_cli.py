@@ -34,22 +34,19 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("outcome, code", [("pass", 0), ("fail", 1), ("config error", 2)])
     def test_all_leaves_no_process_behind(self, tmp_path, capsys, monkeypatch, outcome, code):
-        def walk_rows(kick, seed):
+        def walk_rows(kick, seed, trials):
             if kick == "gauss" and outcome == "config error":
                 raise ConfigError("no walk")
             return [harness.CheckRow(kick, 0.0, 0.0, 0.0, 1, outcome == "pass")]
 
-        monkeypatch.setattr(harness, "_walk_rows", walk_rows)
+        monkeypatch.setattr(harness, "walk_rows", walk_rows)
         for name in ("kernel", "glass", "naq", "step"):
             monkeypatch.setitem(harness.VERIFY_SUITES, name, lambda seed: [])
         assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path)]) == code
         assert ("config error: no walk" in capsys.readouterr().err) == (outcome == "config error")
 
 
-@pytest.mark.parametrize(
-    "command", [["verify", "--suite", "naq"], ["simulate", "glass-walk"],
-                ["simulate", "underdetermined-ls"]]
-)
+@pytest.mark.parametrize("command", [["verify", "--suite", "naq"]])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     out = tmp_path / "DIR"
     with pytest.raises(SystemExit) as excinfo:
@@ -59,39 +56,10 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-class TestSimulateCommand:
-    def test_glass_walk_report(self, tmp_path, capsys):
-        code = cli.main(
-            ["simulate", "glass-walk", "--trials", "20000", "--seed", "3",
-             "--out", str(tmp_path)]
-        )
-        assert code == 0
-        lines = (tmp_path / "glass_walk.csv").read_text().splitlines()
-        assert lines[0] == "quantity,empirical,predicted,std_error,n"
-        assert "mean_abs_loss_change" in capsys.readouterr().out
-
-    def test_underdetermined_ls(self, tmp_path):
-        code = cli.main(["simulate", "underdetermined-ls", "--seed", "1", "--out", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "underdetermined_ls.csv").exists()
-
-    def test_invalid_density_is_config_error(self, tmp_path, capsys):
-        for flag, value in [("--rho", "-1"), ("--rho", "nan"), ("--lam", "nan"), ("--lam", "inf")]:
-            code = cli.main(["simulate", "glass-walk", flag, value, "--out", str(tmp_path)])
-            assert code == 2
-            assert "config error" in capsys.readouterr().err
-
-    def test_rejected_scenario_leaves_no_output_directory(self, tmp_path, capsys):
-        out = tmp_path / "DIR"
-        code = cli.main(["simulate", "glass-walk", "--lam", "nan", "--out", str(out)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unknown_scenario_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["simulate", "coin-flip"])
-        assert excinfo.value.code == 2
+def test_simulate_is_no_command():
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["simulate", "glass-walk"])
+    assert excinfo.value.code == 2
 
 
 class TestTrainCommand:

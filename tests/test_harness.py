@@ -822,6 +822,15 @@ class TestVerifySuites:
             "collapsed_form_h_zero_exact",
         ]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="C10 small-step coverage reads 0.962 < 0.99 at seed 1: the density-bound oracle "
+        "averages over sign vectors only, not over kink positions (ROADMAP item 1)",
+    )
+    def test_glass_suite_passes_at_seed_1(self):
+        rows = harness.run_verify_suite("glass", seed=1)
+        assert [r.quantity for r in rows if not r.passed] == []
+
     def test_all_equals_the_single_suites_in_order(self):
         # Every oracle chunk holds at most 1 MiB, so "all" peaks near 5 MB.
         tracemalloc.start()
@@ -851,7 +860,7 @@ class TestVerifySuites:
 
         for name in ("kernel", "glass", "naq", "step"):
             monkeypatch.setitem(harness.VERIFY_SUITES, name, fake(name))
-        monkeypatch.setattr(harness, "_walk_rows", lambda kick, seed: fake(kick)(seed))
+        monkeypatch.setattr(harness, "walk_rows", lambda kick, seed, trials: fake(kick)(seed))
 
     @pytest.mark.parametrize(
         "failing",

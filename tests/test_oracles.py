@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -465,6 +466,21 @@ class TestVariationBoundOracle:
             reference_mc_variation(scenario, delta_scale, n_samples, seed + 1),
         )
 
+    @pytest.mark.parametrize(
+        "delta_scale, n_samples, message",
+        [
+            (5e-5, 0, "need at least one sample, got n_samples = 0"),
+            (5e-5, -3, "need at least one sample, got n_samples = -3"),
+            (math.nan, 10, "step size delta_scale must be finite and >= 0, got nan"),
+            (math.inf, 10, "step size delta_scale must be finite and >= 0, got inf"),
+            (-1e-3, 10, "step size delta_scale must be finite and >= 0, got -0.001"),
+        ],
+    )
+    def test_rejects_an_empty_draw_or_a_bad_step(self, delta_scale, n_samples, message):
+        scenario = oracles.build_uniform_preactivation_net(n_in=20, n_hidden=8, seed=1)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            oracles.mc_variation(scenario, delta_scale, n_samples, seed=2)
+
     def test_small_step_coverage_and_negative_control(self):
         scenario = oracles.build_uniform_preactivation_net(seed=0)
         small = oracles.mc_variation(scenario, 5e-5, 1500, seed=3)
@@ -473,18 +489,6 @@ class TestVariationBoundOracle:
         large = oracles.mc_variation(scenario, 0.5, 150, seed=4)
         assert large.fraction_within < 0.99
         assert large.precondition_violation_fraction > 0.5
-
-
-class TestUnderdeterminedLs:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_full_step_overshoots_damped_step_descends(self, seed):
-        report = oracles.underdetermined_ls(seed)
-        assert report.loss_full_step > report.loss_initial
-        assert report.loss_damped_step < report.loss_initial
-
-    def test_minimum_norm_solution_is_smaller(self):
-        report = oracles.underdetermined_ls(1)
-        assert report.min_norm_solution_norm < report.full_step_norm
 
 
 class TestStepObjectiveOracle:
