@@ -283,7 +283,9 @@ class KernelSpec:
 def update_probability(density: str, restrict: float) -> float:
     """Probability that a sample coordinate survives the restriction."""
     _check_density(density)
-    if restrict <= 0:
+    if not restrict >= 0:  # NaN fails every comparison
+        raise ConfigError("restriction threshold must be >= 0")
+    if restrict == 0:
         return 1.0
     if density == "rademacher":
         return 1.0 if restrict <= 1.0 else 0.0
@@ -335,7 +337,7 @@ def kernel_constant(density: str, omega2, restrict: float = 0.0):
     gives exactly 1.
     """
     _check_density(density)
-    if restrict < 0:
+    if not restrict >= 0:  # NaN fails every comparison
         raise ConfigError("restriction threshold must be >= 0")
     omega2_arr = np.asarray(omega2, dtype=np.float64)
     if not (np.isfinite(omega2_arr).all() and (omega2_arr >= 0).all()):

@@ -115,15 +115,22 @@ class ExperimentConfig:
     probe: ProbeParams = field(default_factory=ProbeParams)
 
     def __post_init__(self):
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds must be distinct, got {repeated} more than once")
-        negative = [s for s in self.seeds if s < 0]
+        negative = [s for s in self.seeds if isinstance(s, (int, np.integer)) and s < 0]
         if negative:
             raise ConfigError(f"seeds must be >= 0, got {negative}")
+        checked = []
+        for i, seed in enumerate(self.seeds):
+            try:
+                checked.append(check_seed(seed))
+            except ConfigError as exc:
+                raise ConfigError(f"seeds entry {i}: {exc}") from None
+        self.seeds = tuple(checked)
         # parse_config rejects a non-finite float, so a manifest could not carry
         # one back. AliceConfig alone still takes lam_max = inf, as verify's
         # step suite builds it.
@@ -807,6 +814,35 @@ def least_squares_rows(seed: int, n_seeds: int) -> list[CheckRow]:
     ]
 
 
+def expected_grad_evals(quick_steps: int, steps: int) -> int:
+    """C11's count of Alice's gradients: 3 per full step, 1 per quick step, full steps first."""
+    return steps + 2 * math.ceil(steps / (quick_steps + 1))
+
+
+def grad_eval_rows(quick_steps: int, steps: int) -> list[CheckRow]:
+    """C11: Alice spends expected_grad_evals(quick_steps, steps) gradients over steps steps.
+
+    Alice trains a small regression net through a gradient that counts its
+    own calls; the row passes when that count, Alice's n_grad_evals and the
+    formula agree.
+    """
+    spec = ModelSpec((4, 8, 2))
+    batch = make_regression_batch(DataParams(samples=16), 4, 2, 0)
+    calls = 0
+
+    def counted(theta):
+        nonlocal calls
+        calls += 1
+        return gradient(spec, theta, batch)[1]
+
+    opt = Alice(build_model(spec, 0), AliceConfig(lam=1e-3, quick_steps=quick_steps), seed=0)
+    for _ in range(steps):
+        opt.step(counted)
+    expected = expected_grad_evals(quick_steps, steps)
+    return [CheckRow(f"grad_evals_quick_steps_{quick_steps}", float(calls), float(expected), 0.0,
+                     steps, calls == opt.n_grad_evals == expected)]
+
+
 def glass_rows(seed: int, n_small: int, n_large: int) -> list[CheckRow]:
     """C10: v(delta) <= R |delta| on >= 99% of coordinates for small steps, not for large ones."""
     scenario = oracles.build_uniform_preactivation_net(seed=seed)
@@ -859,7 +895,8 @@ VERIFY_SUITES = {
     "kernel": _suite_kernel,
     "glass": lambda seed: glass_rows(seed, 2000, 200),
     "naq": _suite_naq,
-    "step": lambda seed: step_rows(seed, 1000, 100) + least_squares_rows(seed, 20),
+    "step": lambda seed: (step_rows(seed, 1000, 100) + least_squares_rows(seed, 20)
+                          + grad_eval_rows(3, 12)),
     "walk": lambda seed: walk_rows("gauss", seed, 100_000) + walk_rows("rademacher", seed, 100_000),
 }
 

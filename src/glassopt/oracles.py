@@ -636,60 +636,3 @@ def step_objective_argmin(g_i: float, h_i: float, rho_i: float) -> float:
         if hi > 1e18:
             raise ConfigError("step objective has no finite minimizer")
     return golden_section_min(objective, 0.0, hi)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form and synthetic gradient fields for the power-law probe
-
-
-def quadratic_powerlaw_oracle(h_matrix: np.ndarray, lam: float) -> np.ndarray:
-    """Exact expected gradient variations of g(theta) = H theta under sign probes.
-
-    For Rademacher delta, E[((H (lam delta))_i)^2] = lam^2 sum_j H_ij^2, the
-    closed form behind the exponent-2 behavior of purely linear gradients.
-    """
-    h_matrix = np.asarray(h_matrix, dtype=np.float64)
-    if h_matrix.ndim != 2 or h_matrix.shape[0] != h_matrix.shape[1]:
-        raise ConfigError("H must be square")
-    if not np.allclose(h_matrix, h_matrix.T):
-        raise ConfigError("H must be symmetric")
-    return lam * lam * (h_matrix * h_matrix).sum(axis=1)
-
-
-@dataclass(frozen=True)
-class StaircaseGradientField:
-    """Dense piecewise-constant gradient field: glass with no smooth part.
-
-    Coordinate i's gradient is magnitude * (signed count of thresholds below
-    theta_i), a staircase with uniformly scattered jumps, so gradient
-    variations grow exactly linearly in the probe distance.
-    """
-
-    thresholds: np.ndarray  # (d, n_kinks), sorted per row
-    signs: np.ndarray  # (d, n_kinks) of +-1
-    magnitude: float
-
-    @staticmethod
-    def random(d: int, n_kinks: int, span: float, magnitude: float, seed: int):
-        rng = np.random.default_rng(check_seed(seed))
-        thresholds = np.sort(rng.uniform(-span, span, size=(d, n_kinks)), axis=1)
-        signs = rademacher_signs(rng, (d, n_kinks))
-        return StaircaseGradientField(thresholds, signs, float(magnitude))
-
-    @property
-    def dim(self) -> int:
-        return self.thresholds.shape[0]
-
-    @property
-    def span(self) -> float:
-        return float(np.abs(self.thresholds).max())
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        crossed = self.thresholds < theta[:, None]
-        return self.magnitude * np.sum(self.signs, axis=1, where=crossed)
-
-    def expected_variation(self, lam: float) -> np.ndarray:
-        """Closed-form E[gamma_i^2] for sign probes of scale lam around 0."""
-        density = self.thresholds.shape[1] / (2.0 * self.span)
-        return np.full(self.dim, self.magnitude**2 * density * lam)

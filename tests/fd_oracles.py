@@ -1,6 +1,11 @@
-"""Finite-difference oracles, reference implementations and seeded fixtures shared by the tests."""
+"""Finite-difference and closed-form oracles, reference implementations and seeded fixtures.
+
+The oracles of C1 (central differences) and C2 (a quadratic's closed form and
+a dense-glass staircase field) live here, since only the tests run them.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -8,10 +13,13 @@ from glassopt import netkit, oracles
 from glassopt.alice import StepRecord
 from glassopt.glass import (
     density_matrix,
+    measure_variations,
     optimal_kernel_weight,
+    power_law,
     rademacher_signs,
     variation_bound,
 )
+from glassopt.netkit import ConfigError
 
 
 def fd_loss_gradient(spec, params, batch, h=1e-5):
@@ -33,6 +41,22 @@ def fd_loss_gradient(spec, params, batch, h=1e-5):
             np.array_equal(a, b) for a, b in zip(masks_plus, masks_minus)
         )
     return fd, smooth
+
+
+def central_difference_check(spec, params, batch):
+    """C1's rule on one net: (relative error, passed).
+
+    The error is the largest |central difference - analytic gradient| over the
+    smooth coordinates, relative to the largest analytic entry there. The net
+    passes when over half its coordinates are smooth and the error is below 1e-6.
+    """
+    _, grad = netkit.gradient(spec, params, batch)
+    fd, smooth = fd_loss_gradient(spec, params, batch)
+    denom = np.abs(grad[smooth]).max() if smooth.any() else 0.0
+    if denom == 0.0:
+        return math.inf, False
+    rel = np.abs(fd[smooth] - grad[smooth]).max() / denom
+    return rel, bool(smooth.mean() > 0.5 and rel < 1e-6)
 
 
 def _loss_and_masks(spec, params, batch):
@@ -416,3 +440,66 @@ def reference_step(state, cfg):
     np.add(state.mu, cfg.omega * delta, out=state.nu)
     state.mu += cfg.phi * delta
     return StepRecord(delta, h_glass, h_bar, low, high, 1.0 - low - high)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form and synthetic gradient fields for the power-law probe (C2)
+
+
+def quadratic_powerlaw_oracle(h_matrix: np.ndarray, lam: float) -> np.ndarray:
+    """Exact expected gradient variations of g(theta) = H theta under sign probes.
+
+    For Rademacher delta, E[((H (lam delta))_i)^2] = lam^2 sum_j H_ij^2, the
+    closed form behind the exponent-2 behavior of purely linear gradients.
+    """
+    h_matrix = np.asarray(h_matrix, dtype=np.float64)
+    if h_matrix.ndim != 2 or h_matrix.shape[0] != h_matrix.shape[1]:
+        raise ConfigError("H must be square")
+    if not np.allclose(h_matrix, h_matrix.T):
+        raise ConfigError("H must be symmetric")
+    return lam * lam * (h_matrix * h_matrix).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class StaircaseGradientField:
+    """Dense piecewise-constant gradient field: glass with no smooth part.
+
+    Coordinate i's gradient is magnitude * (signed count of thresholds below
+    theta_i), a staircase with uniformly scattered jumps, so gradient
+    variations grow exactly linearly in the probe distance.
+    """
+
+    thresholds: np.ndarray  # (d, n_kinks), sorted per row
+    signs: np.ndarray  # (d, n_kinks) of +-1
+    magnitude: float
+
+    @staticmethod
+    def random(d: int, n_kinks: int, span: float, magnitude: float, seed: int):
+        rng = np.random.default_rng(seed)
+        thresholds = np.sort(rng.uniform(-span, span, size=(d, n_kinks)), axis=1)
+        signs = rademacher_signs(rng, (d, n_kinks))
+        return StaircaseGradientField(thresholds, signs, float(magnitude))
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        crossed = self.thresholds < theta[:, None]
+        return self.magnitude * np.sum(self.signs, axis=1, where=crossed)
+
+    def expected_variation(self, lam: float) -> np.ndarray:
+        """Closed-form E[gamma_i^2] for sign probes of scale lam around 0."""
+        density = self.thresholds.shape[1] / (2.0 * np.abs(self.thresholds).max())
+        return np.full(len(self.thresholds), self.magnitude**2 * density * lam)
+
+
+def staircase_exponent_check(d, field_seed, samples, probe_seed):
+    """C2's dense-glass rule on one staircase field: (exponent, passed).
+
+    A d x 512-kink field is probed at lam = 0.02 and 0.04 with `samples` sign
+    probes; it passes at p = 1 +- 0.15. The exponent's noise comes from the
+    frozen thresholds, so it shrinks with coordinates x kinks, not with probes.
+    """
+    field = StaircaseGradientField.random(d, 512, span=1.0, magnitude=0.1, seed=field_seed)
+    m1 = measure_variations(field.grad, np.zeros(d), 0.02, samples, seed=probe_seed)
+    m2 = measure_variations(field.grad, np.zeros(d), 0.04, samples, seed=probe_seed)
+    p = power_law(m1, m2, {"all": np.arange(d)}).exponent("all")
+    return p, abs(p - 1.0) <= 0.15

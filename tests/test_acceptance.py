@@ -1,17 +1,17 @@
 """Acceptance suite: one test per criterion, each printing its measured values.
 
 Run with `pytest tests/test_acceptance.py -v -s` for the full pass/fail table.
-The pass rules of C3-C7, C9 and C10 live in harness's rule functions, which
-verify runs too: those tests pin only their seeds and counts, and assert that
-every row the rules return passed. The other criteria pin their tolerances
-here. Monte-Carlo checks use fixed seeds, so the suite is deterministic end
+The pass rules of C3-C7, C9, C10 and C11 live in harness's rule functions,
+which verify runs too: those tests pin only their seeds and counts, and assert
+that every row the rules return passed. C1's rule and C2's dense-glass rule
+live in fd_oracles; the other criteria pin their tolerances here. Monte-Carlo checks use fixed seeds, so the suite is deterministic end
 to end.
 """
 
 import numpy as np
 import pytest
 
-from fd_oracles import fd_loss_gradient, random_model_and_batch
+from fd_oracles import central_difference_check, random_model_and_batch, staircase_exponent_check
 from glassopt import cli, glass, harness, netkit, oracles
 from glassopt.alice import Alice, AliceConfig, adam_iterates, naq_exactness_check, sgdm_iterates
 from glassopt.harness import DataParams, ExperimentConfig, ProbeParams, make_classification_batch
@@ -31,29 +31,17 @@ def check(name, rows):
 
 
 def test_c01_gradient_matches_central_differences():
-    """50 random (spec, params, batch) triples, rel err < 1e-6 at smooth points."""
+    """50 random (spec, params, batch) triples, rel err < 1e-6 at their (over half) smooth points."""
     rng = np.random.default_rng(0)
-    worst = 0.0
+    checks = []
     for trial in range(50):
-        widths = (
-            int(rng.integers(2, 5)),
-            int(rng.integers(3, 7)),
-            int(rng.integers(3, 7)),
-            int(rng.integers(2, 5)),
-        )
+        widths = tuple(int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (3, 7), (3, 7), (2, 5)))
         loss_kind = "mse" if trial % 2 == 0 else "xent"
-        spec, params, batch = random_model_and_batch(
-            int(rng.integers(0, 10_000)), widths=widths, loss=loss_kind, n=5
-        )
-        _, grad = netkit.gradient(spec, params, batch)
-        fd, smooth = fd_loss_gradient(spec, params, batch)
-        assert smooth.any()
-        denom = np.abs(grad[smooth]).max()
-        assert denom > 0.0
-        rel = np.abs(fd[smooth] - grad[smooth]).max() / denom
-        worst = max(worst, rel)
-    report("C1 gradient vs central differences", worst_rel_err=worst)
-    assert worst < 1e-6
+        spec, params, batch = random_model_and_batch(int(rng.integers(0, 10_000)), widths=widths,
+                                                     loss=loss_kind, n=5)
+        checks.append(central_difference_check(spec, params, batch))
+    report("C1 gradient vs central differences", worst_rel_err=max(rel for rel, _ in checks))
+    assert all(passed for _, passed in checks)
 
 
 def test_c02_power_law_probe():
@@ -69,11 +57,8 @@ def test_c02_power_law_probe():
     assert p_quad == pytest.approx(2.0, abs=0.05)
 
     # dense-glass synthetic: piecewise-constant gradient staircase
-    field = oracles.StaircaseGradientField.random(8192, 512, span=1.0, magnitude=0.1, seed=3)
-    g1 = glass.measure_variations(field.grad, np.zeros(8192), 0.02, 48, seed=4)
-    g2 = glass.measure_variations(field.grad, np.zeros(8192), 0.04, 48, seed=4)
-    p_glass = glass.power_law(g1, g2, {"all": np.arange(8192)}).exponent("all")
-    assert p_glass == pytest.approx(1.0, abs=0.15)
+    p_glass, glass_passed = staircase_exponent_check(8192, field_seed=3, samples=48, probe_seed=4)
+    assert glass_passed
 
     # 4-hidden-layer ReLU MLP, d ~ 1e4, probed after 200 warm-up steps
     spec = ModelSpec((20, 50, 50, 50, 50, 10), "xent")
@@ -225,13 +210,7 @@ def test_c10_density_matrix_bound():
 
 def test_c11_quick_step_accounting():
     """quick_steps = 3 spends exactly 6 gradients per 4 steps."""
-    spec, params, batch = random_model_and_batch(0, widths=(4, 8, 2), n=16)
-    grad_fn = lambda th: netkit.gradient(spec, th, batch)[1]  # noqa: E731
-    opt = Alice(params, AliceConfig(lam=1e-3, quick_steps=3), seed=0)
-    for _ in range(12):  # three full cycles
-        opt.step(grad_fn)
-    report("C11 quick steps", grad_evals=opt.n_grad_evals)
-    assert opt.n_grad_evals == 18  # 6 per 4 steps, exact integer
+    check("C11 quick steps", harness.grad_eval_rows(quick_steps=3, steps=12))
 
 
 def _strip_wall_clock(csv_text: str) -> str:

@@ -10,7 +10,7 @@ from fd_oracles import (
     reference_sgdm_loop,
     reference_step,
 )
-from glassopt import alice, netkit
+from glassopt import harness, netkit
 from glassopt.alice import (
     LIMIT_METHODS,
     Alice,
@@ -548,19 +548,12 @@ class TestFusedStepMatchesComposition:
 
 class TestQuickStepAccounting:
     def test_six_gradients_per_four_steps(self):
-        _, params, _, grad_fn = small_net()
-        cfg = AliceConfig(quick_steps=3, lam=1e-3)
-        opt = Alice(params, cfg, seed=0)
-        for _ in range(8):
-            opt.step(grad_fn)
-        assert opt.n_grad_evals == 12  # 6 gradients per 4 steps
+        (row,) = harness.grad_eval_rows(quick_steps=3, steps=8)
+        assert row.passed and row.empirical == 12
 
     def test_quick_steps_zero_all_full(self):
-        _, params, _, grad_fn = small_net()
-        opt = Alice(params, AliceConfig(quick_steps=0, lam=1e-3), seed=0)
-        for _ in range(4):
-            opt.step(grad_fn)
-        assert opt.n_grad_evals == 12  # 3 per step
+        (row,) = harness.grad_eval_rows(quick_steps=0, steps=4)
+        assert row.passed and row.empirical == 12  # 3 per step
 
 
 class TestReferenceOptimizers:
@@ -613,14 +606,6 @@ class TestReferenceOptimizers:
 
 
 class TestNaqExactness:
-    @staticmethod
-    def _random_problem(seed, d=50):
-        rng = np.random.default_rng(seed)
-        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        hidden = basis @ np.diag(rng.uniform(0.5, 2.5, d)) @ basis.T
-        h_bar = np.abs(np.diag(hidden)) + 1.0
-        return hidden, rng.standard_normal(d), 0.1 * rng.standard_normal(d), h_bar
-
     def test_zero_initial_error_stays_exact(self):
         d = 8
         h_bar = np.linspace(1.0, 2.0, d)
@@ -630,18 +615,23 @@ class TestNaqExactness:
         assert not report.diverged
         assert np.all(report.error_abs <= 1e-12 * np.linalg.norm(g_star0))
 
+    @staticmethod
+    def _rows(beta1):
+        """naq_rows for one beta1 on the seed-1 problem, with the seed-2 wrong-phi control."""
+        hidden, h_bar, g_star0, gamma0 = harness.hidden_quadratic(np.random.default_rng(1))
+        report = naq_exactness_check(hidden, g_star0, gamma0, beta1, h_bar, 50)
+        hidden, h_bar, g_star0, gamma0 = harness.hidden_quadratic(np.random.default_rng(2))
+        control = naq_exactness_check(hidden, g_star0, gamma0, 0.9, h_bar, 50, phi=0.2)
+        return {row.quantity: row for row in harness.naq_rows([report], control, 50)}
+
     @pytest.mark.parametrize("beta1", [0.9, 0.95, 0.99])
     def test_error_contracts_by_beta1(self, beta1):
-        hidden, g_star0, gamma0, h_bar = self._random_problem(1)
-        report = naq_exactness_check(hidden, g_star0, gamma0, beta1, h_bar, 50)
-        assert not report.diverged
-        assert report.max_error_rel < 1e-10
-        assert np.max(report.prediction_rel) < 1e-10
+        rows = self._rows(beta1)
+        assert rows["max_error_contraction_residual"].passed
+        assert rows["max_model_prediction_residual"].passed
 
     def test_wrong_phi_is_detected(self):
-        hidden, g_star0, gamma0, h_bar = self._random_problem(2)
-        report = naq_exactness_check(hidden, g_star0, gamma0, 0.9, h_bar, 50, phi=0.2)
-        assert report.max_error_rel > 1e-3
+        assert self._rows(0.9)["negative_control_residual"].passed
 
     def test_divergence_reported_not_raised(self):
         hidden = np.diag(np.full(4, 1e6))

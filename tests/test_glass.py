@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fd_oracles import (
     fine_grid_kernel_constant,
+    quadratic_powerlaw_oracle,
     random_model_and_batch,
     reference_band_density,
     reference_rademacher_signs,
@@ -367,6 +368,17 @@ class TestKernels:
         with pytest.raises(ConfigError):
             glass.kernel_constant("normal", 1.0, restrict=40.0)
 
+    @pytest.mark.parametrize("restrict", [math.nan, -1.0])
+    @pytest.mark.parametrize(
+        "call, args",
+        [(glass.update_probability, ("normal",)), (glass.make_kernel, ("normal", 1.0)),
+         (glass.kernel_constant, ("rademacher", 1.0))],
+        ids=["update_probability", "make_kernel", "kernel_constant"],
+    )
+    def test_nan_or_negative_restriction_rejected(self, call, args, restrict):
+        with pytest.raises(ConfigError, match=r"^restriction threshold must be >= 0$"):
+            call(*args, restrict)
+
 
 class TestNormalKernelConstant:
     """kernel_constant for the normal density, against oracles that share none of its code."""
@@ -520,7 +532,7 @@ class TestMeasureVariations:
         h_mat = (h_mat + h_mat.T) / 2
         lam, n = 0.05, 400
         meas = glass.measure_variations(lambda th: h_mat @ th, np.zeros(20), lam, n, seed=6)
-        expected = oracles.quadratic_powerlaw_oracle(h_mat, lam)
+        expected = quadratic_powerlaw_oracle(h_mat, lam)
         # within 3 standard errors of the Rademacher closed form, per coordinate
         spread = np.sqrt(2.0 / n) * expected  # variance of gamma^2 ~ 2 E[gamma^2]^2
         assert np.all(np.abs(meas.v - expected) < 3.2 * spread + 1e-12)
