@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from . import netkit
 from .netkit import ConfigError, NumericsError, ReluUnitRecord, check_seed
 
 DENSITIES = ("rademacher", "normal")
@@ -131,15 +132,11 @@ class GlassDensityMatrix:
         stay zero. Since a pre-activation in layer l depends only on the
         parameters of layers <= l, layer-major records make the bands narrow.
 
-        The products run on two lanes, this thread and one worker thread,
-        dealt largest first (by rows x columns x records) onto the lane with
-        less work so far; numpy releases the GIL in each matmul, so the lanes
-        overlap. Each product is one whole matmul into its own disjoint block
-        of R, so R is bitwise the serial build whichever lane runs it. An
-        error in either lane is raised here once both lanes have stopped.
+        The products are dealt largest first (by rows x columns x records)
+        onto the lane with less work so far: this thread or a netkit.lane's.
+        Each is one whole matmul into its own block of R, so R is bitwise
+        the serial build whichever lane runs it.
         """
-        from concurrent.futures import ThreadPoolExecutor
-
         w, r = self.weights, self.reach
         d = self.dim
         r_mat = np.zeros((d, d))
@@ -169,8 +166,8 @@ class GlassDensityMatrix:
             for a, b, out in lane:
                 np.matmul(a, b, out=out)
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            other = pool.submit(run, lanes[1])
+        with netkit.lane() as submit:
+            other = submit(run, lanes[1])
             run(lanes[0])
             other.result()
         return r_mat

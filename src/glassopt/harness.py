@@ -497,14 +497,12 @@ def powerlaw_experiment(
     cancels most of the Monte-Carlo noise in the exponent. Gradients are
     evaluated on the full dataset.
 
-    The 2 lam measurement runs on a second thread while lam runs on this
-    one; netkit's gradient keeps a workspace per thread and releases the GIL
-    in its matmuls, so the two overlap. Each scale draws from its own
-    Generator in its own order, so the report is that of the serial runs.
-    An error at lam is raised before one at 2 lam. Each scale counts its own
-    gradient calls, so a gradient's NumericsError names its scale and sample,
-    as in "probe lam = 0.002 sample 17: ...", where sample 0 is the
-    unperturbed gradient.
+    The 2 lam measurement runs on a netkit.lane while lam runs on this
+    thread, so an error at lam is raised first. Each scale draws from its
+    own Generator in its own order, so the report is that of the serial
+    runs. Each scale counts its own gradient calls, so a gradient's
+    NumericsError names its scale and sample, as in "probe lam = 0.002
+    sample 17: ...", where sample 0 is the unperturbed gradient.
     """
     params = _warm_up(spec, data, seed, probe.warmup_steps, probe.warmup_lr, batch_size)
 
@@ -525,10 +523,8 @@ def powerlaw_experiment(
 
         return measure_variations(named_grad, params, scale, probe.samples, probe_seed)
 
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as lane:
-        at_2lam = lane.submit(measure, 2.0 * probe.lam)
+    with netkit.lane() as submit:
+        at_2lam = submit(measure, 2.0 * probe.lam)
         meas_1 = measure(probe.lam)
         meas_2 = at_2lam.result()
     return power_law(meas_1, meas_2, default_partitions(spec))

@@ -29,8 +29,12 @@ allocates every array it returns, so callers may keep them.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -413,3 +417,47 @@ def relu_introspect(spec: ModelSpec, params: np.ndarray, batch: Batch, psi: floa
             y, dz = float(preacts[layer][sample, neuron]), float(d_z[layer][sample, neuron])
             records.append(ReluUnitRecord(layer, neuron, sample, y, dz, block[k]))
     return records
+
+
+
+_lanes_lock = threading.Lock()
+_lanes_open = 0
+_blas_outer = None  # the BLAS thread count the last lane to close restores
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        lib = ctypes.CDLL(os.path.join(libs, name)) if "openblas" in name else None
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    return None
+
+
+@contextmanager
+def lane():
+    """Open a one-worker thread pool beside the calling thread; yield its submit.
+
+    The worker is joined before the lane closes, so the caller's error comes
+    first and a worker's error comes from its future's result(). While lanes
+    are open, BLAS runs on half its threads (at least one): both threads call it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _lanes_open, _blas_outer
+    with _lanes_lock:
+        _lanes_open += 1
+        if _lanes_open == 1 and (blas := _blas_threads()) and blas[0]() > 1:
+            _blas_outer = blas[0]()
+            blas[1](_blas_outer // 2)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool.submit
+    finally:
+        with _lanes_lock:
+            _lanes_open -= 1
+            if _lanes_open == 0 and _blas_outer is not None:
+                _blas_threads()[1](_blas_outer)
+                _blas_outer = None

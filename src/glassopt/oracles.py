@@ -60,11 +60,9 @@ def _sample_chunks(rng: np.random.Generator, density: str, total: int, cols: int
     A draw that fits one chunk is drawn inline into one buffer of at most
     _CHUNK_ELEMS elements (one row when cols exceeds it). A draw of more than
     one chunk, of either density, alternates between two such buffers: a
-    one-worker thread fills the next chunk while the caller works on this
-    one, since numpy releases the GIL while it draws. An error in that draw
-    is raised here, in the caller. The worker is joined when the generator
-    is exhausted or closed, so a caller that may stop early (or raise)
-    closes it, for example with contextlib.closing.
+    netkit.lane fills the next chunk while the caller works on this one. The
+    lane closes when the generator is exhausted or closed, so a caller that
+    may stop early (or raise) closes it, for example with contextlib.closing.
     """
     rows = _chunk_rows(total, cols)
     sizes = [min(rows, total - lo) for lo in range(0, total, rows)]
@@ -73,16 +71,14 @@ def _sample_chunks(rng: np.random.Generator, density: str, total: int, cols: int
         for m in sizes:
             yield _draw(rng, density, buf[:m])
         return
-    from concurrent.futures import ThreadPoolExecutor
-
     spare = np.empty_like(buf)
-    with ThreadPoolExecutor(max_workers=1) as lane:
-        ahead = lane.submit(_draw, rng, density, buf[: sizes[0]])
+    with netkit.lane() as submit:
+        ahead = submit(_draw, rng, density, buf[: sizes[0]])
         for m_next in sizes[1:] + [0]:
             chunk = ahead.result()
             buf, spare = spare, buf
             if m_next:
-                ahead = lane.submit(_draw, rng, density, buf[:m_next])
+                ahead = submit(_draw, rng, density, buf[:m_next])
             yield chunk
 
 

@@ -185,10 +185,10 @@ def test_version_flag():
 # Runs glassopt commands in a fresh interpreter whose imports of scipy fail,
 # then reports each exit code, any scipy module that got loaded anyway,
 # whether numpy.ma (which np.median imports on first use) was loaded, which
-# process-pool modules were loaded (no command runs a process lane), and
-# whether concurrent.futures (which only the thread lanes import, inside the
-# function that runs them) was loaded after the import of glassopt.cli and
-# after each command.
+# process-pool modules were loaded (no command runs a process lane), and,
+# after the import of glassopt.cli and after each command, whether
+# concurrent.futures was loaded and whether BLAS's thread functions were
+# looked up: netkit.lane does both when a lane first opens, and nothing else.
 _SCIPY_BLOCKED = textwrap.dedent(
     """
     import importlib.abc, json, sys
@@ -200,17 +200,20 @@ _SCIPY_BLOCKED = textwrap.dedent(
             return None
 
     sys.meta_path.insert(0, BlockScipy())
-    from glassopt import cli
+    from glassopt import cli, netkit
 
-    futures = ["concurrent.futures" in sys.modules]
+    def lanes():
+        return ["concurrent.futures" in sys.modules, netkit._blas_threads.cache_info().currsize]
+
+    opened = [lanes()]
     codes = []
     for argv in json.loads(sys.argv[1]):
         codes.append(cli.main(argv))
-        futures.append("concurrent.futures" in sys.modules)
+        opened.append(lanes())
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     lanes = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
     print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": "numpy.ma" in sys.modules,
-                      "process lane": lanes, "concurrent.futures": futures}))
+                      "process lane": lanes, "lanes opened": opened}))
     """
 )
 
@@ -227,9 +230,9 @@ class TestImportGuard:
         probe.probe.warmup_steps = 2
         out = str(tmp_path / "out")
         argvs = [
+            ["train", "--config", str(write_config(tmp_path, train, "train.cfg")), "--out", out],
             ["verify", "--suite", "kernel", "--out", out],
             ["verify", "--suite", "all", "--out", out],
-            ["train", "--config", str(write_config(tmp_path, train, "train.cfg")), "--out", out],
             ["probe", "--config", str(write_config(tmp_path, probe, "probe.cfg")), "--out", out],
         ]
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -240,9 +243,10 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
-        # The kernel suite's normal-draw thread lane is the first to load
-        # concurrent.futures; no command loads a process lane.
+        # train opens no lane, so it leaves BLAS's thread count alone; the
+        # kernel suite's normal-draw lane is the first to open. No command
+        # loads a process lane.
         assert report == {"codes": [0, 0, 0, 0], "scipy": [], "numpy.ma": False,
-                          "process lane": [],
-                          "concurrent.futures": [False, True, True, True, True]}
+                          "process lane": [], "lanes opened": [[False, 0], [False, 0]]
+                          + [[True, 1]] * 3}
         assert (tmp_path / "out" / "p" / "seed_0" / "powerlaw.csv").exists()

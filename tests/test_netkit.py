@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -15,7 +16,7 @@ from fd_oracles import (
     reference_gradient,
     reference_preactivation_grads,
 )
-from glassopt import glass, harness, netkit
+from glassopt import glass, harness, netkit, oracles
 from glassopt.alice import Alice, AliceConfig
 from glassopt.netkit import Batch, ConfigError, ModelSpec, NumericsError
 
@@ -470,3 +471,112 @@ def test_forward_pure_and_repeatable(seed):
     b = netkit.gradient(spec, params, batch)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+
+class LaneError(NumericsError):
+    """The work of one lane failed."""
+
+
+def lane_hook(blas, failing, leads):
+    """A hook for a lane user's work, and the set of (lane, BLAS threads) it saw.
+
+    Past a lane's lead calls (worker's, caller's), its first call waits for
+    the other lane's, and every call raises if the lane is in `failing`.
+    """
+    calling, meet = threading.current_thread(), threading.Barrier(2, timeout=10.0)
+    calls, seen = {"worker": -leads[0], "calling": -leads[1]}, set()
+
+    def hook():
+        lane = "calling" if threading.current_thread() is calling else "worker"
+        calls[lane] += 1
+        if calls[lane] > 0:
+            seen.add((lane, blas[-1]))
+            if calls[lane] == 1:
+                meet.wait()
+            if lane in failing:
+                raise LaneError(f"{lane} lane")
+
+    return hook, seen
+
+
+def density_build():
+    matrix = glass.GlassDensityMatrix(np.eye(6), np.ones((6, 6)), np.zeros(6, dtype=int))
+    try:
+        matrix.R
+    except LaneError:
+        assert "R" not in vars(matrix)
+        raise
+
+
+def probe():
+    data = harness.make_regression_batch(harness.DataParams(samples=20), 3, 2, seed=0)
+    params = harness.ProbeParams(lam=0.002, samples=4, warmup_steps=0)
+    harness.powerlaw_experiment(ModelSpec((3, 4, 2)), data, params, 128)
+
+
+def aggregate_bias():
+    tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
+    oracles.mc_aggregate_bias(tm, "normal", glass.make_kernel("normal", tm.dominance), 10_000, 1)
+
+
+def variation():
+    oracles.mc_variation(oracles.build_uniform_preactivation_net(seed=0), 5e-5, 100, seed=1)
+
+
+# Each user of netkit.lane: the calls its lanes' work makes; each lane's calls
+# before the two overlap (the oracles draw a chunk before the caller has one,
+# and mc_variation takes a gradient before its lane opens); the run; and how
+# it names a lane's error (the probe names the scale, lam on this thread).
+LANE_USERS = {
+    "density_R": ([(np, "matmul")], (0, 0), density_build, {}),
+    "probe": ([(harness, "gradient")], (0, 0), probe, {
+        "calling": "probe lam = 0.002 sample 0: ", "worker": "probe lam = 0.004 sample 0: "}),
+    "bias": ([(oracles, "_draw"), (oracles, "_kernel_estimates")], (1, 0), aggregate_bias, {}),
+    "variation": ([(oracles, "_draw"), (netkit, "gradient")], (1, 1), variation, {}),
+}
+
+
+class TestLane:
+    @pytest.mark.parametrize("failing", ["none", "worker", "calling", "worker+calling"])
+    @pytest.mark.parametrize("user", LANE_USERS)
+    def test_user_raises_joins_and_halves_blas(self, monkeypatch, user, failing):
+        # Either lane's error is raised in the caller, the caller's first; no
+        # thread outlives the call; both lanes run at once on half the BLAS
+        # threads, and the count comes back once, also after a raise.
+        targets, leads, run, names = LANE_USERS[user]
+        blas = [4]  # every BLAS thread count, set through a fake accessor
+        monkeypatch.setattr(netkit, "_blas_threads", lambda: (lambda: blas[-1], blas.append))
+        hook, seen = lane_hook(blas, failing, leads)
+        for owner, name in targets:
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, real=real, **k: (hook(), real(*a, **k))[1])
+        before = threading.enumerate()
+        if failing == "none":
+            run()
+        else:
+            raised = "calling" if "calling" in failing else "worker"
+            with pytest.raises(NumericsError) as exc:
+                run()
+            assert str(exc.value) == f"{names.get(raised, '')}{raised} lane"
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert (seen, blas) == ({("calling", 2), ("worker", 2)}, [4, 2, 4])
+
+    @pytest.mark.parametrize("outer, inner", [(5, 2), (1, 1)])
+    def test_nested_lanes_set_blas_once(self, monkeypatch, outer, inner):
+        blas = [outer]
+        monkeypatch.setattr(netkit, "_blas_threads", lambda: (lambda: blas[-1], blas.append))
+        with netkit.lane() as submit:
+            with pytest.raises(LaneError), netkit.lane() as nested:
+                assert nested(lambda: blas[-1]).result() == inner
+                raise LaneError
+            assert submit(lambda: blas[-1]).result() == inner
+        assert blas == [outer, inner, outer][: 3 if inner < outer else 1]
+
+    @pytest.mark.skipif(netkit._blas_threads() is None, reason="no bundled OpenBLAS")
+    def test_real_openblas_runs_on_half_its_threads(self):
+        get, _ = netkit._blas_threads()
+        outer = get()
+        with pytest.raises(LaneError), netkit.lane() as submit:
+            assert get() == submit(get).result() == max(1, outer // 2)
+            raise LaneError
+        assert get() == outer

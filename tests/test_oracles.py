@@ -155,6 +155,18 @@ def assert_chunks_are_one_draw(density, total, draw):
     assert rng.random() == whole.random()
 
 
+def assert_draw_error_in_caller(density, fail_at, delivered):
+    """A (500, 1024) draw whose draw call fail_at fails raises it after `delivered` chunks."""
+    before = threading.enumerate()
+    got = []
+    with pytest.raises(RuntimeError, match=f"^draw {fail_at} failed$"):
+        chunks = oracles._sample_chunks(FailingDraw(0, fail_at), density, 500, 1024)
+        with closing(chunks):
+            got.extend(chunk.shape[0] for chunk in chunks)
+    assert got == [128] * delivered
+    assert new_threads(before) == []
+
+
 class TestSampleChunks:
     # A chunk holds _CHUNK_ELEMS // 1024 = 128 rows of 1024 columns. The
     # totals give one chunk (100, 128), whole chunks (512), and a short last
@@ -177,75 +189,16 @@ class TestSampleChunks:
         chunks.close()
         assert new_threads(before) == []
 
-    def test_no_thread_outlives_an_exhausted_draw(self):
-        before = threading.enumerate()
-        for density in ("normal", "rademacher"):
-            for _ in oracles._sample_chunks(np.random.default_rng(0), density, 500, 1024):
-                pass
-        assert new_threads(before) == []
-
-    def test_no_thread_outlives_an_oracle_that_raises(self, monkeypatch):
-        tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
-        calls = []
-
-        def failing(*args):
-            calls.append(1)
-            if len(calls) % 2 == 0:
-                raise RuntimeError("estimate failed")
-            return real(*args)
-
-        real = oracles._kernel_estimates
-        monkeypatch.setattr(oracles, "_kernel_estimates", failing)
-        before = threading.enumerate()
-        for density in ("normal", "rademacher"):
-            kspec = glass.make_kernel(density, tm.dominance)
-            with pytest.raises(RuntimeError, match="estimate failed"):
-                oracles.mc_aggregate_bias(tm, density, kspec, 10_000, seed=1)
-        assert new_threads(before) == []
-
-    def test_no_thread_outlives_a_variation_check_that_raises(self, monkeypatch):
-        # 100 sign vectors of the 3661 parameters are three chunks of 35 and
-        # one of 30; the gradient of the 40th fails, in the second chunk.
-        scenario = oracles.build_uniform_preactivation_net(seed=0)
-        calls = []
-
-        def failing(*args):
-            calls.append(1)
-            if len(calls) == 41:
-                raise RuntimeError("gradient failed")
-            return real(*args)
-
-        real = netkit.gradient
-        monkeypatch.setattr(netkit, "gradient", failing)
-        before = threading.enumerate()
-        with pytest.raises(RuntimeError, match="gradient failed"):
-            oracles.mc_variation(scenario, 5e-5, 100, seed=1)
-        assert new_threads(before) == []
-
     @pytest.mark.parametrize("fail_at", [1, 3, 4])
     def test_a_draw_error_is_raised_in_the_caller(self, fail_at):
         # Four chunks: the first draw, one drawn ahead, and the last.
-        before = threading.enumerate()
-        got = []
-        with pytest.raises(RuntimeError, match=f"^draw {fail_at} failed$"):
-            chunks = oracles._sample_chunks(FailingDraw(0, fail_at), "normal", 500, 1024)
-            with closing(chunks):
-                got.extend(chunk.shape[0] for chunk in chunks)
-        assert got == [128] * (fail_at - 1)
-        assert new_threads(before) == []
+        assert_draw_error_in_caller("normal", fail_at, fail_at - 1)
 
     @pytest.mark.parametrize("fail_at", [1, 5, 8])
     def test_a_sign_draw_error_is_raised_in_the_caller(self, fail_at):
         # Four chunks of signs, each of two bytes calls (rademacher_signs
         # unpacks 64 rows of 1024 at a time): the error is in chunk 1, 3 or 4.
-        before = threading.enumerate()
-        got = []
-        with pytest.raises(RuntimeError, match=f"^draw {fail_at} failed$"):
-            chunks = oracles._sample_chunks(FailingDraw(0, fail_at), "rademacher", 500, 1024)
-            with closing(chunks):
-                got.extend(chunk.shape[0] for chunk in chunks)
-        assert got == [128] * ((fail_at - 1) // 2)
-        assert new_threads(before) == []
+        assert_draw_error_in_caller("rademacher", fail_at, (fail_at - 1) // 2)
 
 
 class TestBoundedWorkspaces:
