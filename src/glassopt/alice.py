@@ -20,10 +20,11 @@ Quick steps refresh only g and s from a single evaluation, freezing the
 curvature statistics. The step itself, apply_step, clamps the modified
 quasi-Newton scale |g| / h_bar between bounds that can be fixed lengths,
 SGD-M-like multiples of |g|, or Adam-like lam * |g| / (sqrt(s) + eps); with
-phi = omega = 1 and lam_min = lam_max the trajectory reproduces SGD-M or Adam
-exactly. Setting phi = 1 - b1 and omega = 1 gives the accelerated variant
-whose running gradient error contracts by exactly b1 per step on linear
-gradient fields.
+lam_min = lam_max the plain step reproduces SGD-M or Adam exactly. The
+accelerated variant (naq) moves the actual position by only the fraction
+phi = 1 - b1 of each step, while the next evaluation center takes the whole
+step; its running gradient error then contracts by exactly b1 per step on
+linear gradient fields.
 
 Both updates and the step work in place: standalone, each update allocates
 one parameter-length temporary beyond the persistent state (none when handed
@@ -54,21 +55,15 @@ class AliceConfig:
     """Hyperparameters of the optimizer.
 
     lam is the probe distance of the topography update; lam_min and lam_max
-    bound the step according to limit_method. phi is the fraction of the step
-    applied to the actual position, omega the fraction used for the next
-    gradient-evaluation center. terms selects which curvature statistics
-    enter the step: rho, and at most one of the Hessian surrogates h_abs and
-    h_rms.
-    phi and omega default to 1; naq=True sets phi = 1 - beta1 and omega = 1,
-    and rejects an explicit phi or omega with a different value.
+    bound the step according to limit_method. terms selects which curvature
+    statistics enter the step: rho, and at most one of the Hessian surrogates
+    h_abs and h_rms. naq selects the accelerated step (see phi).
     """
 
     lam: float = 0.002
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    phi: float | None = None
-    omega: float | None = None
     lam_min: float = 0.0
     lam_max: float = 0.01
     limit_method: str = "adam"
@@ -77,31 +72,14 @@ class AliceConfig:
     naq: bool = False
 
     def __post_init__(self):
-        # beta1 is checked before naq_coefficients reads it, so that its
-        # message names the config key.
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"alice.{name} must lie in [0, 1), got {getattr(self, name)}")
-        if self.naq:
-            for name, value in zip(("phi", "omega"), naq_coefficients(self.beta1)):
-                if getattr(self, name) not in (None, value):
-                    raise ConfigError(
-                        f"alice.{name} = {getattr(self, name)!r} conflicts with alice.naq = true,"
-                        f" which sets {name} = {value!r}"
-                    )
-                setattr(self, name, value)
-        else:
-            self.phi = 1.0 if self.phi is None else self.phi
-            self.omega = 1.0 if self.omega is None else self.omega
         self.terms = tuple(self.terms)
         if not self.lam > 0:
             raise ConfigError(f"alice.lam must be positive, got {self.lam}")
         if not self.eps > 0:
             raise ConfigError(f"alice.eps must be positive, got {self.eps}")
-        if not 0.0 < self.phi <= 1.0:
-            raise ConfigError(f"alice.phi must lie in (0, 1], got {self.phi}")
-        if not self.phi <= self.omega <= 1.0:
-            raise ConfigError(f"alice.omega must lie in [alice.phi, 1], got {self.omega}")
         if not self.lam_min >= 0:
             raise ConfigError(f"alice.lam_min must be >= 0, got {self.lam_min}")
         if not self.lam_max > 0:
@@ -123,6 +101,11 @@ class AliceConfig:
             )
         if {"h_abs", "h_rms"} <= set(self.terms):
             raise ConfigError("alice.terms must name at most one of h_abs and h_rms, got both")
+
+    @property
+    def phi(self) -> float:
+        """Fraction of each step applied to the actual position: 1 - beta1 under naq, else 1."""
+        return naq_coefficients(self.beta1) if self.naq else 1.0
 
 
 @dataclass
@@ -162,11 +145,10 @@ class StepRecord:
     """Diagnostics of one applied step."""
 
     delta: np.ndarray
-    h_glass: np.ndarray | None
-    h_bar: np.ndarray | None
+    h_glass: np.ndarray
+    h_bar: np.ndarray
     clamped_low_fraction: float
     clamped_high_fraction: float
-    interior_fraction: float
 
 
 def _checked_grad(grad_fn, point, label) -> np.ndarray:
@@ -300,7 +282,7 @@ def apply_step(
         h_glass = 3 rho / (4 pi |g| + eps)
         h_bar   = h_glass + h + sqrt(h_glass * (h_glass + 2 h)) + eps
         delta   = -sign(g) * clip(|g| / h_bar, lo, hi)
-        nu     <- mu + omega * delta,   mu <- mu + phi * delta
+        nu     <- mu + delta,   mu <- mu + phi * delta
 
     h_bar is the exact minimizer denominator for a gradient plus quadratic
     plus 3/2-power glass penalty. The bounds (lo, hi) are lam_min and lam_max
@@ -392,32 +374,25 @@ def apply_step(
     delta = np.sign(g)
     np.negative(delta, out=delta)
     delta *= scale
-    if cfg.omega == 1.0:
-        np.add(state.mu, delta, out=state.nu)
-    else:
-        np.multiply(delta, cfg.omega, out=tmp)
-        np.add(state.mu, tmp, out=state.nu)
-    if cfg.phi == 1.0:
-        state.mu += delta
-    else:
-        np.multiply(delta, cfg.phi, out=tmp)
-        state.mu += tmp
+    np.add(state.mu, delta, out=state.nu)
+    # Without naq phi is 1.0, and x * 1.0 == x bitwise.
+    np.multiply(delta, cfg.phi, out=tmp)
+    state.mu += tmp
     return StepRecord(
         delta=delta,
         h_glass=h_glass,
         h_bar=h_bar,
         clamped_low_fraction=low_frac,
         clamped_high_fraction=high_frac,
-        interior_fraction=1.0 - low_frac - high_frac,
     )
 
 
-def naq_coefficients(beta1: float) -> tuple[float, float]:
-    """Acceleration fractions (phi, omega) = (1 - beta1, 1) that make the
+def naq_coefficients(beta1: float) -> float:
+    """The accelerated step's fraction phi = 1 - beta1, which makes the
     running-gradient error contract by exactly beta1 per step."""
     if not 0.0 <= beta1 < 1.0:
         raise ConfigError("beta1 must lie in [0, 1)")
-    return 1.0 - beta1, 1.0
+    return 1.0 - beta1
 
 
 class Alice:
@@ -549,13 +524,13 @@ def naq_exactness_check(
     h_bar: np.ndarray,
     n_steps: int,
     phi: float | None = None,
-    omega: float = 1.0,
 ) -> NaqReport:
     """Simulate accelerated quasi-Newton steps against a hidden linear gradient.
 
     The true gradient is g*(mu) = g_star0 + H mu; the optimizer only sees its
     running average g (initialized with error gamma0) and steps by
-    -g / h_bar. With phi = 1 - beta1 (the default) and omega = 1, the error
+    -g / h_bar, moving mu by phi of the step and the evaluation center by
+    all of it. With phi = naq_coefficients(beta1) (the default), the error
     g - g*(mu) equals beta1^s * gamma0 at every step; other phi values serve
     as negative controls. Divergence is reported, not raised.
     """
@@ -564,7 +539,7 @@ def naq_exactness_check(
     gamma0 = np.asarray(gamma0, dtype=np.float64)
     h_bar = np.asarray(h_bar, dtype=np.float64)
     if phi is None:
-        phi, omega = naq_coefficients(beta1)
+        phi = naq_coefficients(beta1)
     d = g_star0.shape[0]
     mu = np.zeros(d)
     g_run = g_star0 + gamma0
@@ -582,7 +557,7 @@ def naq_exactness_check(
         pred_rel[s] = float(
             np.linalg.norm(model_next - pred_target) / max(np.linalg.norm(pred_target), 1e-300)
         )
-        nu_next = mu + omega * delta
+        nu_next = mu + delta
         mu = mu + phi * delta
         g_run = beta1 * g_run + (1.0 - beta1) * (g_star0 + h_hidden @ nu_next)
         if not np.all(np.isfinite(g_run)) or np.linalg.norm(g_run) > 1e12 * scale:

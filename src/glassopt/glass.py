@@ -242,12 +242,12 @@ def variation_bound(matrix: GlassDensityMatrix, delta: np.ndarray) -> np.ndarray
     return (matrix.reach @ np.abs(delta)) @ matrix.weights
 
 
-def loss_increase_bound(rho: np.ndarray | GlassDensityDiag, delta: np.ndarray) -> float:
+def loss_increase_bound(rho: np.ndarray, delta: np.ndarray) -> float:
     """Aggregate bound sqrt(2/(3 pi) * sum_i rho_i |delta_i|^3) on expected loss increase.
 
     This is the scalar form that enters the modified quasi-Newton objective.
     """
-    rho = rho.rho if isinstance(rho, GlassDensityDiag) else np.asarray(rho, dtype=np.float64)
+    rho = np.asarray(rho, dtype=np.float64)
     if not (np.isfinite(rho).all() and (rho >= 0).all()):
         raise ConfigError("glass density must be finite and elementwise nonnegative")
     delta = np.asarray(delta, dtype=np.float64)
@@ -485,10 +485,6 @@ class PowerLawReport:
             if entry.name == name:
                 return entry.p
         raise KeyError(name)
-
-    @property
-    def undefined_partitions(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries if not e.defined)
 
 
 def _check_partitions(partitions: Mapping[str, np.ndarray], dim: int) -> None:

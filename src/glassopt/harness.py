@@ -210,8 +210,6 @@ _SCHEMA = {
     "alice.beta1": ("alice", "beta1", float),
     "alice.beta2": ("alice", "beta2", float),
     "alice.eps": ("alice", "eps", float),
-    "alice.phi": ("alice", "phi", float),
-    "alice.omega": ("alice", "omega", float),
     "alice.lam_min": ("alice", "lam_min", float),
     "alice.lam_max": ("alice", "lam_max", float),
     "alice.limit_method": ("alice", "limit_method", str),

@@ -256,13 +256,13 @@ class TestMatrix:
 
     @property
     def dominance(self) -> np.ndarray:
-        """Per-row omega_i^2 = sum_{j != i} M_ij^2 / M_ii^2."""
+        """Per-row omega2_i = sum_{j != i} M_ij^2 / M_ii^2."""
         off = (self.M * self.M).sum(axis=1) - np.diag(self.M) ** 2
         return off / np.diag(self.M) ** 2
 
     @staticmethod
     def random_diag_dominant(d: int, seed: int) -> "TestMatrix":
-        """Random matrix with |diagonal| in [0.5, 1.5] and omega_i^2 in [0.2, 1]."""
+        """Random matrix with |diagonal| in [0.5, 1.5] and omega2_i in [0.2, 1]."""
         rng = np.random.default_rng(check_seed(seed))
         diag = rng.uniform(0.5, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
         omega2 = rng.uniform(0.2, 1.0, size=d)

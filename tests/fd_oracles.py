@@ -437,9 +437,9 @@ def reference_step(state, cfg):
         lo, hi = cfg.lam_min * base, cfg.lam_max * base
     low, high = float(np.mean(scale < lo)), float(np.mean(scale > hi))
     delta = -np.sign(g) * np.clip(scale, lo, hi)
-    np.add(state.mu, cfg.omega * delta, out=state.nu)
-    state.mu += cfg.phi * delta
-    return StepRecord(delta, h_glass, h_bar, low, high, 1.0 - low - high)
+    np.add(state.mu, delta, out=state.nu)
+    state.mu += (1.0 - cfg.beta1 if cfg.naq else 1.0) * delta
+    return StepRecord(delta, h_glass, h_bar, low, high)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_c08_replication(net, limit_method, lr, quick_steps, alice_seed, n_steps
     else:
         reference = sgdm_iterates(params, grad_fn, lr, 0.9, n_steps)
     cfg = AliceConfig(
-        lam=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, phi=1.0, omega=1.0,
+        lam=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
         lam_min=lr, lam_max=lr, limit_method=limit_method, quick_steps=quick_steps,
     )
     opt = Alice(params, cfg, seed=alice_seed)

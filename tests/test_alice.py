@@ -44,12 +44,14 @@ def small_net(seed=0, widths=(4, 8, 2), n=32, loss="mse"):
 
 class TestConfig:
     def test_naq_overrides_fractions(self):
-        cfg = AliceConfig(beta1=0.9, naq=True)
-        assert (cfg.phi, cfg.omega) == (pytest.approx(0.1), 1.0)
+        assert AliceConfig(beta1=0.9, naq=True).phi == pytest.approx(0.1)
+        assert AliceConfig(beta1=0.9).phi == 1.0
 
     def test_invalid_fraction_ordering(self):
-        with pytest.raises(ConfigError):
-            AliceConfig(phi=0.8, omega=0.5)
+        # naq is the only acceleration setting: the fractions are not fields.
+        for fractions in ({"phi": 0.8, "omega": 0.5}, {"phi": 0.8}, {"omega": 1.0}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                AliceConfig(**fractions)
 
     def test_invalid_bounds(self):
         with pytest.raises(ConfigError):
@@ -66,13 +68,13 @@ class TestConfig:
 
 class TestNaqCoefficients:
     def test_standard_momentum_setting(self):
-        assert naq_coefficients(0.9) == (pytest.approx(0.1), 1.0)
+        assert naq_coefficients(0.9) == pytest.approx(0.1)
 
     def test_no_momentum_full_quasi_newton(self):
-        assert naq_coefficients(0.0) == (1.0, 1.0)
+        assert naq_coefficients(0.0) == 1.0
 
     def test_half(self):
-        assert naq_coefficients(0.5) == (0.5, 1.0)
+        assert naq_coefficients(0.5) == 0.5
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
@@ -301,14 +303,15 @@ class TestStepPieces:
         assert np.allclose(np.abs(record.delta), [0.2, 0.4, 1.0, 2.0])
 
     def test_apply_step_positions(self):
-        cfg = AliceConfig(phi=0.1, omega=1.0, lam_min=1.0, lam_max=1.0, limit_method="fixed")
+        cfg = AliceConfig(naq=True, lam_min=1.0, lam_max=1.0, limit_method="fixed")
         state = filled_state([-1.0, 0.0])  # descent pushes coordinate 0 up
         apply_step(state, cfg)
         assert state.mu == pytest.approx([0.1, 0.0])
         assert state.nu == pytest.approx([1.0, 0.0])
 
     def test_apply_step_equal_fractions_collapse_positions(self):
-        cfg = AliceConfig(phi=0.7, omega=0.7, lam_min=0.0, lam_max=1.0, limit_method="fixed")
+        # Without naq both positions take the whole step.
+        cfg = AliceConfig(lam_min=0.0, lam_max=1.0, limit_method="fixed")
         state = filled_state(
             np.random.default_rng(1).standard_normal(5),
             h_abs=5.0,
@@ -437,7 +440,6 @@ class TestFusedStepMatchesComposition:
         cfg = AliceConfig(
             lam=1e-2, beta1=0.8, beta2=0.95, lam_min=lam_min, lam_max=0.05,
             limit_method=limit_method, quick_steps=quick_steps, terms=terms, naq=naq,
-            phi=None if naq else 0.6, omega=None if naq else 0.8,
         )
         start = rng.standard_normal(d)
         opt = Alice(start, cfg, seed=3)
@@ -450,7 +452,7 @@ class TestFusedStepMatchesComposition:
                 assert getattr(record, name).tobytes() == getattr(want, name).tobytes(), name
                 for buf in (*opt._work, opt._temp):
                     assert not np.shares_memory(getattr(record, name), buf)
-            for name in ("clamped_low_fraction", "clamped_high_fraction", "interior_fraction"):
+            for name in ("clamped_low_fraction", "clamped_high_fraction"):
                 assert getattr(record, name) == getattr(want, name), name
             for name in ("g", "s", "rho", "h_abs", "h_rms2", "mu", "nu"):
                 assert getattr(opt.state, name).tobytes() == getattr(ref_state, name).tobytes()
@@ -465,7 +467,7 @@ class TestFusedStepMatchesComposition:
     @pytest.mark.parametrize("limit_method", LIMIT_METHODS)
     def test_bitwise_without_workspace(self, limit_method, terms):
         cfg = AliceConfig(lam_min=2e-3, lam_max=0.05, limit_method=limit_method, terms=terms,
-                          phi=0.6, omega=0.8)
+                          naq=True)
         rng = np.random.default_rng([LIMIT_METHODS.index(limit_method), TERM_SETS.index(terms)])
         values = rng.standard_normal((6, 40))
         values[0, ::6] = 0.0
@@ -478,7 +480,7 @@ class TestFusedStepMatchesComposition:
         record, want = apply_step(states[0], cfg), reference_step(states[1], cfg)
         for name in ("delta", "h_glass", "h_bar"):
             assert getattr(record, name).tobytes() == getattr(want, name).tobytes(), name
-        for name in ("clamped_low_fraction", "clamped_high_fraction", "interior_fraction"):
+        for name in ("clamped_low_fraction", "clamped_high_fraction"):
             assert getattr(record, name) == getattr(want, name), name
         for name in ("mu", "nu"):
             assert getattr(states[0], name).tobytes() == getattr(states[1], name).tobytes()
@@ -665,11 +667,6 @@ class TestAliceOnRealNet:
         _, params, _, grad_fn = small_net(seed=12)
         opt = Alice(params, AliceConfig(lam=1e-3), seed=0)
         record = opt.step(grad_fn)
-        assert record.h_bar is not None and np.all(record.h_bar >= opt.cfg.eps)
-        assert record.h_glass is not None and np.all(record.h_glass >= 0.0)
-        total = (
-            record.clamped_low_fraction
-            + record.clamped_high_fraction
-            + record.interior_fraction
-        )
-        assert total == pytest.approx(1.0)
+        assert np.all(record.h_bar >= opt.cfg.eps)
+        assert np.all(record.h_glass >= 0.0)
+        assert 0.0 <= record.clamped_low_fraction + record.clamped_high_fraction <= 1.0

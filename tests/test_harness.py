@@ -50,22 +50,15 @@ def config_fields(draw):
     widths = tuple(draw(st.lists(st.integers(1, 64), min_size=3, max_size=6)))
     losses = ("mse", "xent") if widths[-1] > 1 else ("mse",)
     model = ModelSpec(widths, draw(st.sampled_from(losses)))
-    beta1 = draw(st.floats(0.0, 1.0, exclude_max=True))
-    naq = draw(st.booleans())
-    if naq:
-        phi = draw(st.sampled_from((None, 1.0 - beta1)))
-        omega = draw(st.sampled_from((None, 1.0)))
-    else:
-        phi = draw(st.none() | st.floats(0.0, 1.0, exclude_min=True))
-        omega = draw(st.none() | st.floats(1.0 if phi is None else phi, 1.0))
     lam_max = draw(_positive())
     alice = AliceConfig(
-        lam=draw(_positive()), beta1=beta1, beta2=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        eps=draw(_positive()), phi=phi, omega=omega, lam_min=draw(st.floats(0.0, lam_max)),
+        lam=draw(_positive()), beta1=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        beta2=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        eps=draw(_positive()), lam_min=draw(st.floats(0.0, lam_max)),
         lam_max=lam_max, limit_method=draw(st.sampled_from(LIMIT_METHODS)),
         quick_steps=draw(st.integers(0, 10)),
         terms=tuple(draw(st.lists(st.sampled_from(CURVATURE_TERMS), max_size=3).filter(
-            lambda terms: not {"h_abs", "h_rms"} <= set(terms)))), naq=naq,
+            lambda terms: not {"h_abs", "h_rms"} <= set(terms)))), naq=draw(st.booleans()),
     )
     data = DataParams(
         samples=draw(st.integers(1, 10**6)),
@@ -249,6 +242,17 @@ class TestConfigFormat:
         keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
         assert sorted(keys) == sorted(harness._SCHEMA)
 
+    def test_schema_keys_are_the_config_fields(self):
+        # Every config field is set by exactly one key, and every key sets one field.
+        sections = {"model": ModelSpec, "alice": AliceConfig, "data": DataParams,
+                    "probe": ProbeParams}
+        fields = [(None, f.name) for f in dataclasses.fields(ExperimentConfig)
+                  if f.name not in sections]
+        fields += [(section, f.name) for section, cls in sections.items()
+                   for f in dataclasses.fields(cls)]
+        targets = [(section, attr) for section, attr, _ in harness._SCHEMA.values()]
+        assert sorted(map(repr, targets)) == sorted(map(repr, fields))
+
     def test_unknown_key_reports_line(self):
         text = "name = x\nmodel.widths = 3,4,2\nbogus_key = 1\n"
         with pytest.raises(ConfigError, match=r":3: unknown key 'bogus_key'"):
@@ -299,9 +303,6 @@ class TestConfigFormat:
             ("alice.beta1", "1"),
             ("alice.beta2", "-0.5"),
             ("alice.eps", "0"),
-            ("alice.phi", "2"),
-            ("alice.phi", "0"),
-            ("alice.omega", "0.5"),
             ("alice.lam_min", "-1"),
             ("alice.lam_max", "0"),
             ("alice.lam_min", "0.5"),
@@ -337,8 +338,6 @@ class TestConfigFormat:
             "alice.beta1",
             "alice.beta2",
             "alice.eps",
-            "alice.phi",
-            "alice.omega",
             "alice.lam_min",
             "alice.lam_max",
             "data.noise",
@@ -382,7 +381,8 @@ class TestConfigFormat:
 
     @pytest.mark.parametrize("key, raw", [("alice.phi", "0.5"), ("alice.omega", "0.9")])
     def test_naq_rejects_explicit_fraction(self, key, raw):
-        with pytest.raises(ConfigError, match=rf":3: {key} = {raw} conflicts with alice.naq"):
+        # alice.naq is the only acceleration key; the fractions are unknown keys.
+        with pytest.raises(ConfigError, match=rf"^<config>:3: unknown key '{key}'$"):
             parse_config(f"alice.beta1 = 0.9\nalice.naq = true\n{key} = {raw}\n")
 
     def test_naq_names_an_out_of_range_beta1(self):
@@ -586,7 +586,7 @@ class TestRunExperiment:
             batch_size=16,
             model=ModelSpec((3, 6, 2)),
             alice=AliceConfig(
-                lam=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, phi=1.0, omega=1.0,
+                lam=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                 lam_min=lr, lam_max=lr, limit_method="adam", quick_steps=0,
             ),
         )
@@ -869,8 +869,7 @@ _UNIT = (0.0, 1.0, False, True)
 _FLOAT_RANGES = {
     "baseline_lr": _POSITIVE, "alice.lam": _POSITIVE, "alice.eps": _POSITIVE,
     "alice.lam_max": _POSITIVE, "probe.lam": _POSITIVE, "probe.warmup_lr": _POSITIVE,
-    "alice.beta1": _UNIT, "alice.beta2": _UNIT, "alice.phi": (0.0, 1.0, True, False),
-    "alice.omega": (0.0, 1.0, True, False), "alice.lam_min": (0.0, 1.7e308, False, False),
+    "alice.beta1": _UNIT, "alice.beta2": _UNIT, "alice.lam_min": (0.0, 1.7e308, False, False),
     "data.noise": (0.0, 1.7e308, False, False), "data.center_scale": (-1.7e308, 1.7e308, False,
                                                                       False),
     "data.label_flip": (0.0, 1.0, False, False),
@@ -928,7 +927,7 @@ def toy_configs(draw):
     """(command, config text): the _TOY_SIZES keys and any subset of the other _SCHEMA keys.
 
     Every value is legal on its own, but one drawn key may get any value;
-    together the legal values can still conflict (alice.naq with alice.phi).
+    together the legal values can still conflict (alice.lam_min above alice.lam_max).
     """
     keys = [k for k in harness._SCHEMA if k in _TOY_SIZES or draw(st.booleans())]
     spoilt = draw(st.none() | st.sampled_from(keys))
