@@ -449,8 +449,9 @@ def adam_iterates(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps
     running averages so that pinned-limit replication is exact to the ulp.
     Each yielded iterate is a fresh array that later steps do not modify.
 
-    An overflowing running average raises NumericsError: an infinite v (g*g
-    of a gradient beyond ~1.3e154) would make every later step zero.
+    An overflowing running average raises NumericsError, which the caller
+    names with its step: an infinite v (g*g of a gradient beyond ~1.3e154)
+    would make every later step zero.
     """
     theta = np.array(params, dtype=np.float64)
     m = np.zeros_like(theta)
@@ -462,7 +463,7 @@ def adam_iterates(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_steps
         v = beta2 * v + (1.0 - beta2) * (g * g)
         bad = [name for name, avg in (("m", m), ("v", v)) if not all_finite(avg)]
         if bad:
-            raise NumericsError(f"adam step {t}: running averages overflowed: {', '.join(bad)}")
+            raise NumericsError(f"running averages overflowed: {', '.join(bad)}")
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         theta = theta - lr * (m_hat / (np.sqrt(v_hat) + eps))

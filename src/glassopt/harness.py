@@ -13,6 +13,7 @@ are the only non-reproducible output.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import os
@@ -187,24 +188,28 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+def _parse_list(item):
+    """A parser of comma-separated items: an empty value is (), an empty item an error."""
 
+    def parse(raw: str) -> tuple:
+        items = [v.strip() for v in raw.split(",")] if raw else []
+        if "" in items:
+            raise ValueError(f"empty item in {raw!r}")
+        return tuple(item(v) for v in items)
 
-def _parse_str_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in raw.split(",") if v.strip())
+    return parse
 
 
 # key -> (section, attribute, parser)
 _SCHEMA = {
     "name": (None, "name", str),
-    "seeds": (None, "seeds", _parse_int_tuple),
+    "seeds": (None, "seeds", _parse_list(int)),
     "steps": (None, "steps", int),
     "batch_size": (None, "batch_size", int),
     "output_dir": (None, "output_dir", str),
     "optimizer": (None, "optimizer", str),
     "baseline_lr": (None, "baseline_lr", float),
-    "model.widths": ("model", "layer_widths", _parse_int_tuple),
+    "model.widths": ("model", "layer_widths", _parse_list(int)),
     "model.loss": ("model", "loss", str),
     "alice.lam": ("alice", "lam", float),
     "alice.beta1": ("alice", "beta1", float),
@@ -214,7 +219,7 @@ _SCHEMA = {
     "alice.lam_max": ("alice", "lam_max", float),
     "alice.limit_method": ("alice", "limit_method", str),
     "alice.quick_steps": ("alice", "quick_steps", int),
-    "alice.terms": ("alice", "terms", _parse_str_tuple),
+    "alice.terms": ("alice", "terms", _parse_list(str)),
     "alice.naq": ("alice", "naq", _parse_bool),
     "data.samples": ("data", "samples", int),
     "data.noise": ("data", "noise", float),
@@ -394,84 +399,63 @@ def _logged_stat(stat, x: np.ndarray) -> float:
     return value
 
 
-def _last(iterates):
-    """The final iterate of an optimizer, holding one iterate at a time."""
-    for theta in iterates:
-        pass
-    return theta
+def _steps(spec, params, data, seed, batch_size, n_steps, optimizer, lr, label, alice_cfg=None):
+    """Step params n_steps times, yielding (params, train_log.csv row) after each step.
+
+    Each step draws one minibatch of batch_size (0 = full batch), which every
+    gradient call of the step reads, then runs Alice.step or advances
+    adam_iterates or sgdm_iterates by one. The row logs the step's last
+    gradient call. wall_ms times the step itself: its minibatch, gradient
+    calls and update. grad_evals is cumulative: Alice's own count (criterion
+    C11), or the step number for adam and sgdm, which spend one gradient per
+    step. A NumericsError is raised as "{label} step {t}: ...", and the step
+    that raises yields no row. Alice's params are updated in place by later steps.
+    """
+    stream = _minibatch_stream(data, batch_size, seed)
+    last = [math.nan, None]  # the loss and gradient of the latest gradient call
+
+    def grad_fn(theta):
+        last[:] = gradient(spec, theta, batch)
+        return last[1]
+
+    if optimizer == "alice":
+        opt = Alice(params, alice_cfg, seed=seed)
+        advance = functools.partial(opt.step, grad_fn)
+    else:
+        run = adam_iterates if optimizer == "adam" else sgdm_iterates
+        iterates = run(params, grad_fn, lr=lr, n_steps=n_steps)
+        advance = iterates.__next__
+        advance()  # theta_0, which spends no gradient
+    for t in range(1, n_steps + 1):
+        tic = time.perf_counter()
+        batch = next(stream)
+        try:
+            out = advance()
+        except netkit.NumericsError as exc:
+            raise netkit.NumericsError(f"{label} step {t}: {exc}") from exc
+        wall_ms = (time.perf_counter() - tic) * 1e3
+        if optimizer == "alice":
+            params = opt.params
+            stats = (_logged_stat(np.mean, opt.state.rho), _logged_stat(np.mean, out.h_bar),
+                     out.clamped_low_fraction, out.clamped_high_fraction, opt.n_grad_evals)
+        else:
+            params, stats = out, (0.0, 0.0, 0.0, 0.0, t)
+        yield params, (t, last[0], _logged_stat(np.linalg.norm, last[1]), *stats, wall_ms)
 
 
 def _train_one(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:
-    """Train one seed; each train_log.csv row logs the step's last gradient call.
-
-    A seed that raises still writes the rows of the steps before the error.
-
-    grad_evals is cumulative: Alice's own count (criterion C11), or the step
-    number for adam and sgdm, which spend one gradient per step.
-    """
+    """Train one seed through _steps; a seed that raises keeps the rows of the steps before it."""
     data = task_batch(cfg, seed)
-    params = build_model(cfg.model, seed)
-    stream = _minibatch_stream(data, cfg.batch_size, seed)
     rows = []
-    # The loss and gradient of the most recent gradient call. The optimizers
-    # only read the gradient, so its norm can be taken once per step.
-    last = {"loss": math.nan, "grad": None}
-
-    def make_grad_fn(batch):
-        def grad_fn(theta):
-            last["loss"], last["grad"] = gradient(cfg.model, theta, batch)
-            return last["grad"]
-
-        return grad_fn
-
-    def at_step(step, fn, *args):
-        """fn(*args), naming the optimizer and step in any NumericsError it raises."""
-        try:
-            return fn(*args)
-        except netkit.NumericsError as exc:
-            raise netkit.NumericsError(f"{cfg.optimizer} step {step}: {exc}") from exc
-
-    def logged(step, mean_rho, mean_hbar, clamp_lo, clamp_hi, grad_evals, wall_ms):
-        grad_norm = _logged_stat(np.linalg.norm, last["grad"])
-        return (step, last["loss"], grad_norm, mean_rho, mean_hbar, clamp_lo, clamp_hi,
-                grad_evals, wall_ms)
-
     try:
-        if cfg.optimizer == "alice":
-            opt = Alice(params, cfg.alice, seed=seed)
-            for step in range(1, cfg.steps + 1):
-                tic = time.perf_counter()
-                record = at_step(step, opt.step, make_grad_fn(next(stream)))
-                wall_ms = (time.perf_counter() - tic) * 1e3
-                rows.append(
-                    logged(
-                        step,
-                        _logged_stat(np.mean, opt.state.rho),
-                        _logged_stat(np.mean, record.h_bar),
-                        record.clamped_low_fraction,
-                        record.clamped_high_fraction,
-                        opt.n_grad_evals,
-                        wall_ms,
-                    )
-                )
-            final_params = opt.params
-        else:
-            iterates = adam_iterates if cfg.optimizer == "adam" else sgdm_iterates
-            clock = {"tic": time.perf_counter()}
-
-            def grad_fn(theta):
-                step = len(rows) + 1
-                g = at_step(step, make_grad_fn(next(stream)), theta)
-                wall_ms = (time.perf_counter() - clock["tic"]) * 1e3
-                rows.append(logged(step, 0.0, 0.0, 0.0, 0.0, step, wall_ms))
-                clock["tic"] = time.perf_counter()
-                return g
-
-            final_params = _last(iterates(params, grad_fn, lr=cfg.baseline_lr, n_steps=cfg.steps))
+        for params, row in _steps(cfg.model, build_model(cfg.model, seed), data, seed,
+                                  cfg.batch_size, cfg.steps, cfg.optimizer, cfg.baseline_lr,
+                                  cfg.optimizer, cfg.alice):
+            rows.append(row)
     finally:
         write_csv(run_dir / "train_log.csv", TRAIN_LOG_HEADER, rows)
     try:
-        return loss(cfg.model, final_params, data)
+        return loss(cfg.model, params, data)
     except netkit.NumericsError as exc:
         raise netkit.NumericsError(f"{cfg.optimizer} final loss: {exc}") from exc
 
@@ -529,23 +513,15 @@ def powerlaw_experiment(
 
 
 def _warm_up(spec, data, seed, steps, lr, batch_size) -> np.ndarray:
-    """The model at `seed` after `steps` minibatch Adam steps, keeping no trajectory.
+    """The model at `seed` after `steps` minibatch Adam steps: train's adam run at lr, unlogged.
 
-    A NumericsError names the warm-up step: Adam's step t raises only after
-    its t-th gradient call.
+    It holds one iterate at a time, not the trajectory.
     """
-    stream = _minibatch_stream(data, batch_size, seed)
-    calls = 0
-
-    def warm_grad(theta):
-        nonlocal calls
-        calls += 1
-        return gradient(spec, theta, next(stream))[1]
-
-    try:
-        return _last(adam_iterates(build_model(spec, seed), warm_grad, lr, n_steps=steps))
-    except netkit.NumericsError as exc:
-        raise netkit.NumericsError(f"probe warm-up step {calls}: {exc}") from exc
+    params = build_model(spec, seed)
+    for params, _ in _steps(spec, params, data, seed, batch_size, steps, "adam", lr,
+                            "probe warm-up"):
+        pass
+    return params
 
 
 def _run_powerlaw(cfg: ExperimentConfig, seed: int, run_dir: Path) -> float:

@@ -262,6 +262,20 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=r":2: bad value for 'steps'"):
             parse_config("name = x\nsteps = soon\n")
 
+    @pytest.mark.parametrize(
+        "key, raw", [("model.widths", "3,,4,2"), ("seeds", "0,,1"), ("alice.terms", "rho,,")]
+    )
+    def test_empty_list_item_reports_line_and_field(self, key, raw):
+        text = f"name = x\n{key} = {raw}\n"
+        if key != "model.widths":
+            text += "model.widths = 3,4,2\n"
+        with pytest.raises(ConfigError, match=rf"^<config>:2: bad value for '{key}': empty item"):
+            parse_config(text)
+
+    def test_empty_terms_value_stays_legal(self):
+        # The manifest writes "alice.terms = " for no terms and parses it back.
+        assert parse_config("model.widths = 3,4,2\nalice.terms = \n").alice.terms == ()
+
     def test_missing_equals_reports_line(self):
         with pytest.raises(ConfigError, match=r":1: expected 'key = value'"):
             parse_config("just some words\n")
@@ -494,6 +508,9 @@ class TestRunExperiment:
         assert summary.errors == (f"seed 0: NumericsError: alice step 1: {message}",)
         error_txt = tmp_path / "own" / "seed_0" / "error.txt"
         assert error_txt.read_text() == summary.errors[0] + "\n"
+        # The failing step writes no row: the log holds the header alone.
+        log = (tmp_path / "own" / "seed_0" / "train_log.csv").read_text().splitlines()
+        assert log == [",".join(harness.TRAIN_LOG_HEADER)]
         with pytest.raises(NumericsError) as raised:
             harness._train_one(cfg, 0, tmp_path)
         assert str(raised.value.__cause__) == message
@@ -511,10 +528,24 @@ class TestRunExperiment:
         assert summary.errors == (message,)
         run_dir = tmp_path / "stall" / "seed_0"
         assert (run_dir / "error.txt").read_text() == message + "\n"
+        # Adam's update, not its gradient, failed: the step still writes no row.
         log = list(csv.DictReader((run_dir / "train_log.csv").open()))
+        assert log == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_log_gives_a_norm_whose_square_overflows(self, tmp_path):
+        # sgdm keeps no g*g, so its first step on these inputs succeeds and
+        # logs |g| ~ 4.8e299; its second step's pre-activations overflow.
+        cfg = parse_config(
+            "name = big\noptimizer = sgdm\nsteps = 3\nbatch_size = 16\n"
+            "model.widths = 3,4,3\nmodel.loss = xent\ndata.samples = 16\ndata.noise = 1e300\n"
+        )
+        summary = run_experiment(cfg, harness._train_one, tmp_path)
+        assert summary.errors == (
+            "seed 0: NumericsError: sgdm step 2: non-finite pre-activations at layer 0",)
+        log = list(csv.DictReader((tmp_path / "big" / "seed_0" / "train_log.csv").open()))
         assert [row["step"] for row in log] == ["1"]
-        # The log gives the gradient's norm, though its square overflows.
-        assert 1e154 < float(log[0]["grad_norm"]) < math.inf
+        assert 1e299 < float(log[0]["grad_norm"]) < math.inf
 
     @pytest.mark.parametrize("stat", [np.mean, np.linalg.norm])
     def test_log_statistics_survive_an_overflowing_sum(self, stat):
@@ -655,7 +686,7 @@ class TestPowerlawExperiment:
              "probe warm-up step 2: non-finite pre-activations at layer 1"),
             # Adam's own overflow check, after the warm-up's first gradient.
             ("data.noise = 1e300\n",
-             "probe warm-up step 1: adam step 1: running averages overflowed: v"),
+             "probe warm-up step 1: running averages overflowed: v"),
             # The first sign vector, not the unperturbed gradient, overflows.
             ("probe.lam = 1e200\n",
              "probe lam = 1e+200 sample 1: non-finite pre-activations at layer 1"),
@@ -752,6 +783,20 @@ class TestPowerlawExperiment:
         warm = lambda th: netkit.gradient(spec, th, next(stream))[1]  # noqa: E731
         expected = reference_adam(netkit.build_model(spec, 0), warm, lr, n_steps=steps)[-1]
         assert np.array_equal(params, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_warm_up_is_trains_adam_run(self, monkeypatch, tmp_path, seed):
+        # probe's warm-up ends bit for bit where train's adam run at warmup_lr does.
+        probe_cfg = load_config(DOCS_CONFIGS / "probe_mlp.cfg")
+        lr = probe_cfg.probe.warmup_lr
+        cfg = dataclasses.replace(probe_cfg, steps=20, optimizer="adam", baseline_lr=lr)
+        data = harness.task_batch(cfg, seed)
+        warmed = harness._warm_up(cfg.model, data, seed, cfg.steps, lr, cfg.batch_size)
+        finals = []
+        monkeypatch.setattr(harness, "loss", lambda spec, params, data: finals.append(params))
+        harness._train_one(cfg, seed, tmp_path)
+        assert cfg.batch_size < cfg.data.samples
+        assert np.array_equal(finals[0], warmed)
 
     def test_shared_probe_seed_pairs_scales(self):
         # a purely quadratic synthetic gradient must give exactly p = 2
