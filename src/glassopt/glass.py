@@ -20,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping
@@ -132,10 +133,10 @@ class GlassDensityMatrix:
         stay zero. Since a pre-activation in layer l depends only on the
         parameters of layers <= l, layer-major records make the bands narrow.
 
-        The products are dealt largest first (by rows x columns x records)
-        onto the lane with less work so far: this thread or a netkit.lane's.
-        Each is one whole matmul into its own block of R, so R is bitwise
-        the serial build whichever lane runs it.
+        The products wait in one list, largest first (by rows x columns x
+        records), and this thread and a netkit.lane's each take the next one
+        until none is left. Each is one whole matmul into its own block of R,
+        so R is bitwise the serial build whichever thread runs it.
         """
         w, r = self.weights, self.reach
         d = self.dim
@@ -152,23 +153,20 @@ class GlassDensityMatrix:
                 products.append((w[s:, h_prev:h].T, r[s:, :h_prev], r_mat[h_prev:h, :h_prev]))
             h_prev = h
 
-        def cost(product):
-            a, _, out = product
-            return out.size * a.shape[1]  # rows x columns x records
+        products.sort(key=lambda p: p[2].size * p[0].shape[1], reverse=True)
+        queue = deque(products)
 
-        lanes, loads = ([], []), [0, 0]
-        for product in sorted(products, key=cost, reverse=True):
-            lane = loads.index(min(loads))
-            lanes[lane].append(product)
-            loads[lane] += cost(product)
-
-        def run(lane):
-            for a, b, out in lane:
+        def run():
+            while True:
+                try:
+                    a, b, out = queue.popleft()
+                except IndexError:
+                    return
                 np.matmul(a, b, out=out)
 
         with netkit.lane() as submit:
-            other = submit(run, lanes[1])
-            run(lanes[0])
+            other = submit(run)
+            run()
             other.result()
         return r_mat
 
@@ -273,8 +271,8 @@ class KernelSpec:
 
     density: str
     omega2: float | np.ndarray
-    restrict: float = 0.0
-    c: float | np.ndarray = 1.0
+    restrict: float
+    c: float | np.ndarray
 
 
 def update_probability(density: str, restrict: float) -> float:
@@ -359,7 +357,6 @@ def kernel_constant(density: str, omega2, restrict: float = 0.0):
 
 def make_kernel(density: str, omega2, restrict: float = 0.0) -> KernelSpec:
     """Build a KernelSpec with its normalization constant precomputed."""
-    _check_density(density)
     return KernelSpec(
         density=density,
         omega2=np.asarray(omega2, dtype=np.float64) if np.ndim(omega2) else float(omega2),

@@ -838,10 +838,10 @@ def _suite_kernel(seed: int) -> list[CheckRow]:
     tm = oracles.TestMatrix.random_diag_dominant(200, seed)
     kernels = {density: make_kernel(density, tm.dominance) for density in ("rademacher", "normal")}
     for density, kspec in kernels.items():
-        res = oracles.mc_aggregate_bias(tm, density, kspec, 10_000, seed + 1)
+        res = oracles.mc_aggregate_bias(tm, kspec, 10_000, seed + 1)
         rows.append(estimator_bias_row(density, res))
-    res_rad = oracles.mc_estimator(tm, "rademacher", kernels["rademacher"], 100_000, seed + 2)
-    res_nrm = oracles.mc_estimator(tm, "normal", kernels["normal"], 100_000, seed + 2)
+    res_rad = oracles.mc_estimator(tm, kernels["rademacher"], 100_000, seed + 2)
+    res_nrm = oracles.mc_estimator(tm, kernels["normal"], 100_000, seed + 2)
     rows.append(estimator_variance_order_row(res_rad, res_nrm))
     rows.append(estimator_closed_form_row(res_rad, kernels["rademacher"], tm.diagonal))
     return rows + restricted_update_rows()

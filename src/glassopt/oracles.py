@@ -326,48 +326,56 @@ def _gram_sums(m_mat: np.ndarray, chunks) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(m_mat * gram, axis=1), np.sum((m_mat @ gram) * m_mat, axis=1)
 
 
-def mc_estimator(
-    tm: TestMatrix,
-    density: str,
-    kspec,
-    n_samples: int,
-    seed: int,
-) -> McEstimatorResult:
-    """Sample kappa(delta_i) * (M delta)_i and report bias and variance per index.
+def _estimator_draw(tm: TestMatrix, kspec, n_samples: int, seed: int):
+    """The n_samples samples of an estimator oracle from kspec.density, chunked and closable.
 
-    Samples are drawn in 1 MiB chunks (see _sample_chunks), 655 samples at
-    d = 200, the next drawn on a worker thread while this one is used.
-    Unrestricted Rademacher runs, whose kernel is the identity, sum only the
-    sign Gram matrix G = U^T U of each chunk and read both per-index sums off
-    G (see _gram_sums): no M product and no kernel pass per sample. Normal
-    and restricted runs form every estimate directly, in a buffer of the
-    chunk's shape with the kernel weight in small row blocks (see
-    _kernel_estimates), and sum them chunk by chunk.
+    _sample_chunks in contextlib.closing: a 1 MiB chunk holds 655 samples at
+    d = 200, and the next is drawn on a lane that closes with the with-block.
     """
     if n_samples < 1000:
         raise ConfigError("estimator sampling needs at least 1e3 samples")
-    d = tm.M.shape[0]
-    diag = tm.diagonal
     rng = np.random.default_rng(check_seed(seed))
+    return closing(_sample_chunks(rng, kspec.density, n_samples, tm.M.shape[0]))
+
+
+def _estimates(tm: TestMatrix, kspec, chunks, n_samples: int):
+    """Yield (delta, est) per chunk, est = kappa(delta) * (delta M^T) (see _kernel_estimates).
+
+    est is valid until the next pair; once it is formed, callers may overwrite delta.
+    """
+    d = tm.M.shape[0]
+    mt = np.ascontiguousarray(tm.M.T)
     rows = _chunk_rows(n_samples, d)
+    est_buf = np.empty((rows, d))
+    weight_buf = np.empty((min(rows, _WEIGHT_ROWS), d))
+    for delta in chunks:
+        yield delta, _kernel_estimates(delta, mt, kspec, est_buf, weight_buf)
+
+
+def mc_estimator(tm: TestMatrix, kspec, n_samples: int, seed: int) -> McEstimatorResult:
+    """Sample kappa(delta_i) * (M delta)_i and report bias and variance per index.
+
+    Unrestricted Rademacher runs, whose kernel is the identity, sum only the
+    sign Gram matrix G = U^T U of each chunk and read both per-index sums off
+    G (see _gram_sums): no M product and no kernel pass per sample. Normal
+    and restricted runs form every estimate (see _estimates) and sum them
+    chunk by chunk.
+    """
+    d = tm.M.shape[0]
     restricted = kspec.restrict > 0
-    with closing(_sample_chunks(rng, density, n_samples, d)) as chunks:
-        if density == "rademacher" and kspec.density == "rademacher" and not restricted:
+    with _estimator_draw(tm, kspec, n_samples, seed) as chunks:
+        if kspec.density == "rademacher" and not restricted:
             sums, sums_sq = _gram_sums(tm.M, chunks)
             n_acc = np.full(d, n_samples, dtype=np.int64)
         else:
             sums = np.zeros(d)
             sums_sq = np.zeros(d)
             n_acc = np.zeros(d, dtype=np.int64)
-            mt = np.ascontiguousarray(tm.M.T)
             # One chunk's working set: the draw, est, a block of the kernel
             # weight and the acceptance mask. Once est is formed the draw is
             # dead, and its memory holds |delta| and est^2 in turn.
-            est_buf = np.empty((rows, d))
-            weight_buf = np.empty((min(rows, _WEIGHT_ROWS), d))
-            mask_buf = np.empty((rows, d), dtype=bool) if restricted else None
-            for delta in chunks:
-                est = _kernel_estimates(delta, mt, kspec, est_buf, weight_buf)
+            mask_buf = np.empty((_chunk_rows(n_samples, d), d), dtype=bool) if restricted else None
+            for delta, est in _estimates(tm, kspec, chunks, n_samples):
                 if restricted:
                     mask = mask_buf[: delta.shape[0]]
                     np.greater_equal(np.abs(delta, out=delta), kspec.restrict, out=mask)
@@ -381,7 +389,7 @@ def mc_estimator(
     safe = np.maximum(n_acc, 1)
     mean = sums / safe
     var = (sums_sq - safe * mean * mean) / np.maximum(safe - 1, 1)
-    bias = mean - diag
+    bias = mean - tm.diagonal
     return McEstimatorResult(
         estimate=mean,
         bias=bias,
@@ -405,13 +413,7 @@ class AggregateBiasResult:
         return self.aggregate_bias / self.aggregate_bias_se
 
 
-def mc_aggregate_bias(
-    tm: TestMatrix,
-    density: str,
-    kspec,
-    n_samples: int,
-    seed: int,
-) -> AggregateBiasResult:
+def mc_aggregate_bias(tm: TestMatrix, kspec, n_samples: int, seed: int) -> AggregateBiasResult:
     """Sample the aggregate bias of an unrestricted kernel estimator directly.
 
     Each sample contributes the row mean of kappa(delta_i) * (M delta)_i -
@@ -420,21 +422,12 @@ def mc_aggregate_bias(
     every estimate is formed, from the same draws as mc_estimator at the same
     seed.
     """
-    if n_samples < 1000:
-        raise ConfigError("estimator sampling needs at least 1e3 samples")
     if kspec.restrict > 0:
         raise ConfigError("the aggregate bias needs an unrestricted kernel")
-    d = tm.M.shape[0]
     diag = tm.diagonal
-    rng = np.random.default_rng(check_seed(seed))
-    mt = np.ascontiguousarray(tm.M.T)
-    rows = _chunk_rows(n_samples, d)
-    est_buf = np.empty((rows, d))
-    weight_buf = np.empty((min(rows, _WEIGHT_ROWS), d))
     agg_sum = agg_sum_sq = 0.0
-    with closing(_sample_chunks(rng, density, n_samples, d)) as chunks:
-        for delta in chunks:
-            est = _kernel_estimates(delta, mt, kspec, est_buf, weight_buf)
+    with _estimator_draw(tm, kspec, n_samples, seed) as chunks:
+        for delta, est in _estimates(tm, kspec, chunks, n_samples):
             row_mean = np.subtract(est, diag, out=delta).mean(axis=1)
             agg_sum += float(row_mean.sum())
             agg_sum_sq += float(np.sum(row_mean * row_mean))

@@ -297,7 +297,7 @@ def reference_glass_walk_expectation(sim):
     )
 
 
-def reference_mc_estimator(tm, density, kspec, n_samples, seed):
+def reference_mc_estimator(tm, kspec, n_samples, seed):
     """The per-sample estimator loop: (McEstimatorResult, AggregateBiasResult or None).
 
     The aggregate bias is reported for unrestricted kernels only.
@@ -314,7 +314,7 @@ def reference_mc_estimator(tm, density, kspec, n_samples, seed):
     done = 0
     while done < n_samples:
         m = min(_reference_chunk_rows(n_samples, d), n_samples - done)
-        delta = _reference_draw(rng, density, (m, d))
+        delta = _reference_draw(rng, kspec.density, (m, d))
         y = delta @ mt
         est = optimal_kernel_weight(delta, kspec) * y
         if kspec.restrict > 0:

@@ -84,17 +84,17 @@ def test_c03_diagonal_estimator():
     for seed in range(20):
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=seed)
         k_rad = glass.make_kernel("rademacher", tm.dominance)
-        bias = oracles.mc_aggregate_bias(tm, "rademacher", k_rad, 10_000, seed=1000 + seed)
+        bias = oracles.mc_aggregate_bias(tm, k_rad, 10_000, seed=1000 + seed)
         rows.append(harness.estimator_bias_row("rademacher", bias))
-        res_rad = oracles.mc_estimator(tm, "rademacher", k_rad, 100_000, seed=2000 + seed)
+        res_rad = oracles.mc_estimator(tm, k_rad, 100_000, seed=2000 + seed)
         res_nrm = oracles.mc_estimator(
-            tm, "normal", glass.make_kernel("normal", tm.dominance), 100_000, seed=2000 + seed
+            tm, glass.make_kernel("normal", tm.dominance), 100_000, seed=2000 + seed
         )
         rows.append(harness.estimator_variance_order_row(res_rad, res_nrm))
 
     tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
     kspec = glass.make_kernel("rademacher", tm.dominance)
-    res = oracles.mc_estimator(tm, "rademacher", kspec, 1_000_000, seed=77)
+    res = oracles.mc_estimator(tm, kspec, 1_000_000, seed=77)
     rows.append(harness.estimator_closed_form_row(res, kspec, tm.diagonal))
     check("C3 diagonal estimator", rows)
 

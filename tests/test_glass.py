@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -184,6 +185,46 @@ class TestTwoLaneBuild:
         assert threading.active_count() == threads
         assert built.tobytes() == reference_band_density(matrix).tobytes()
         assert matrix.R is built
+
+    def test_each_product_runs_once_under_fast_thread_switching(self, monkeypatch):
+        # Both threads of a build pop band products from one shared list. Four
+        # builds run at once, eight threads on two cores, with the interpreter
+        # switching threads every microsecond: a product run twice shows in
+        # the matmul count, a product skipped in R.
+        d, builds = 48, 4
+        rng = np.random.default_rng(11)
+        matrices = [
+            GlassDensityMatrix(np.tril(rng.random((d, d))), np.tril(rng.random((d, d))),
+                               np.arange(d))
+            for _ in range(builds)
+        ]
+        want = [reference_band_density(m) for m in matrices]
+        calls, lock, real = [0], threading.Lock(), np.matmul
+
+        def counting(*args, **kwargs):
+            with lock:
+                calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        built = [None] * builds
+        threads = [
+            threading.Thread(target=lambda i=i: built.__setitem__(i, matrices[i].R))
+            for i in range(builds)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # Each record is its own layer run and reaches one column further.
+        assert calls[0] == builds * 2 * d
+        assert [b.tobytes() for b in built] == [w.tobytes() for w in want]
 
 
 @st.composite

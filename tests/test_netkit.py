@@ -516,7 +516,7 @@ def probe():
 
 def aggregate_bias():
     tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
-    oracles.mc_aggregate_bias(tm, "normal", glass.make_kernel("normal", tm.dominance), 10_000, 1)
+    oracles.mc_aggregate_bias(tm, glass.make_kernel("normal", tm.dominance), 10_000, 1)
 
 
 def variation():

@@ -233,8 +233,8 @@ class TestBoundedWorkspaces:
         tm = oracles.TestMatrix.random_diag_dominant(50, seed=7)
         kspec = glass.make_kernel(density, tm.dominance, restrict=restrict)
         assert_bitwise_equal(
-            oracles.mc_estimator(tm, density, kspec, n_samples, seed=8),
-            reference_mc_estimator(tm, density, kspec, n_samples, seed=8)[0],
+            oracles.mc_estimator(tm, kspec, n_samples, seed=8),
+            reference_mc_estimator(tm, kspec, n_samples, seed=8)[0],
         )
 
     @pytest.mark.parametrize("density", ["rademacher", "normal"])
@@ -243,8 +243,8 @@ class TestBoundedWorkspaces:
         tm = oracles.TestMatrix.random_diag_dominant(50, seed=7)
         kspec = glass.make_kernel(density, tm.dominance)
         assert_bitwise_equal(
-            oracles.mc_aggregate_bias(tm, density, kspec, n_samples, seed=8),
-            reference_mc_estimator(tm, density, kspec, n_samples, seed=8)[1],
+            oracles.mc_aggregate_bias(tm, kspec, n_samples, seed=8),
+            reference_mc_estimator(tm, kspec, n_samples, seed=8)[1],
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -254,8 +254,8 @@ class TestBoundedWorkspaces:
         # at d = 200 are 32 chunks of 655, the last of 195; the rest are one chunk.
         tm = oracles.TestMatrix.random_diag_dominant(d, seed=seed)
         kspec = glass.make_kernel("rademacher", tm.dominance)
-        got = oracles.mc_estimator(tm, "rademacher", kspec, n_samples, seed=seed + 10)
-        want, _ = reference_mc_estimator(tm, "rademacher", kspec, n_samples, seed=seed + 10)
+        got = oracles.mc_estimator(tm, kspec, n_samples, seed=seed + 10)
+        want, _ = reference_mc_estimator(tm, kspec, n_samples, seed=seed + 10)
         for name in ("estimate", "variance", "bias_se"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
         # bias = estimate - diag cancels, so it is held to the estimate's scale.
@@ -268,30 +268,19 @@ class TestBoundedWorkspaces:
     @pytest.mark.parametrize("density", ["rademacher", "normal"])
     def test_estimator_peak_memory(self, density):
         # A 1 MiB chunk is 655 x 200 samples. Both paths hold two draw buffers
-        # (one filled ahead). The Gram path (rademacher) adds G and its
-        # per-chunk product and peaks at 2.9 MB; the direct path (normal) adds
-        # est and a 32-row block of the kernel weight and peaks at 3.6 MB. One
-        # more chunk-size array would pass either bound.
+        # (one filled ahead). The Gram path (rademacher) adds the 0.3 MB G and
+        # its per-chunk product, forms the final products once the chunks are
+        # freed, and peaks at 2.9 MB; a chunk-size y or est would pass 3 MB.
+        # The direct path (normal) adds est and a 32-row block of the kernel
+        # weight and peaks at 3.6 MB. One more chunk-size array would pass
+        # either bound.
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance)
         peak = warm_peak_mb(
-            lambda: oracles.mc_estimator(tm, density, kspec, 100_000, seed=1),
-            lambda: oracles.mc_estimator(tm, density, kspec, 1000, seed=1),
+            lambda: oracles.mc_estimator(tm, kspec, 100_000, seed=1),
+            lambda: oracles.mc_estimator(tm, kspec, 1000, seed=1),
         )
         assert peak <= {"rademacher": 3.0, "normal": 4.5}[density]
-
-    def test_gram_path_peak_memory(self):
-        # The Gram path holds two 1 MiB sign chunks (one filled ahead), the
-        # 0.3 MB G and its per-chunk product (2.9 MB), and forms the final
-        # products once the chunks are freed; a chunk-size y or est would
-        # pass 3 MB.
-        tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
-        kspec = glass.make_kernel("rademacher", tm.dominance)
-        peak = warm_peak_mb(
-            lambda: oracles.mc_estimator(tm, "rademacher", kspec, 100_000, seed=1),
-            lambda: oracles.mc_estimator(tm, "rademacher", kspec, 1000, seed=1),
-        )
-        assert peak <= 3.0
 
     @pytest.mark.parametrize("density, restrict", [("rademacher", 0.5), ("normal", 1.0)])
     def test_restricted_estimator_peak_memory(self, density, restrict):
@@ -301,8 +290,8 @@ class TestBoundedWorkspaces:
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance, restrict=restrict)
         peak = warm_peak_mb(
-            lambda: oracles.mc_estimator(tm, density, kspec, 10_000, seed=1),
-            lambda: oracles.mc_estimator(tm, density, kspec, 1000, seed=1),
+            lambda: oracles.mc_estimator(tm, kspec, 10_000, seed=1),
+            lambda: oracles.mc_estimator(tm, kspec, 1000, seed=1),
         )
         assert peak <= 5.75
 
@@ -313,8 +302,8 @@ class TestBoundedWorkspaces:
         tm = oracles.TestMatrix.random_diag_dominant(200, seed=0)
         kspec = glass.make_kernel(density, tm.dominance)
         peak = warm_peak_mb(
-            lambda: oracles.mc_aggregate_bias(tm, density, kspec, 10_000, seed=1),
-            lambda: oracles.mc_aggregate_bias(tm, density, kspec, 1000, seed=1),
+            lambda: oracles.mc_aggregate_bias(tm, kspec, 10_000, seed=1),
+            lambda: oracles.mc_aggregate_bias(tm, kspec, 1000, seed=1),
         )
         assert peak <= 4.5
 
@@ -351,27 +340,24 @@ class TestMcEstimator:
     def test_diagonal_matrix_rademacher_exact(self):
         tm = oracles.TestMatrix(np.diag([1.0, -2.0, 3.0, 0.5][:4]))
         kspec = glass.make_kernel("rademacher", 0.0)
-        result = oracles.mc_estimator(tm, "rademacher", kspec, 1000, seed=0)
+        result = oracles.mc_estimator(tm, kspec, 1000, seed=0)
         assert np.allclose(result.bias, 0.0, atol=1e-14)
         assert np.allclose(result.variance, 0.0, atol=1e-14)
 
     def test_restricted_updates_reduce_effective_variance(self):
         tm = oracles.TestMatrix.random_diag_dominant(60, seed=3)
         n = 200_000
-        unres = oracles.mc_estimator(
-            tm, "normal", glass.make_kernel("normal", tm.dominance), n, seed=4
-        )
+        unres = oracles.mc_estimator(tm, glass.make_kernel("normal", tm.dominance), n, seed=4)
         res = oracles.mc_estimator(
-            tm, "normal", glass.make_kernel("normal", tm.dominance, restrict=1.0), n, seed=4
+            tm, glass.make_kernel("normal", tm.dominance, restrict=1.0), n, seed=4
         )
         effective = float(np.mean(res.variance * n / res.n_accepted))
         assert harness.effective_variance_row(effective, float(np.mean(unres.variance)), n).passed
 
     def test_restricted_acceptance_rate(self):
         tm = oracles.TestMatrix.random_diag_dominant(40, seed=5)
-        res = oracles.mc_estimator(
-            tm, "normal", glass.make_kernel("normal", 1.0, restrict=1.0), 20_000, seed=6
-        )
+        kspec = glass.make_kernel("normal", 1.0, restrict=1.0)
+        res = oracles.mc_estimator(tm, kspec, 20_000, seed=6)
         rate = float(res.n_accepted.mean() / res.n_samples)
         assert harness.update_probability_row(rate, res.n_samples).passed
 
@@ -380,13 +366,13 @@ class TestMcEstimator:
         kspec = glass.make_kernel("rademacher", 0.0)
         for oracle in (oracles.mc_estimator, oracles.mc_aggregate_bias):
             with pytest.raises(ConfigError, match="at least 1e3 samples"):
-                oracle(tm, "rademacher", kspec, 10, 0)
+                oracle(tm, kspec, 10, 0)
 
     def test_aggregate_bias_rejects_a_restricted_kernel(self):
         tm = oracles.TestMatrix.random_diag_dominant(10, seed=0)
         kspec = glass.make_kernel("normal", tm.dominance, restrict=1.0)
         with pytest.raises(ConfigError, match="unrestricted kernel"):
-            oracles.mc_aggregate_bias(tm, "normal", kspec, 1000, 0)
+            oracles.mc_aggregate_bias(tm, kspec, 1000, 0)
 
 
 class TestVariationBoundOracle:
@@ -491,11 +477,9 @@ class TestSeedCheck:
             lambda seed: oracles.SyntheticGlass1D(rho=1.0, lam=1.0, seed=seed),
             lambda seed: oracles.TestMatrix.random_diag_dominant(5, seed),
             lambda seed: oracles.mc_estimator(
-                oracles.TestMatrix(np.eye(3)), "normal", glass.make_kernel("normal", 0.0), 1000,
-                seed),
+                oracles.TestMatrix(np.eye(3)), glass.make_kernel("normal", 0.0), 1000, seed),
             lambda seed: oracles.mc_aggregate_bias(
-                oracles.TestMatrix(np.eye(3)), "normal", glass.make_kernel("normal", 0.0), 1000,
-                seed),
+                oracles.TestMatrix(np.eye(3)), glass.make_kernel("normal", 0.0), 1000, seed),
             lambda seed: oracles.build_uniform_preactivation_net(seed=seed),
             lambda seed: oracles.mc_variation(oracles.build_uniform_preactivation_net(), 1e-3,
                                               2, seed),
