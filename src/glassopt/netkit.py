@@ -33,6 +33,7 @@ import ctypes
 import functools
 import math
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -436,16 +437,37 @@ def _blas_threads():
     return None
 
 
+def _run_here(fn, /, *args, **kwargs):
+    """A process lane's submit without a fork: run fn now, in the calling thread."""
+    from concurrent.futures import Future
+
+    future = Future()
+    try:
+        future.set_result(fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - raised by result(), as a worker's error is
+        future.set_exception(exc)
+    return future
+
+
 @contextmanager
-def lane():
-    """Open a one-worker thread pool beside the calling thread; yield its submit.
+def lane(process: bool = False):
+    """Open a one-worker pool beside the calling thread; yield its submit.
+
+    The worker is a thread, or with process=True a process that the first
+    submit forks. The forked worker starts from a copy of this process, its
+    modules, patches and BLAS setting included, and takes each call and
+    returns its result by pickle. A fork copies only the forking thread, so
+    a process lane forks only where the platform has fork and no other thread
+    runs; otherwise its submit runs the call at once in the calling thread and
+    returns its future all the same. stdout and stderr are flushed first, so
+    that the worker holds no copy of buffered output; the caller submits
+    before it writes more or starts a thread.
 
     The worker is joined before the lane closes, so the caller's error comes
-    first and a worker's error comes from its future's result(). While lanes
-    are open, BLAS runs on half its threads (at least one): both threads call it.
+    first and a worker's error comes from its future's result(); a worker
+    process that dies raises BrokenProcessPool there. While lanes are open,
+    BLAS runs on half its threads (at least one): caller and worker both call it.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     global _lanes_open, _blas_outer
     with _lanes_lock:
         _lanes_open += 1
@@ -453,8 +475,23 @@ def lane():
             _blas_outer = blas[0]()
             blas[1](_blas_outer // 2)
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            yield pool.submit
+        if not process:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                yield pool.submit
+        elif threading.active_count() > 1 or not hasattr(os, "fork"):
+            yield _run_here
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # multiprocessing's fork start flushes too, but does not document it.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+                yield pool.submit
     finally:
         with _lanes_lock:
             _lanes_open -= 1

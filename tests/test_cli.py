@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -43,7 +44,25 @@ class TestVerifyCommand:
         for name in ("kernel", "glass", "naq", "step"):
             monkeypatch.setitem(harness.VERIFY_SUITES, name, lambda seed: [])
         assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path)]) == code
+        assert multiprocessing.active_children() == []
         assert ("config error: no walk" in capsys.readouterr().err) == (outcome == "config error")
+
+    def test_all_flushes_before_it_forks(self):
+        # Piped stdout is block-buffered, so "started" is still in the buffer
+        # when the kernel-suite worker is forked; unflushed, the worker would
+        # print it again as it exits. multiprocessing's fork start flushes
+        # too, undocumented, so this test cannot tell the two flushes apart.
+        script = textwrap.dedent("""
+            from glassopt import harness
+            for name in harness.VERIFY_SUITES:
+                harness.VERIFY_SUITES[name] = lambda seed: [harness.CheckRow("", 0, 0, 0, 1, True)]
+            print("started")
+            print(len(harness.run_verify_suite("all")))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "started\n5\n", "")
 
 
 @pytest.mark.parametrize("command", [["verify", "--suite", "naq"]])
@@ -184,9 +203,9 @@ def test_version_flag():
 
 # Runs glassopt commands in a fresh interpreter whose imports of scipy fail,
 # then reports each exit code, any scipy module that got loaded anyway,
-# whether numpy.ma (which np.median imports on first use) was loaded, which
-# process-pool modules were loaded (no command runs a process lane), and,
-# after the import of glassopt.cli and after each command, whether
+# whether numpy.ma (which np.median imports on first use) was loaded, and,
+# after the import of glassopt.cli and after each command, which process-pool
+# modules were loaded (only a process lane loads them), whether
 # concurrent.futures was loaded and whether BLAS's thread functions were
 # looked up: netkit.lane does both when a lane first opens, and nothing else.
 _SCIPY_BLOCKED = textwrap.dedent(
@@ -205,15 +224,18 @@ _SCIPY_BLOCKED = textwrap.dedent(
     def lanes():
         return ["concurrent.futures" in sys.modules, netkit._blas_threads.cache_info().currsize]
 
-    opened = [lanes()]
+    def process_lane():
+        return [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+
+    opened, process = [lanes()], [process_lane()]
     codes = []
     for argv in json.loads(sys.argv[1]):
         codes.append(cli.main(argv))
         opened.append(lanes())
+        process.append(process_lane())
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    lanes = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
     print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": "numpy.ma" in sys.modules,
-                      "process lane": lanes, "lanes opened": opened}))
+                      "process lane": process, "lanes opened": opened}))
     """
 )
 
@@ -232,8 +254,8 @@ class TestImportGuard:
         argvs = [
             ["train", "--config", str(write_config(tmp_path, train, "train.cfg")), "--out", out],
             ["verify", "--suite", "kernel", "--out", out],
-            ["verify", "--suite", "all", "--out", out],
             ["probe", "--config", str(write_config(tmp_path, probe, "probe.cfg")), "--out", out],
+            ["verify", "--suite", "all", "--out", out],
         ]
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
@@ -244,9 +266,10 @@ class TestImportGuard:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
         # train opens no lane, so it leaves BLAS's thread count alone; the
-        # kernel suite's normal-draw lane is the first to open. No command
-        # loads a process lane.
+        # kernel suite's normal-draw lane is the first to open. verify --suite
+        # all, run last, is the one command that loads a process lane.
         assert report == {"codes": [0, 0, 0, 0], "scipy": [], "numpy.ma": False,
-                          "process lane": [], "lanes opened": [[False, 0], [False, 0]]
-                          + [[True, 1]] * 3}
+                          "process lane": [[]] * 4 + [["multiprocessing",
+                                                       "concurrent.futures.process"]],
+                          "lanes opened": [[False, 0], [False, 0]] + [[True, 1]] * 3}
         assert (tmp_path / "out" / "p" / "seed_0" / "powerlaw.csv").exists()

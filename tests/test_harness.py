@@ -2,8 +2,13 @@ import csv
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -850,19 +855,27 @@ class TestVerifySuites:
         assert [r.quantity for r in rows if not r.passed] == []
 
     def test_all_equals_the_single_suites_in_order(self):
-        # Every oracle chunk holds at most 1 MiB, so "all" peaks near 5 MB.
+        # Every oracle chunk holds at most 1 MiB. The kernel suite of "all"
+        # runs in a worker process, where this tracemalloc cannot see it, so
+        # the bound covers this process's part of "all" (the other four
+        # suites) and then, on its own, a kernel suite run in this process.
         tracemalloc.start()
         try:
             together = harness.run_verify_suite("all", seed=0)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+            peaks_mb = [tracemalloc.get_traced_memory()[1] / 1e6]
+            tracemalloc.reset_peak()
+            alone = harness.run_verify_suite("kernel", 0)
+            peaks_mb.append(tracemalloc.get_traced_memory()[1] / 1e6)
         finally:
             tracemalloc.stop()
-        assert peak_mb <= 16.0
-        alone = [row for name in harness.VERIFY_SUITES for row in harness.run_verify_suite(name, 0)]
+        assert max(peaks_mb) <= 16.0
+        alone += [row for name in harness.VERIFY_SUITES if name != "kernel"
+                  for row in harness.run_verify_suite(name, 0)]
         assert [repr(r) for r in together] == [repr(r) for r in alone]
         # A report's rows are read back by quantity name (perfbench's
         # check_verify), so a repeated name could hide a FAIL behind a PASS.
         assert len({r.quantity for r in together}) == len(together)
+        assert multiprocessing.active_children() == []
 
     @staticmethod
     def _fake_suites(monkeypatch, broken):
@@ -885,21 +898,82 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize(
         "failing",
-        [{"kernel"}, {"gauss"}, {"rademacher"}, {"gauss", "rademacher"}],
-        ids=["kernel", "walk", "rademacher", "both_kicks"],
+        [{"kernel"}, {"gauss"}, {"rademacher"}, {"gauss", "rademacher"}, {"kernel", "gauss"}],
+        ids=["kernel", "walk", "rademacher", "both_kicks", "kernel_and_walk"],
     )
     def test_suite_exception_propagates_from_all(self, monkeypatch, failing):
         broken = set(failing)
         self._fake_suites(monkeypatch, broken)
-        # The Gaussian kick runs first in a serial walk suite, so its error wins.
+        # The Gaussian kick runs first in a serial walk suite, so its error
+        # wins; the kernel suite's, raised in the worker, wins over both.
         first = min(failing, key=["kernel", "gauss", "rademacher"].index)
         with pytest.raises(RuntimeError, match=f"{first} failed"):
             harness.run_verify_suite("all", seed=0)
+        assert multiprocessing.active_children() == []
         broken.clear()
         rows = harness.run_verify_suite("all", seed=3)
         assert [r.quantity for r in rows] == ["kernel", "glass", "naq", "step", "gauss",
                                               "rademacher"]
         assert [r.empirical for r in rows] == [3.0] * 6
+        assert multiprocessing.active_children() == []
+
+    def test_kernel_suite_runs_beside_the_others_in_a_worker(self, monkeypatch):
+        # The kernel suite waits for the glass suite to start, through an
+        # Event the forked worker inherits: a serial "all" would block here
+        # until the timeout.
+        glass_started = multiprocessing.get_context("fork").Event()
+
+        def kernel(seed):
+            waited = glass_started.wait(10.0)
+            return [harness.CheckRow("kernel", float(os.getpid()), 1.0, 0.0, 1, waited)]
+
+        def glass_suite(seed):
+            glass_started.set()
+            return [harness.CheckRow("glass", float(os.getpid()), 0.0, 0.0, 1, True)]
+
+        self._fake_suites(monkeypatch, set())
+        monkeypatch.setitem(harness.VERIFY_SUITES, "kernel", kernel)
+        monkeypatch.setitem(harness.VERIFY_SUITES, "glass", glass_suite)
+        rows = harness.run_verify_suite("all", seed=0)
+        assert [(r.quantity, r.passed) for r in rows[:2]] == [("kernel", True), ("glass", True)]
+        assert rows[1].empirical == os.getpid() != rows[0].empirical
+        assert multiprocessing.active_children() == []
+
+    def test_another_thread_keeps_all_in_this_process(self, monkeypatch, request):
+        # A fork copies only the forking thread, so beside a second thread
+        # "all" forks nothing and runs the kernel suite here, with the same rows.
+        self._fake_suites(monkeypatch, set())
+        monkeypatch.setitem(harness.VERIFY_SUITES, "kernel", lambda seed: [
+            harness.CheckRow("kernel", float(seed), float(os.getpid()), 0.0, 1, True)])
+        forked = harness.run_verify_suite("all", seed=2)
+        request.getfixturevalue("another_thread")  # a second thread runs from here on
+        here = harness.run_verify_suite("all", seed=2)
+        assert forked[0].predicted != os.getpid() == here[0].predicted
+        assert [repr(r) for r in forked[1:]] == [repr(r) for r in here[1:]]
+        assert [(r.quantity, r.empirical) for r in here] == [
+            (name, 2.0) for name in ("kernel", "glass", "naq", "step", "gauss", "rademacher")]
+
+    def test_worker_that_dies_names_the_kernel_suite(self):
+        # In a fresh interpreter, with a timeout: a worker that dies must not
+        # hang the call, and leaves no process behind.
+        script = textwrap.dedent("""
+            import multiprocessing, os
+            from glassopt import harness
+            for name in ("glass", "naq", "step", "walk"):
+                harness.VERIFY_SUITES[name] = lambda seed: []
+            harness.VERIFY_SUITES["kernel"] = lambda seed: os._exit(3)
+            try:
+                harness.run_verify_suite("all")
+            except RuntimeError as exc:
+                print(f"{exc} ({type(exc.__cause__).__name__})")
+            print(multiprocessing.active_children())
+        """)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("verify suite 'kernel': its worker process died "
+                               "(BrokenProcessPool)\n[]\n")
 
     def test_negative_seed_rejected_before_any_work(self, monkeypatch):
         self._fake_suites(monkeypatch, set(harness.VERIFY_SUITES) | {"gauss", "rademacher"})

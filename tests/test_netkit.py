@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
@@ -574,9 +576,36 @@ class TestLane:
 
     @pytest.mark.skipif(netkit._blas_threads() is None, reason="no bundled OpenBLAS")
     def test_real_openblas_runs_on_half_its_threads(self):
+        # A process worker is forked after the halving, so it inherits it.
         get, _ = netkit._blas_threads()
         outer = get()
-        with pytest.raises(LaneError), netkit.lane() as submit:
-            assert get() == submit(get).result() == max(1, outer // 2)
+        for process in (False, True):
+            with pytest.raises(LaneError), netkit.lane(process) as submit:
+                assert get() == submit(blas_thread_count).result() == max(1, outer // 2)
+                raise LaneError
+            assert get() == outer
+
+    def test_process_lane_forks_one_worker_and_joins_it(self):
+        # Its error comes back from result(); the caller's error is raised
+        # after the join, and no process outlives the lane.
+        with pytest.raises(LaneError), netkit.lane(process=True) as submit:
+            assert submit(os.getpid).result() != os.getpid()
+            with pytest.raises(ValueError, match="invalid literal"):
+                submit(int, "x").result()
             raise LaneError
-        assert get() == outer
+        assert multiprocessing.active_children() == []
+
+    def test_process_lane_beside_another_thread_runs_in_the_caller(self, another_thread):
+        # A fork copies only the forking thread: with a second thread running,
+        # submit runs its call at once in the calling thread, behind a future.
+        with netkit.lane(process=True) as submit:
+            assert submit(os.getpid).result() == os.getpid()
+            failed = submit(int, "x")
+            assert failed.done()
+            with pytest.raises(ValueError, match="invalid literal"):
+                failed.result()
+
+
+def blas_thread_count():
+    """The calling process's BLAS thread count; module-level, so a worker can take it by pickle."""
+    return netkit._blas_threads()[0]()
