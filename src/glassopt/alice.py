@@ -492,86 +492,3 @@ def reference_adam(params, grad_fn, lr, beta1=0.9, beta2=0.999, eps=1e-8, n_step
         traj[t] = theta
     return traj
 
-
-# ---------------------------------------------------------------------------
-# Exactness of the accelerated update on linear gradient fields
-
-
-@dataclass(frozen=True)
-class NaqReport:
-    """Per-step residuals of the error-contraction identity.
-
-    error_rel[s] compares the running-gradient error against beta1^s times
-    the initial error, relative to the latter's norm; prediction_rel[s]
-    checks that the model gradient at the new position is beta1 times the
-    previous running gradient.
-    """
-
-    error_rel: np.ndarray
-    error_abs: np.ndarray
-    prediction_rel: np.ndarray
-    diverged: bool
-
-    @property
-    def max_error_rel(self) -> float:
-        return float(np.max(self.error_rel)) if self.error_rel.size else 0.0
-
-
-def naq_exactness_check(
-    h_hidden: np.ndarray,
-    g_star0: np.ndarray,
-    gamma0: np.ndarray,
-    beta1: float,
-    h_bar: np.ndarray,
-    n_steps: int,
-    phi: float | None = None,
-) -> NaqReport:
-    """Simulate accelerated quasi-Newton steps against a hidden linear gradient.
-
-    The true gradient is g*(mu) = g_star0 + H mu; the optimizer only sees its
-    running average g (initialized with error gamma0) and steps by
-    -g / h_bar, moving mu by phi of the step and the evaluation center by
-    all of it. With phi = naq_coefficients(beta1) (the default), the error
-    g - g*(mu) equals beta1^s * gamma0 at every step; other phi values serve
-    as negative controls. Divergence is reported, not raised.
-    """
-    h_hidden = np.asarray(h_hidden, dtype=np.float64)
-    g_star0 = np.asarray(g_star0, dtype=np.float64)
-    gamma0 = np.asarray(gamma0, dtype=np.float64)
-    h_bar = np.asarray(h_bar, dtype=np.float64)
-    if phi is None:
-        phi = naq_coefficients(beta1)
-    d = g_star0.shape[0]
-    mu = np.zeros(d)
-    g_run = g_star0 + gamma0
-    gamma_expected = gamma0.copy()
-    gamma0_norm = float(np.linalg.norm(gamma0))
-    scale = max(float(np.linalg.norm(g_run)), 1.0)
-    err_rel = np.full(n_steps, np.nan)
-    err_abs = np.full(n_steps, np.nan)
-    pred_rel = np.full(n_steps, np.nan)
-    diverged = False
-    for s in range(n_steps):
-        delta = -g_run / h_bar
-        model_next = g_run + h_bar * (phi * delta)
-        pred_target = beta1 * g_run
-        pred_rel[s] = float(
-            np.linalg.norm(model_next - pred_target) / max(np.linalg.norm(pred_target), 1e-300)
-        )
-        nu_next = mu + delta
-        mu = mu + phi * delta
-        g_run = beta1 * g_run + (1.0 - beta1) * (g_star0 + h_hidden @ nu_next)
-        if not np.all(np.isfinite(g_run)) or np.linalg.norm(g_run) > 1e12 * scale:
-            diverged = True
-            err_rel = err_rel[: s + 1]
-            err_abs = err_abs[: s + 1]
-            pred_rel = pred_rel[: s + 1]
-            break
-        gamma_actual = g_run - (g_star0 + h_hidden @ mu)
-        gamma_expected *= beta1
-        err_abs[s] = float(np.linalg.norm(gamma_actual - gamma_expected))
-        if gamma0_norm > 0:
-            err_rel[s] = err_abs[s] / float(np.linalg.norm(gamma_expected))
-        else:
-            err_rel[s] = 0.0 if err_abs[s] == 0.0 else math.inf
-    return NaqReport(err_rel, err_abs, pred_rel, diverged)

@@ -281,7 +281,6 @@ class McEstimatorResult:
 
     estimate: np.ndarray
     bias: np.ndarray
-    bias_se: np.ndarray
     variance: np.ndarray
     n_accepted: np.ndarray
     n_samples: int
@@ -393,7 +392,6 @@ def mc_estimator(tm: TestMatrix, kspec, n_samples: int, seed: int) -> McEstimato
     return McEstimatorResult(
         estimate=mean,
         bias=bias,
-        bias_se=np.sqrt(var / safe),
         variance=var,
         n_accepted=n_acc,
         n_samples=int(n_samples),
@@ -449,6 +447,19 @@ class GlassScenario:
     batch: Batch
     psi: float
 
+    def with_levels(self, rng: np.random.Generator) -> "GlassScenario":
+        """This scenario with its hidden pre-activations moved to a fresh uniform draw.
+
+        The levels are one rng.uniform draw on [-psi, psi], a value per hidden
+        unit, reached by shifting the first-layer biases of a copy of params.
+        """
+        preacts, _ = netkit.forward(self.spec, self.params, self.batch.inputs)
+        levels = rng.uniform(-self.psi, self.psi, size=self.spec.layer_widths[1])
+        params = self.params.copy()
+        _, b_sl, _ = self.spec.layer_slices()[0]
+        params[b_sl] += levels - preacts[0][0]
+        return GlassScenario(self.spec, params, self.batch, self.psi)
+
 
 def build_uniform_preactivation_net(
     n_in: int = 120, n_hidden: int = 30, psi: float = 0.05, seed: int = 0
@@ -456,21 +467,17 @@ def build_uniform_preactivation_net(
     """Construct a 2-layer net with every hidden pre-activation uniform in [-psi, psi].
 
     A single fixed input is used and the first-layer biases are shifted so
-    the pre-activations land on a seeded uniform draw, which makes the
-    uniformity assumption of the density-matrix bound hold by construction.
+    the pre-activations land on a seeded uniform draw (see
+    GlassScenario.with_levels), which makes the uniformity assumption of the
+    density-matrix bound hold by construction.
     """
     check_seed(seed)
     spec = ModelSpec((n_in, n_hidden, 1), "mse")
-    params = netkit.build_model(spec, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x67A55]))
     x = rng.standard_normal((1, n_in))
     target = rng.standard_normal((1, 1)) + 1.0
-    batch = Batch(x, target)
-    preacts, _ = netkit.forward(spec, params, batch.inputs)
-    levels = rng.uniform(-psi, psi, size=n_hidden)
-    _, b_sl, _ = spec.layer_slices()[0]
-    params[b_sl] += levels - preacts[0][0]
-    return GlassScenario(spec, params, batch, float(psi))
+    return GlassScenario(spec, netkit.build_model(spec, seed), Batch(x, target), float(psi)
+                         ).with_levels(rng)
 
 
 @dataclass(frozen=True)
@@ -494,11 +501,15 @@ def mc_variation(
 
     R is factored with density_matrix from the scenario's near-threshold
     records, and its bound is taken through variation_bound without building
-    the dense matrix. Perturbations are Rademacher sign vectors of magnitude
-    delta_scale, the rows of one chunked sign draw (see _sample_chunks).
-    Samples whose projection onto a unit's pre-activation gradient reaches
-    psi violate the small-step precondition; they are counted with one
-    product per chunk, and their fraction is reported.
+    the dense matrix. The bound is an expectation over kink positions
+    uniform on [-psi, psi], so each sample redraws the hidden levels
+    (GlassScenario.with_levels, from a generator of its own) and takes the
+    gradient change between mu_L and mu_L + delta there. Perturbations delta
+    are Rademacher sign vectors of magnitude delta_scale, the rows of one
+    chunked sign draw (see _sample_chunks). Samples whose projection onto a
+    unit's pre-activation gradient reaches psi violate the small-step
+    precondition; they are counted with one product per chunk, and their
+    fraction is reported.
     """
     if not (math.isfinite(delta_scale) and delta_scale >= 0):
         raise ConfigError(f"step size delta_scale must be finite and >= 0, got {delta_scale}")
@@ -511,7 +522,8 @@ def mc_variation(
     bound = variation_bound(density_matrix(records, scenario.psi, d), np.full(d, delta_scale))
     gy = np.stack([r.grad_y for r in records]) if records else np.zeros((0, d))
     rng = np.random.default_rng(seed)
-    _, g0 = netkit.gradient(spec, params, batch)
+    # The sign draw runs ahead on a lane, so the levels take a second stream.
+    level_rng = np.random.default_rng([seed, 1])
     acc = np.zeros(d)
     violations = 0
     with closing(_sample_chunks(rng, "rademacher", n_samples, d)) as chunks:
@@ -519,7 +531,10 @@ def mc_variation(
             deltas *= delta_scale
             violations += int(np.count_nonzero(np.abs(deltas @ gy.T) >= scenario.psi))
             for delta in deltas:
-                _, g1 = netkit.gradient(spec, params + delta, batch)
+                leveled = scenario.with_levels(level_rng).params
+                _, g0 = netkit.gradient(spec, leveled, batch)
+                leveled += delta
+                _, g1 = netkit.gradient(spec, leveled, batch)
                 gamma = g1 - g0
                 acc += gamma * gamma
     v = acc / n_samples

@@ -336,7 +336,6 @@ def reference_mc_estimator(tm, kspec, n_samples, seed):
     result = oracles.McEstimatorResult(
         estimate=mean,
         bias=mean - diag,
-        bias_se=np.sqrt(var / safe),
         variance=var,
         n_accepted=n_acc,
         n_samples=int(n_samples),
@@ -351,19 +350,24 @@ def reference_mc_estimator(tm, kspec, n_samples, seed):
 
 
 def reference_mc_variation(scenario, delta_scale, n_samples, seed):
-    """mc_variation's per-sample loop, one rademacher_signs draw and one gy @ delta per sample."""
+    """mc_variation's per-sample loop, one rademacher_signs draw and one gy @ delta per sample.
+
+    Each sample redraws the hidden levels, as mc_variation does, from the second stream.
+    """
     spec, params, batch = scenario.spec, scenario.params, scenario.batch
     d = spec.param_count
     records = netkit.relu_introspect(spec, params, batch, scenario.psi)
     bound = variation_bound(density_matrix(records, scenario.psi, d), np.full(d, delta_scale))
     gy = np.stack([r.grad_y for r in records]) if records else np.zeros((0, d))
     rng = np.random.default_rng(seed)
-    _, g0 = netkit.gradient(spec, params, batch)
+    level_rng = np.random.default_rng([seed, 1])
     acc = np.zeros(d)
     violations = 0
     for _ in range(n_samples):
         delta = delta_scale * rademacher_signs(rng, d)
-        _, g1 = netkit.gradient(spec, params + delta, batch)
+        leveled = scenario.with_levels(level_rng).params
+        _, g0 = netkit.gradient(spec, leveled, batch)
+        _, g1 = netkit.gradient(spec, leveled + delta, batch)
         gamma = g1 - g0
         acc += gamma * gamma
         if gy.shape[0]:

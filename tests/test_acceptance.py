@@ -5,15 +5,19 @@ The pass rules of C3-C7, C9, C10 and C11 live in harness's rule functions,
 which verify runs too: those tests pin only their seeds and counts, and assert
 that every row the rules return passed. C1's rule and C2's dense-glass rule
 live in fd_oracles; the other criteria pin their tolerances here. Monte-Carlo checks use fixed seeds, so the suite is deterministic end
-to end.
+to end. test_c02, test_c12 and test_train_blobs_seed_0 also hold their output
+numbers to tests/pins.json (see pins.py).
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pins
 from fd_oracles import central_difference_check, random_model_and_batch, staircase_exponent_check
 from glassopt import cli, glass, harness, netkit, oracles
-from glassopt.alice import Alice, AliceConfig, adam_iterates, naq_exactness_check, sgdm_iterates
+from glassopt.alice import Alice, AliceConfig, adam_iterates, sgdm_iterates
 from glassopt.harness import DataParams, ExperimentConfig, ProbeParams, make_classification_batch
 from glassopt.netkit import Batch, ModelSpec
 
@@ -67,6 +71,9 @@ def test_c02_power_law_probe():
     mlp_report = harness.powerlaw_experiment(
         spec, data, ProbeParams(lam=0.002, samples=128, warmup_steps=200), 128, seed=0
     )
+    # The rows probe_mlp.cfg's powerlaw.csv holds at seed 0: these are its settings.
+    pins.check("probe_mlp_powerlaw_seed_0", [(e.name, e.sum_v_lambda, e.sum_v_2lambda, e.p)
+                                             for e in mlp_report.entries])
     exponents = {e.name: e.p for e in mlp_report.entries}
     hidden = [exponents[f"layer_{i}"] for i in range(1, 5)]
     final = exponents["layer_5"]
@@ -134,17 +141,9 @@ def test_c06_step_optimality():
 
 
 def test_c07_naq_exactness():
-    """Error equals beta1^s gamma0 within 1e-10 relative; wrong phi fails loudly."""
-    reports = []
-    for seed in range(5):
-        hidden, h_bar, g_star0, gamma0 = harness.hidden_quadratic(np.random.default_rng(100 + seed))
-        reports += [
-            naq_exactness_check(hidden, g_star0, gamma0, beta1, h_bar, 50)
-            for beta1 in (0.9, 0.95, 0.99)
-        ]
-    hidden, h_bar, g_star0, gamma0 = harness.hidden_quadratic(np.random.default_rng(200))
-    control = naq_exactness_check(hidden, g_star0, gamma0, 0.9, h_bar, 50, phi=0.05)
-    check("C7 accelerated exactness", harness.naq_rows(reports, control, 50))
+    """Alice's error equals beta1^s gamma0 within 1e-10 relative; phi = 1 fails loudly."""
+    check("C7 accelerated exactness",
+          [row for seed in range(100, 105) for row in harness.naq_rows(seed, n_steps=50)])
 
 
 def _teacher_regression():
@@ -251,6 +250,10 @@ def test_c12_determinism(tmp_path):
     assert outputs[0]["manifest"] == outputs[1]["manifest"]
     assert outputs[0]["log0"] == outputs[1]["log0"]
     assert outputs[0]["log1"] == outputs[1]["log1"]
+    pins.check("c12_summary", [line.split(",") for line in
+                               outputs[0]["summary"].decode().splitlines()])
+    for log in ("log0", "log1"):
+        pins.check(f"c12_train_{log}", [line.split(",") for line in outputs[0][log].splitlines()])
 
     probe_csvs = []
     for run in ("p1", "p2"):
@@ -268,3 +271,13 @@ def test_c12_determinism(tmp_path):
         probe_csvs.append((root / "detprobe" / "seed_3" / "powerlaw.csv").read_bytes())
     report("C12 determinism", byte_identical=1.0)
     assert probe_csvs[0] == probe_csvs[1]
+
+
+def test_train_blobs_seed_0(tmp_path):
+    """train_blobs.cfg at seed 0 reproduces its pinned final loss and train log."""
+    cfg = harness.load_config(Path(__file__).resolve().parents[1] / "docs/configs/train_blobs.cfg")
+    cfg.seeds = (0,)
+    summary = harness.run_experiment(cfg, harness._train_one, tmp_path)
+    pins.check("train_blobs_seed_0_final_loss", [summary.per_seed[0]])
+    log = _strip_wall_clock((summary.base / "seed_0" / "train_log.csv").read_text())
+    pins.check("train_blobs_seed_0_train_log", [line.split(",") for line in log.splitlines()])

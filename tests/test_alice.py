@@ -19,7 +19,6 @@ from glassopt.alice import (
     adam_iterates,
     apply_step,
     naq_coefficients,
-    naq_exactness_check,
     quick_update,
     reference_adam,
     sgdm_iterates,
@@ -609,39 +608,40 @@ class TestReferenceOptimizers:
 
 class TestNaqExactness:
     def test_zero_initial_error_stays_exact(self):
+        # A running gradient that starts at the true one stays on it under
+        # accelerated steps, each -g / h_bar from unbounded fixed limits.
         d = 8
         h_bar = np.linspace(1.0, 2.0, d)
-        hidden = np.diag(h_bar)
         g_star0 = np.random.default_rng(0).standard_normal(d)
-        report = naq_exactness_check(hidden, g_star0, np.zeros(d), 0.9, h_bar, 30)
-        assert not report.diverged
-        assert np.all(report.error_abs <= 1e-12 * np.linalg.norm(g_star0))
+        cfg = AliceConfig(naq=True, limit_method="fixed", lam_max=math.inf, terms=("h_abs",),
+                          eps=1e-300)
+        state = TopographyState.fresh(np.zeros(d))
+        state.g[:], state.h_abs[:] = g_star0, h_bar
 
-    @staticmethod
-    def _rows(beta1):
-        """naq_rows for one beta1 on the seed-1 problem, with the seed-2 wrong-phi control."""
-        hidden, h_bar, g_star0, gamma0 = harness.hidden_quadratic(np.random.default_rng(1))
-        report = naq_exactness_check(hidden, g_star0, gamma0, beta1, h_bar, 50)
-        hidden, h_bar, g_star0, gamma0 = harness.hidden_quadratic(np.random.default_rng(2))
-        control = naq_exactness_check(hidden, g_star0, gamma0, 0.9, h_bar, 50, phi=0.2)
-        return {row.quantity: row for row in harness.naq_rows([report], control, 50)}
+        def grad(theta):
+            return g_star0 + h_bar * theta
+
+        for _ in range(30):
+            apply_step(state, cfg)
+            quick_update(state, grad, cfg)
+            assert np.linalg.norm(state.g - grad(state.mu)) <= 1e-12 * np.linalg.norm(g_star0)
 
     @pytest.mark.parametrize("beta1", [0.9, 0.95, 0.99])
     def test_error_contracts_by_beta1(self, beta1):
-        rows = self._rows(beta1)
-        assert rows["max_error_contraction_residual"].passed
-        assert rows["max_model_prediction_residual"].passed
+        problem = harness.hidden_quadratic(np.random.default_rng(1))
+        error, prediction = harness.naq_residuals(problem, beta1, True, 50)
+        assert error.max() < 1e-10
+        assert prediction.max() < 1e-10
 
     def test_wrong_phi_is_detected(self):
-        assert self._rows(0.9)["negative_control_residual"].passed
+        # The control runs without naq, so phi = 1 rather than 1 - beta1.
+        rows = {row.quantity: row for row in harness.naq_rows(seed=2, n_steps=50)}
+        assert rows["negative_control_residual"].passed
 
-    def test_divergence_reported_not_raised(self):
-        hidden = np.diag(np.full(4, 1e6))
-        h_bar = np.full(4, 1e-6)
-        report = naq_exactness_check(
-            hidden, np.ones(4), 0.1 * np.ones(4), 0.9, h_bar, 200
-        )
-        assert report.diverged
+    def test_divergence_raises(self):
+        problem = (np.diag(np.full(4, 1e6)), np.full(4, 1e-6), np.ones(4), 0.1 * np.ones(4))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match=r"overflowed .*: s$"):
+            harness.naq_residuals(problem, 0.9, True, 200)
 
 
 class TestAliceOnRealNet:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pins
 from glassopt import alice, glass, harness, netkit
 from glassopt.alice import CURVATURE_TERMS, LIMIT_METHODS, Alice, AliceConfig, reference_adam
 from glassopt.harness import (
@@ -845,13 +846,23 @@ class TestVerifySuites:
             "collapsed_form_h_zero_exact",
         ]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="C10 small-step coverage reads 0.962 < 0.99 at seed 1: the density-bound oracle "
-        "averages over sign vectors only, not over kink positions (ROADMAP item 1)",
-    )
-    def test_glass_suite_passes_at_seed_1(self):
-        rows = harness.run_verify_suite("glass", seed=1)
+    def test_naq_suite_checks_the_step_alice_runs(self, monkeypatch):
+        real = alice.apply_step
+
+        def whole_step(state, cfg, work=None):
+            record = real(state, cfg, work)
+            state.mu[:] = state.nu  # mu takes all of delta, as if phi were 1
+            return record
+
+        monkeypatch.setattr(alice, "apply_step", whole_step)
+        rows = harness.run_verify_suite("naq", seed=0)
+        assert [r.quantity for r in rows if not r.passed] == ["max_error_contraction_residual"]
+
+    # C10's small-step coverage read 0.929-0.963 at these seeds while its
+    # oracle held the hidden levels fixed; the bound averages over them.
+    @pytest.mark.parametrize("seed", [1, 3, 8])
+    def test_glass_suite_passes(self, seed):
+        rows = harness.run_verify_suite("glass", seed=seed)
         assert [r.quantity for r in rows if not r.passed] == []
 
     def test_all_equals_the_single_suites_in_order(self):
@@ -872,6 +883,7 @@ class TestVerifySuites:
         alone += [row for name in harness.VERIFY_SUITES if name != "kernel"
                   for row in harness.run_verify_suite(name, 0)]
         assert [repr(r) for r in together] == [repr(r) for r in alone]
+        pins.check("verify_all_seed_0", [r.as_csv_row() for r in together])
         # A report's rows are read back by quantity name (perfbench's
         # check_verify), so a repeated name could hide a FAIL behind a PASS.
         assert len({r.quantity for r in together}) == len(together)

@@ -526,15 +526,15 @@ def variation():
 
 
 # Each user of netkit.lane: the calls its lanes' work makes; each lane's calls
-# before the two overlap (the oracles draw a chunk before the caller has one,
-# and mc_variation takes a gradient before its lane opens); the run; and how
-# it names a lane's error (the probe names the scale, lam on this thread).
+# before the two overlap (the oracles draw a chunk before the caller has one);
+# the run; and how it names a lane's error (the probe names the scale, lam on
+# this thread).
 LANE_USERS = {
     "density_R": ([(np, "matmul")], (0, 0), density_build, {}),
     "probe": ([(harness, "gradient")], (0, 0), probe, {
         "calling": "probe lam = 0.002 sample 0: ", "worker": "probe lam = 0.004 sample 0: "}),
     "bias": ([(oracles, "_draw"), (oracles, "_kernel_estimates")], (1, 0), aggregate_bias, {}),
-    "variation": ([(oracles, "_draw"), (netkit, "gradient")], (1, 1), variation, {}),
+    "variation": ([(oracles, "_draw"), (netkit, "gradient")], (1, 0), variation, {}),
 }
 
 
