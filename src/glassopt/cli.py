@@ -23,7 +23,7 @@ from .netkit import ConfigError, check_seed
 
 
 def print_rows(rows) -> bool:
-    """Print one PASS/FAIL line per row; True if every row passed."""
+    """Print one PASS/FAIL line per row, ending in its rule; True if every row passed."""
     width = max(len(r.quantity) for r in rows)
     ok = True
     for r in rows:
@@ -31,7 +31,7 @@ def print_rows(rows) -> bool:
         ok &= r.passed
         se = "" if math.isnan(r.std_error) else f"  se={r.std_error:.3g}"
         print(f"[{status}] {r.quantity:<{width}}  empirical={r.empirical:.8g}  "
-              f"predicted={r.predicted:.8g}{se}  n={r.n}")
+              f"predicted={r.predicted:.8g}{se}  n={r.n}  rule: {r.rule}")
     return ok
 
 
@@ -40,7 +40,7 @@ def cmd_verify(args) -> int:
     ok = print_rows(rows)
     out = harness.resolve_output_dir(None, args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_report(out / f"verify_{args.suite}.csv", rows)
+    write_report(out / f"verify_{args.suite}.csv", rows, args.seed)
     print(f"{'all checks passed' if ok else 'FAILURES detected'}; "
           f"report written to {out / f'verify_{args.suite}.csv'}")
     return 0 if ok else 1

@@ -16,6 +16,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ TRAIN_LOG_HEADER = (
     "grad_evals",
     "wall_ms",
 )
-REPORT_HEADER = ("quantity", "empirical", "predicted", "std_error", "n")
+REPORT_HEADER = ("quantity", "empirical", "predicted", "std_error", "n", "rule", "passed", "seed")
 
 
 @dataclass
@@ -360,23 +361,58 @@ def write_csv(path, header, rows) -> None:
             )
 
 
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+                "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A check's pass rule on its empirical value x: an operator and its bounds.
+
+    Rule(op, a) tests x op a for op in <, <=, >, >=, ==; Rule("in", a, b)
+    tests a <= x <= b; Rule("within", a, b) tests |x - a| < b; and
+    Rule("reported") passes any x. NaN fails every rule but "reported".
+    """
+
+    op: str
+    a: float = math.nan
+    b: float = math.nan
+
+    def holds(self, x: float) -> bool:
+        if self.op == "in":
+            return bool(self.a <= x <= self.b)
+        if self.op == "within":
+            return bool(abs(x - self.a) < self.b)
+        return self.op == "reported" or bool(_COMPARISONS[self.op](x, self.a))
+
+    def __str__(self) -> str:
+        a, b = repr(float(self.a)), repr(float(self.b))
+        forms = {"in": f"{a} <= x <= {b}", "within": f"|x - {a}| < {b}", "reported": "reported"}
+        return forms.get(self.op, f"x {self.op} {a}")
+
+
 @dataclass(frozen=True)
 class CheckRow:
-    """One named numeric check: empirical vs predicted, with its pass verdict."""
+    """One named numeric check: empirical vs predicted, passed when its rule holds."""
 
     quantity: str
     empirical: float
     predicted: float
     std_error: float
     n: int
-    passed: bool
+    rule: Rule
+
+    @property
+    def passed(self) -> bool:
+        return self.rule.holds(self.empirical)
 
     def as_csv_row(self):
-        return (self.quantity, self.empirical, self.predicted, self.std_error, self.n)
+        return (self.quantity, self.empirical, self.predicted, self.std_error, self.n,
+                str(self.rule), self.passed)
 
 
-def write_report(path, rows: list[CheckRow]) -> None:
-    write_csv(path, REPORT_HEADER, [r.as_csv_row() for r in rows])
+def write_report(path, rows: list[CheckRow], seed: int) -> None:
+    write_csv(path, REPORT_HEADER, [(*r.as_csv_row(), seed) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +656,7 @@ def run_experiment(cfg: ExperimentConfig, runner, out_root=None) -> RunSummary:
 def estimator_bias_row(density: str, res: oracles.AggregateBiasResult) -> CheckRow:
     """C3: the estimator's aggregate bias lies within 3 standard errors of zero."""
     z = res.aggregate_bias_z
-    return CheckRow(f"zero_bias_z_{density}", z, 0.0, 1.0, res.n_samples, abs(z) < 3.0)
+    return CheckRow(f"zero_bias_z_{density}", z, 0.0, 1.0, res.n_samples, Rule("within", 0.0, 3.0))
 
 
 def estimator_variance_order_row(res_rad, res_nrm) -> CheckRow:
@@ -631,7 +667,7 @@ def estimator_variance_order_row(res_rad, res_nrm) -> CheckRow:
     mean_rad = float(np.mean(res_rad.variance))
     mean_nrm = float(np.mean(res_nrm.variance))
     return CheckRow("variance_rademacher_le_normal", mean_rad, mean_nrm, math.nan,
-                    res_rad.n_samples, mean_rad <= mean_nrm)
+                    res_rad.n_samples, Rule("<=", mean_nrm))
 
 
 def estimator_closed_form_row(res: oracles.McEstimatorResult, kspec, diagonal) -> CheckRow:
@@ -639,19 +675,19 @@ def estimator_closed_form_row(res: oracles.McEstimatorResult, kspec, diagonal) -
     closed = float(np.mean(estimator_variance(kspec, diagonal).per_sample))
     ratio = float(np.mean(res.variance)) / closed
     return CheckRow("variance_closed_form_ratio", ratio, 1.0, math.nan, res.n_samples,
-                    abs(ratio - 1.0) < 0.02)
+                    Rule("within", 1.0, 0.02))
 
 
 def update_probability_row(prob: float, n: int) -> CheckRow:
     """C4: the normal kernel restricted to |x| >= 1 updates with probability 0.3173 +- 0.002."""
-    return CheckRow("restricted_update_probability", prob, 0.3173, 0.0002, n,
-                    abs(prob - 0.3173) < 0.002)
+    return CheckRow("restricted_update_probability", prob, 0.3173, math.nan, n,
+                    Rule("within", 0.3173, 0.002))
 
 
 def effective_variance_row(restricted: float, unrestricted: float, n: int) -> CheckRow:
     """C4: restricting the updates lowers the effective variance."""
     return CheckRow("restricted_effective_variance_lt_unrestricted", restricted, unrestricted,
-                    math.nan, n, restricted < unrestricted)
+                    math.nan, n, Rule("<", unrestricted))
 
 
 def restricted_update_rows() -> list[CheckRow]:
@@ -673,7 +709,7 @@ def restricted_update_rows() -> list[CheckRow]:
     return [
         update_probability_row(update_probability("normal", 1.0), 1),
         effective_variance_row(v_res.per_draw, v_unres.per_draw, 1),
-        *(CheckRow(f"reported_{name}", value, nominal, math.nan, 1, True)
+        *(CheckRow(f"reported_{name}", value, nominal, math.nan, 1, Rule("reported"))
           for name, value, nominal in reported),
     ]
 
@@ -686,9 +722,9 @@ def walk_rows(kick: str, seed: int, trials: int) -> list[CheckRow]:
     var_ratio = res.variance / res.predicted_variance
     return [
         CheckRow(f"mean_abs_ratio_{kick}", ratio, 1.0, res.mean_abs_se, res.trials,
-                 0.98 <= ratio <= 1.02),
+                 Rule("in", 0.98, 1.02)),
         CheckRow(f"variance_ratio_{kick}", var_ratio, 1.0, res.variance_se, res.trials,
-                 0.98 <= var_ratio <= 1.02),
+                 Rule("in", 0.98, 1.02)),
     ]
 
 
@@ -726,11 +762,11 @@ def step_rows(seed: int, n_argmin: int, n_collapsed: int) -> list[CheckRow]:
     h_zero_exact = bool(np.array_equal(h_zero.h_bar, 2.0 * h_zero.h_glass + eps))
     return [
         CheckRow("step_vs_golden_section_max_rel_err", worst, 0.0, math.nan, n_argmin,
-                 worst < 1e-6),
+                 Rule("<", 1e-6)),
         CheckRow("collapsed_form_rho_zero_exact", float(rho_zero_exact), 1.0, 0.0, n_collapsed,
-                 rho_zero_exact),
+                 Rule("==", 1.0)),
         CheckRow("collapsed_form_h_zero_exact", float(h_zero_exact), 1.0, 0.0, n_collapsed,
-                 h_zero_exact),
+                 Rule("==", 1.0)),
     ]
 
 
@@ -796,10 +832,10 @@ def naq_rows(seed: int, n_steps: int) -> list[CheckRow]:
     worst_pred = max(float(np.max(prediction)) for _, prediction in runs)
     control = float(np.max(naq_residuals(hidden_quadratic(rng), 0.9, False, n_steps)[0]))
     return [
-        CheckRow("max_error_contraction_residual", worst, 0.0, math.nan, n_steps, worst < 1e-10),
+        CheckRow("max_error_contraction_residual", worst, 0.0, math.nan, n_steps, Rule("<", 1e-10)),
         CheckRow("max_model_prediction_residual", worst_pred, 0.0, math.nan, n_steps,
-                 worst_pred < 1e-10),
-        CheckRow("negative_control_residual", control, 0.0, math.nan, n_steps, control > 1e-3),
+                 Rule("<", 1e-10)),
+        CheckRow("negative_control_residual", control, 0.0, math.nan, n_steps, Rule(">", 1e-3)),
     ]
 
 
@@ -813,9 +849,9 @@ def least_squares_rows(seed: int, n_seeds: int) -> list[CheckRow]:
     descents = sum(r.loss_damped_step < r.loss_initial for r in reports)
     return [
         CheckRow("least_squares_full_step_overshoots", float(overshoots), float(n_seeds),
-                 math.nan, n_seeds, overshoots == n_seeds),
+                 math.nan, n_seeds, Rule("==", n_seeds)),
         CheckRow("least_squares_damped_step_descends", float(descents), float(n_seeds),
-                 math.nan, n_seeds, descents == n_seeds),
+                 math.nan, n_seeds, Rule("==", n_seeds)),
     ]
 
 
@@ -828,8 +864,8 @@ def grad_eval_rows(quick_steps: int, steps: int) -> list[CheckRow]:
     """C11: Alice spends expected_grad_evals(quick_steps, steps) gradients over steps steps.
 
     Alice trains a small regression net through a gradient that counts its
-    own calls; the row passes when that count, Alice's n_grad_evals and the
-    formula agree.
+    own calls; one row holds that count and the alice_ row Alice's own
+    n_grad_evals, each to equal the formula.
     """
     spec = ModelSpec((4, 8, 2))
     batch = make_regression_batch(DataParams(samples=16), 4, 2, 0)
@@ -844,8 +880,9 @@ def grad_eval_rows(quick_steps: int, steps: int) -> list[CheckRow]:
     for _ in range(steps):
         opt.step(counted)
     expected = expected_grad_evals(quick_steps, steps)
-    return [CheckRow(f"grad_evals_quick_steps_{quick_steps}", float(calls), float(expected), 0.0,
-                     steps, calls == opt.n_grad_evals == expected)]
+    return [CheckRow(f"{who}grad_evals_quick_steps_{quick_steps}", float(count), float(expected),
+                     0.0, steps, Rule("==", expected))
+            for who, count in (("", calls), ("alice_", opt.n_grad_evals))]
 
 
 def glass_rows(seed: int, n_small: int, n_large: int) -> list[CheckRow]:
@@ -863,22 +900,23 @@ def glass_rows(seed: int, n_small: int, n_large: int) -> list[CheckRow]:
     n_output = scenario.spec.layer_param_indices(scenario.spec.n_layers - 1).size
     return [
         CheckRow("variation_bound_coverage_small_step", small.fraction_within, 1.0,
-                 math.nan, small.n_samples, small.fraction_within >= 0.99),
+                 math.nan, small.n_samples, Rule(">=", 0.99)),
         CheckRow("zero_bound_coordinates_varying_small_step", float(residue), float(n_output),
-                 math.nan, small.n_samples, residue <= n_output),
+                 math.nan, small.n_samples, Rule("<=", n_output)),
         CheckRow("precondition_violations_small_step", small.precondition_violation_fraction,
-                 0.0, math.nan, small.n_samples, small.precondition_violation_fraction < 0.01),
+                 0.0, math.nan, small.n_samples, Rule("<", 0.01)),
         CheckRow("variation_bound_violated_large_step", large.fraction_within, 1.0,
-                 math.nan, large.n_samples, large.fraction_within < 0.99),
+                 math.nan, large.n_samples, Rule("<", 0.99)),
     ]
 
 
 def _suite_kernel(seed: int) -> list[CheckRow]:
     rows = []
     c_rad = kernel_constant("rademacher", 1.0)
-    rows.append(CheckRow("kernel_constant_rademacher_w2_1", c_rad, 0.5, 0.0, 1, c_rad == 0.5))
+    rows.append(CheckRow("kernel_constant_rademacher_w2_1", c_rad, 0.5, 0.0, 1, Rule("==", 0.5)))
     c_zero = kernel_constant("normal", 0.0)
-    rows.append(CheckRow("kernel_constant_any_density_w2_0", c_zero, 1.0, 0.0, 1, c_zero == 1.0))
+    rows.append(CheckRow("kernel_constant_any_density_w2_0", c_zero, 1.0, 0.0, 1,
+                         Rule("==", 1.0)))
 
     tm = oracles.TestMatrix.random_diag_dominant(200, seed)
     kernels = {density: make_kernel(density, tm.dominance) for density in ("rademacher", "normal")}

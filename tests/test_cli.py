@@ -1,4 +1,8 @@
+import csv
+import dataclasses
+import importlib.util
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -27,6 +31,37 @@ class TestVerifyCommand:
         assert "[PASS]" in out and "[FAIL]" not in out
         assert (tmp_path / "verify_step.csv").exists()
 
+    def test_report_rows_carry_rule_verdict_and_seed(self, tmp_path, monkeypatch):
+        argv = ["verify", "--suite", "step", "--seed", "5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        with open(tmp_path / "verify_step.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == list(harness.REPORT_HEADER)
+        assert [(r["passed"], r["seed"]) for r in rows] == [("True", "5")] * len(rows) != []
+        fake = harness.CheckRow("fake", 2.0, 0.0, math.nan, 1, harness.Rule("<", 1.0))
+        monkeypatch.setitem(harness.VERIFY_SUITES, "step", lambda seed: [fake])
+        assert cli.main(argv) == 1
+        # The later run replaces the report.
+        assert (tmp_path / "verify_step.csv").read_text().splitlines()[1:] == [
+            "fake,2.0,0.0,nan,1,x < 1.0,False,5"]
+
+    def test_perfbench_reads_the_report(self, tmp_path, capsys, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+        spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+
+        def verify():
+            code = cli.main(["verify", "--suite", "step", "--out", str(tmp_path)])
+            return code, checks.check_verify(capsys.readouterr().out, tmp_path / "verify_step.csv")
+
+        assert verify() == (0, [])
+        real = harness.grad_eval_rows
+        monkeypatch.setattr(harness, "grad_eval_rows", lambda quick_steps, steps: [
+            dataclasses.replace(row, rule=harness.Rule("<", 0.0))
+            if row.quantity.startswith("alice_") else row for row in real(quick_steps, steps)])
+        assert verify() == (1, ["verify row alice_grad_evals_quick_steps_3: FAIL"])
+
     def test_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "--suite", "bogus"])
@@ -38,7 +73,8 @@ class TestVerifyCommand:
         def walk_rows(kick, seed, trials):
             if kick == "gauss" and outcome == "config error":
                 raise ConfigError("no walk")
-            return [harness.CheckRow(kick, 0.0, 0.0, 0.0, 1, outcome == "pass")]
+            return [harness.CheckRow(kick, 0.0, 0.0, 0.0, 1,
+                                     harness.Rule("==", 0.0 if outcome == "pass" else 1.0))]
 
         monkeypatch.setattr(harness, "walk_rows", walk_rows)
         for name in ("kernel", "glass", "naq", "step"):
@@ -55,7 +91,8 @@ class TestVerifyCommand:
         script = textwrap.dedent("""
             from glassopt import harness
             for name in harness.VERIFY_SUITES:
-                harness.VERIFY_SUITES[name] = lambda seed: [harness.CheckRow("", 0, 0, 0, 1, True)]
+                harness.VERIFY_SUITES[name] = lambda seed: [
+                    harness.CheckRow("", 0, 0, 0, 1, harness.Rule("reported"))]
             print("started")
             print(len(harness.run_verify_suite("all")))
         """)

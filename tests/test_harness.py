@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from glassopt.harness import (
     DataParams,
     ExperimentConfig,
     ProbeParams,
+    Rule,
     aggregate,
     default_partitions,
     load_config,
@@ -819,6 +821,69 @@ class TestPowerlawExperiment:
         assert report.exponent("all") == pytest.approx(2.0, abs=1e-9)
 
 
+# Each verify row's verdict as its rule function wrote it inline before rows
+# took a Rule, by the rows it decides: (their Rule, the inline expression on
+# the empirical value x).
+_INLINE_VERDICTS = {
+    "zero_bias_z": (Rule("within", 0.0, 3.0), lambda x: abs(x) < 3.0),
+    "variance_closed_form_ratio": (Rule("within", 1.0, 0.02), lambda x: abs(x - 1.0) < 0.02),
+    "restricted_update_probability": (Rule("within", 0.3173, 0.002),
+                                      lambda x: abs(x - 0.3173) < 0.002),
+    "walk_ratios": (Rule("in", 0.98, 1.02), lambda x: 0.98 <= x <= 1.02),
+    "step_vs_golden_section": (Rule("<", 1e-6), lambda x: x < 1e-6),
+    "naq_residuals": (Rule("<", 1e-10), lambda x: x < 1e-10),
+    "negative_control_residual": (Rule(">", 1e-3), lambda x: x > 1e-3),
+    "coverage_small_step": (Rule(">=", 0.99), lambda x: x >= 0.99),
+    "precondition_violations": (Rule("<", 0.01), lambda x: x < 0.01),
+    "bound_violated_large_step": (Rule("<", 0.99), lambda x: x < 0.99),
+    "kernel_constant_rademacher": (Rule("==", 0.5), lambda x: x == 0.5),
+    "kernel_constant_any_density": (Rule("==", 1.0), lambda x: x == 1.0),
+    "reported": (Rule("reported"), lambda x: True),
+}
+_SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+def _edges(*bounds):
+    """The bounds, their sums and differences, and the floats either side of each."""
+    points = {p for a in bounds for b in bounds for p in (a, a + b, a - b)}
+    return [q for p in points
+            for q in (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf))]
+
+
+class TestRule:
+    @pytest.mark.parametrize("rule, inline", _INLINE_VERDICTS.values(), ids=list(_INLINE_VERDICTS))
+    @given(x=st.floats())
+    def test_holds_as_the_inline_verdict(self, rule, inline, x):
+        for value in (x, *_SPECIALS, *_edges(rule.a, rule.b)):
+            assert rule.holds(value) is inline(value), value
+
+    @given(x=st.floats(), y=st.floats())
+    def test_holds_as_the_inline_comparison_with_a_computed_bound(self, x, y):
+        # variance_rademacher_le_normal (x <= y) and the effective variance (x < y).
+        for a, b in itertools.product((x, y, *_SPECIALS), repeat=2):
+            assert Rule("<=", b).holds(a) is (a <= b)
+            assert Rule("<", b).holds(a) is (a < b)
+
+    @given(count=st.integers(0, 40), other=st.integers(0, 40), n=st.integers(0, 40))
+    def test_holds_as_the_inline_count_check(self, count, other, n):
+        # The least-squares counts (count == n) and the zero-bound residue (count <= n).
+        assert Rule("==", n).holds(float(count)) is (count == n)
+        assert Rule("<=", n).holds(float(count)) is (count <= n)
+        # C11 was one row, calls == n_grad_evals == expected; it is two == rows.
+        assert (Rule("==", n).holds(float(count)) and Rule("==", n).holds(float(other))) is (
+            count == other == n)
+        # The collapsed forms wrote their bool flag as 1.0 or 0.0.
+        assert [Rule("==", 1.0).holds(float(flag)) for flag in (True, False)] == [True, False]
+
+    @pytest.mark.parametrize("rule", [rule for rule, _ in _INLINE_VERDICTS.values()],
+                             ids=list(_INLINE_VERDICTS))
+    def test_row_survives_a_pickle_round_trip(self, rule):
+        # The kernel suite's rows cross a process lane by pickle.
+        row = harness.CheckRow("q", 0.3173, 0.0, math.nan, 1, rule)
+        back = pickle.loads(pickle.dumps(row))
+        assert (repr(back), back.passed, str(back.rule)) == (repr(row), row.passed, str(rule))
+
+
 class TestVerifySuites:
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
@@ -900,7 +965,7 @@ class TestVerifySuites:
             def run(seed):
                 if name in broken:
                     raise RuntimeError(f"{name} failed")
-                return [harness.CheckRow(name, float(seed), 0.0, 0.0, 1, True)]
+                return [harness.CheckRow(name, float(seed), 0.0, 0.0, 1, Rule("reported"))]
 
             return run
 
@@ -937,11 +1002,12 @@ class TestVerifySuites:
 
         def kernel(seed):
             waited = glass_started.wait(10.0)
-            return [harness.CheckRow("kernel", float(os.getpid()), 1.0, 0.0, 1, waited)]
+            return [harness.CheckRow("kernel", float(os.getpid()), 1.0, 0.0, 1,
+                                     Rule("<", math.inf if waited else -math.inf))]
 
         def glass_suite(seed):
             glass_started.set()
-            return [harness.CheckRow("glass", float(os.getpid()), 0.0, 0.0, 1, True)]
+            return [harness.CheckRow("glass", float(os.getpid()), 0.0, 0.0, 1, Rule("reported"))]
 
         self._fake_suites(monkeypatch, set())
         monkeypatch.setitem(harness.VERIFY_SUITES, "kernel", kernel)
@@ -956,7 +1022,7 @@ class TestVerifySuites:
         # "all" forks nothing and runs the kernel suite here, with the same rows.
         self._fake_suites(monkeypatch, set())
         monkeypatch.setitem(harness.VERIFY_SUITES, "kernel", lambda seed: [
-            harness.CheckRow("kernel", float(seed), float(os.getpid()), 0.0, 1, True)])
+            harness.CheckRow("kernel", float(seed), float(os.getpid()), 0.0, 1, Rule("reported"))])
         forked = harness.run_verify_suite("all", seed=2)
         request.getfixturevalue("another_thread")  # a second thread runs from here on
         here = harness.run_verify_suite("all", seed=2)
