@@ -105,7 +105,7 @@ class AliceConfig:
     @property
     def phi(self) -> float:
         """Fraction of each step applied to the actual position: 1 - beta1 under naq, else 1."""
-        return naq_coefficients(self.beta1) if self.naq else 1.0
+        return 1.0 - self.beta1 if self.naq else 1.0
 
 
 @dataclass
@@ -385,14 +385,6 @@ def apply_step(
         clamped_low_fraction=low_frac,
         clamped_high_fraction=high_frac,
     )
-
-
-def naq_coefficients(beta1: float) -> float:
-    """The accelerated step's fraction phi = 1 - beta1, which makes the
-    running-gradient error contract by exactly beta1 per step."""
-    if not 0.0 <= beta1 < 1.0:
-        raise ConfigError("beta1 must lie in [0, 1)")
-    return 1.0 - beta1
 
 
 class Alice:

@@ -7,8 +7,8 @@ Subcommands:
 
 All outputs are plain CSV plus a text manifest; nothing is interactive.
 Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage or config
-error. Every command is deterministic given --seed. The output directory is
---out, else the config's output_dir, else $GLASSOPT_OUT, else ./runs.
+error. Every command is deterministic given --seed, and writes under --out
+(default ./runs), which it creates before it runs anything.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from . import __version__, harness
 from .harness import write_report
@@ -36,13 +37,12 @@ def print_rows(rows) -> bool:
 
 
 def cmd_verify(args) -> int:
+    report = Path(args.out) / f"verify_{args.suite}.csv"
+    report.parent.mkdir(parents=True, exist_ok=True)
     rows = harness.run_verify_suite(args.suite, args.seed)
     ok = print_rows(rows)
-    out = harness.resolve_output_dir(None, args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(out / f"verify_{args.suite}.csv", rows, args.seed)
-    print(f"{'all checks passed' if ok else 'FAILURES detected'}; "
-          f"report written to {out / f'verify_{args.suite}.csv'}")
+    write_report(report, rows, args.seed)
+    print(f"{'all checks passed' if ok else 'FAILURES detected'}; report written to {report}")
     return 0 if ok else 1
 
 
@@ -96,17 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True,
                           choices=[*harness.VERIFY_SUITES, "all"])
     p_verify.add_argument("--seed", type=seed, default=0)
-    p_verify.add_argument("--out", default="")
+    p_verify.add_argument("--out", default="runs")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_probe = sub.add_parser("probe", help="run the power-law probe from a config")
     p_probe.add_argument("--config", required=True)
-    p_probe.add_argument("--out", default="")
+    p_probe.add_argument("--out", default="runs")
     p_probe.set_defaults(fn=cmd_probe)
 
     p_train = sub.add_parser("train", help="run a multi-seed training experiment")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out", default="")
+    p_train.add_argument("--out", default="runs")
     p_train.set_defaults(fn=cmd_train)
 
     return parser

@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +37,6 @@ from .glass import (
 from .netkit import Batch, ConfigError, ModelSpec, build_model, check_seed, gradient, loss
 
 OPTIMIZERS = ("alice", "adam", "sgdm")
-OUTPUT_ENV = "GLASSOPT_OUT"
 
 TRAIN_LOG_HEADER = (
     "step",
@@ -101,7 +99,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     steps: int = 100
     batch_size: int = 128
-    output_dir: str = ""
     optimizer: str = "alice"
     baseline_lr: float = 2e-3
     model: ModelSpec | None = None
@@ -116,9 +113,6 @@ class ExperimentConfig:
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds must be distinct, got {repeated} more than once")
-        negative = [s for s in self.seeds if isinstance(s, (int, np.integer)) and s < 0]
-        if negative:
-            raise ConfigError(f"seeds must be >= 0, got {negative}")
         checked = []
         for i, seed in enumerate(self.seeds):
             try:
@@ -137,15 +131,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be finite, got {value}")
         # parse_config reads '#' as the start of a comment, strips each value and
         # reads the file line by line, so a manifest could not carry such a
-        # value back.
-        for key in ("name", "output_dir"):
-            value = getattr(self, key)
-            if "#" in value:
-                raise ConfigError(f"{key} must not contain '#', got {value!r}")
-            if value != value.strip():
-                raise ConfigError(f"{key} must not start or end with whitespace, got {value!r}")
-            if len(value.splitlines()) > 1:
-                raise ConfigError(f"{key} must not contain a line break, got {value!r}")
+        # name back.
+        if "#" in self.name:
+            raise ConfigError(f"name must not contain '#', got {self.name!r}")
+        if self.name != self.name.strip():
+            raise ConfigError(f"name must not start or end with whitespace, got {self.name!r}")
+        if len(self.name.splitlines()) > 1:
+            raise ConfigError(f"name must not contain a line break, got {self.name!r}")
         if self.name in ("", ".", "..") or Path(self.name).name != self.name:
             raise ConfigError(f"name must be a single path component, got {self.name!r}")
         if self.steps < 1:
@@ -200,7 +192,6 @@ _SCHEMA = {
     "seeds": (None, "seeds", _parse_list(int)),
     "steps": (None, "steps", int),
     "batch_size": (None, "batch_size", int),
-    "output_dir": (None, "output_dir", str),
     "optimizer": (None, "optimizer", str),
     "baseline_lr": (None, "baseline_lr", float),
     "model.widths": ("model", "layer_widths", _parse_list(int)),
@@ -605,23 +596,15 @@ def aggregate(values) -> tuple[float, float, float]:
     return float(np.min(values)), median(values), float(np.max(values))
 
 
-def resolve_output_dir(cfg: ExperimentConfig | None, out_root=None) -> Path:
-    """Output root: out_root, else cfg.output_dir, else $GLASSOPT_OUT, else ./runs."""
-    if out_root:
-        return Path(out_root)
-    if cfg is not None and cfg.output_dir:
-        return Path(cfg.output_dir)
-    return Path(os.environ.get(OUTPUT_ENV, "runs"))
-
-
-def run_experiment(cfg: ExperimentConfig, runner, out_root=None) -> RunSummary:
+def run_experiment(cfg: ExperimentConfig, runner, out_root) -> RunSummary:
     """Run runner(cfg, seed, run_dir) for every seed and persist all artifacts.
 
-    Per-seed failures are recorded (metric NaN, error text in the run
-    directory) and the remaining seeds still run. Rerunning a (config, seed)
-    pair rewrites identical files, wall-clock columns aside.
+    They go under out_root / cfg.name. Per-seed failures are recorded (metric
+    NaN, error text in the run directory) and the remaining seeds still run.
+    Rerunning a (config, seed) pair rewrites identical files, wall-clock
+    columns aside.
     """
-    base = resolve_output_dir(cfg, out_root) / cfg.name
+    base = Path(out_root) / cfg.name
     base.mkdir(parents=True, exist_ok=True)
     per_seed = []
     errors = []

@@ -18,7 +18,6 @@ from glassopt.alice import (
     TopographyState,
     adam_iterates,
     apply_step,
-    naq_coefficients,
     quick_update,
     reference_adam,
     sgdm_iterates,
@@ -66,18 +65,21 @@ class TestConfig:
 
 
 class TestNaqCoefficients:
+    """AliceConfig.phi, the fraction of each step the accelerated step applies."""
+
     def test_standard_momentum_setting(self):
-        assert naq_coefficients(0.9) == pytest.approx(0.1)
+        assert AliceConfig(beta1=0.9, naq=True).phi == pytest.approx(0.1)
+        assert AliceConfig(beta1=0.9).phi == 1.0
 
     def test_no_momentum_full_quasi_newton(self):
-        assert naq_coefficients(0.0) == 1.0
+        assert AliceConfig(beta1=0.0, naq=True).phi == 1.0
 
     def test_half(self):
-        assert naq_coefficients(0.5) == 0.5
+        assert AliceConfig(beta1=0.5, naq=True).phi == 0.5
 
     def test_invalid(self):
-        with pytest.raises(ConfigError):
-            naq_coefficients(1.0)
+        with pytest.raises(ConfigError, match=r"^alice.beta1 must lie in \[0, 1\), got 1.0$"):
+            AliceConfig(beta1=1.0, naq=True)
 
 
 class TestTopographyUpdate:

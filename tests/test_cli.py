@@ -199,28 +199,40 @@ class TestProbeCommand:
 
 
 class TestOutputDir:
-    def test_out_then_env_then_runs(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv(harness.OUTPUT_ENV, raising=False)
-        assert cli.main(["verify", "--suite", "step"]) == 0
-        assert (tmp_path / "runs" / "verify_step.csv").exists()
-        monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "env"))
-        assert cli.main(["verify", "--suite", "step"]) == 0
-        assert (tmp_path / "env" / "verify_step.csv").exists()
-        assert cli.main(["verify", "--suite", "step", "--out", str(tmp_path / "flag")]) == 0
-        assert (tmp_path / "flag" / "verify_step.csv").exists()
-
-    def test_config_output_dir_between_out_and_env(self, tmp_path, monkeypatch, capsys):
-        cfg = ExperimentConfig(name="o", steps=1, batch_size=0,
-                               output_dir=str(tmp_path / "cfg"), model=ModelSpec((3, 6, 2)))
+    def test_out_else_runs_whatever_the_env(self, tmp_path, monkeypatch, capsys):
+        # --out alone picks the output root; GLASSOPT_OUT is read by no command.
+        cfg = ExperimentConfig(name="o", steps=1, batch_size=0, model=ModelSpec((3, 6, 2)))
         cfg.data.samples = 16
         path = write_config(tmp_path, cfg)
-        monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "env"))
-        for flag, root in (([], "cfg"), (["--out", str(tmp_path / "flag")], "flag")):
-            assert cli.main(["train", "--config", str(path), *flag]) == 0
-            assert f"artifacts in {tmp_path / root / 'o'}\n" in capsys.readouterr().out
-            assert (tmp_path / root / "o" / "summary.csv").exists()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GLASSOPT_OUT", str(tmp_path / "env"))
+        flag = tmp_path / "flag"
+        for argv, root in (([], Path("runs")), (["--out", str(flag)], flag)):
+            assert cli.main(["verify", "--suite", "step", *argv]) == 0
+            assert (root / "verify_step.csv").exists()
+            assert cli.main(["train", "--config", str(path), *argv]) == 0
+            assert f"artifacts in {root / 'o'}\n" in capsys.readouterr().out
+            assert (root / "o" / "summary.csv").exists()
         assert not (tmp_path / "env").exists()
+
+    def test_output_dir_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "old_manifest.cfg"
+        path.write_text("name = o\noutput_dir = x\nmodel.widths = 3,6,2\n")
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{path}:2: unknown key 'output_dir'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["verify", "--suite", "naq"], ["train"], ["probe"]])
+    def test_unusable_out_exits_two_before_any_work(self, tmp_path, capsys, command):
+        cfg = ExperimentConfig(name="o", steps=1, batch_size=0, model=ModelSpec((3, 6, 2)))
+        config = [] if command[0] == "verify" else ["--config", str(write_config(tmp_path, cfg))]
+        out = tmp_path / "a_file"
+        out.write_text("")
+        assert cli.main([*command, *config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ")
+        assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("command", ["train", "probe"])

@@ -83,7 +83,6 @@ def config_fields(draw):
         seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4,
                                   unique=True))),
         steps=draw(st.integers(1, 10**6)), batch_size=draw(st.integers(0, 4096)),
-        output_dir=draw(st.text("abc/_-.", max_size=12)),
         optimizer=draw(st.sampled_from(harness.OPTIMIZERS)), baseline_lr=draw(_positive()),
         model=model, alice=alice, data=data, probe=probe,
     )
@@ -111,28 +110,27 @@ WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
 
 
 @st.composite
-def fields_with_unparsable_text(draw):
-    """(fields, key, message): valid config fields with fields[key] spoilt for a manifest.
+def fields_with_unparsable_name(draw):
+    """(fields, message): valid config fields with the name spoilt for a manifest.
 
-    fields[key] gets a '#' anywhere, whitespace at one end, or a line break
+    The name gets a '#' anywhere, whitespace at one end, or a line break
     inside; message is the start of the ConfigError each must raise.
     """
     fields = draw(config_fields())
-    key = draw(st.sampled_from(("name", "output_dir")))
-    value = fields[key]
+    name = fields["name"]
     kind = draw(st.sampled_from(("#", "edge", "break")))
     if kind == "#":
-        at = draw(st.integers(0, len(value)))
-        fields[key] = value[:at] + "#" + value[at:]
-        return fields, key, f"{key} must not contain '#'"
+        at = draw(st.integers(0, len(name)))
+        fields["name"] = name[:at] + "#" + name[at:]
+        return fields, "name must not contain '#'"
     if kind == "edge":
         space = draw(st.sampled_from(WHITESPACE))
-        fields[key] = draw(st.sampled_from((space + value, value + space)))
-        return fields, key, f"{key} must not start or end with whitespace"
-    value = f"x{value}x"
-    at = draw(st.integers(1, len(value) - 1))
-    fields[key] = value[:at] + draw(st.sampled_from(LINE_BREAKS)) + value[at:]
-    return fields, key, f"{key} must not contain a line break"
+        fields["name"] = draw(st.sampled_from((space + name, name + space)))
+        return fields, "name must not start or end with whitespace"
+    name = f"x{name}x"
+    at = draw(st.integers(1, len(name) - 1))
+    fields["name"] = name[:at] + draw(st.sampled_from(LINE_BREAKS)) + name[at:]
+    return fields, "name must not contain a line break"
 
 
 class TestAggregate:
@@ -225,15 +223,14 @@ class TestConfigFormat:
         assert seeds == (2,) and type(seeds[0]) is int
 
     @settings(max_examples=100, deadline=None)
-    @given(fields_with_unparsable_text())
-    @example(({"name": " a"}, "name", "name must not start or end with whitespace"))
-    @example(({"output_dir": "out "}, "output_dir", "output_dir must not start or end with"))
-    @example(({"name": "a\x0cb"}, "name", "name must not contain a line break"))
-    @example(({"output_dir": "o\nseeds = 5"}, "output_dir", "output_dir must not contain a line"))
-    def test_unparsable_name_or_output_dir_rejected(self, case):
+    @given(fields_with_unparsable_name())
+    @example(({"name": " a"}, "name must not start or end with whitespace"))
+    @example(({"name": "a\x0cb"}, "name must not contain a line break"))
+    @example(({"name": "o\nseeds = 5"}, "name must not contain a line break"))
+    def test_unparsable_name_rejected(self, case):
         # parse_config cuts a '#' off as a comment, strips each value and reads
         # line by line, so a manifest could not carry any of these back.
-        fields, key, message = case
+        fields, message = case
         with pytest.raises(ConfigError, match=f"^{message}"):
             ExperimentConfig(**fields)
 
@@ -296,6 +293,12 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=r":2: seeds must be distinct, got \[1\]"):
             parse_config("name = x\nseeds = 1,2,1\n")
 
+    def test_negative_seed_names_its_entry(self):
+        # check_seed is the one negative-seed rule; the config names the entry it failed.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("name = x\nseeds = 0,-1\nmodel.widths = 3,4,2\n")
+        assert str(excinfo.value) == "<config>:2: seeds entry 1: seed must be >= 0, got -1"
+
     @pytest.mark.parametrize(
         "key, raw",
         [
@@ -335,7 +338,8 @@ class TestConfigFormat:
         ],
     )
     def test_out_of_range_value_names_key_and_line(self, key, raw):
-        with pytest.raises(ConfigError, match=rf":2: {key} must"):
+        # A seeds entry is checked by check_seed, whose message follows the entry's index.
+        with pytest.raises(ConfigError, match=rf":2: {key}( entry \d+: seed)? must"):
             parse_config(f"model.widths = 3,4,2\n{key} = {raw}\nmodel.loss = xent\n")
 
     @pytest.mark.parametrize(
@@ -650,12 +654,6 @@ class TestRunExperiment:
             )
             summary = run_experiment(cfg, harness._train_one, tmp_path)
             assert not summary.errors
-
-    def test_output_dir_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(harness.OUTPUT_ENV, str(tmp_path / "envout"))
-        cfg = _tiny_regression("env")
-        run_experiment(cfg, harness._train_one)
-        assert (tmp_path / "envout" / "env" / "summary.csv").exists()
 
 
 class TestPowerlawExperiment:
@@ -1082,7 +1080,6 @@ def _toy_value(key, legal):
     }
     choices = {
         "name": ("toy",),
-        "output_dir": ("", "elsewhere"),
         "optimizer": harness.OPTIMIZERS,
         "model.loss": netkit.LOSS_KINDS,
         "alice.limit_method": LIMIT_METHODS,
