@@ -199,8 +199,24 @@ class TestProbeCommand:
 
 
 class TestOutputDir:
-    def test_out_else_runs_whatever_the_env(self, tmp_path, monkeypatch, capsys):
-        # --out alone picks the output root; GLASSOPT_OUT is read by no command.
+    def test_out_then_env_then_runs(self, tmp_path, monkeypatch):
+        # GLASSOPT_OUT no longer picks the root: with it set, verify still
+        # writes under ./runs unless --out is given.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GLASSOPT_OUT", raising=False)
+        assert cli.main(["verify", "--suite", "step"]) == 0
+        assert (tmp_path / "runs" / "verify_step.csv").exists()
+        (tmp_path / "runs" / "verify_step.csv").unlink()
+        monkeypatch.setenv("GLASSOPT_OUT", str(tmp_path / "env"))
+        assert cli.main(["verify", "--suite", "step"]) == 0
+        assert (tmp_path / "runs" / "verify_step.csv").exists()
+        assert cli.main(["verify", "--suite", "step", "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "verify_step.csv").exists()
+        assert not (tmp_path / "env").exists()
+
+    def test_config_output_dir_between_out_and_env(self, tmp_path, monkeypatch, capsys):
+        # A manifest has no output_dir key any more (test_output_dir_key_is_unknown),
+        # so train's root is --out, else ./runs, whatever GLASSOPT_OUT says.
         cfg = ExperimentConfig(name="o", steps=1, batch_size=0, model=ModelSpec((3, 6, 2)))
         cfg.data.samples = 16
         path = write_config(tmp_path, cfg)
@@ -208,8 +224,6 @@ class TestOutputDir:
         monkeypatch.setenv("GLASSOPT_OUT", str(tmp_path / "env"))
         flag = tmp_path / "flag"
         for argv, root in (([], Path("runs")), (["--out", str(flag)], flag)):
-            assert cli.main(["verify", "--suite", "step", *argv]) == 0
-            assert (root / "verify_step.csv").exists()
             assert cli.main(["train", "--config", str(path), *argv]) == 0
             assert f"artifacts in {root / 'o'}\n" in capsys.readouterr().out
             assert (root / "o" / "summary.csv").exists()
